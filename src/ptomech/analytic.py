@@ -14,6 +14,7 @@ which catches transcription errors early.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -193,10 +194,7 @@ def numbers_equal_gain(
     Om1_sq = k2 - G2  # Omega_1^2, real in either regime
 
     # Omega_1 itself only ever appears inside the even/odd regular combinations.
-    if Om1_sq >= 0.0:
-        Om1 = complex(math.sqrt(Om1_sq), 0.0)
-    else:
-        Om1 = complex(0.0, math.sqrt(-Om1_sq))
+    Om1 = cmath.sqrt(Om1_sq)
     w = 2.0 * Om1 * t
     cm = _coshm1(w)  # (C_1 - 1)/w^2
     sc = _sinhc(w)  # S_1/w

@@ -33,10 +33,6 @@ EXIT_INVALID = 2
 EXIT_UNSTABLE = 3
 EXIT_DISCREPANCY = 4
 
-# |f|/kappa^2 below which the unequal-gain closed forms are not used by evolve
-# (mirrors the gamma ~ kappa warning band; the forms are singular at f = 0).
-F_FALLBACK_BAND = 1e-4
-
 
 class UnstableSteadyQuery(Exception):
     """Steady-state query at a point with no finite steady state."""
@@ -87,7 +83,7 @@ def _env_default(name: str, fallback=None, cast=float):
     try:
         return cast(raw)
     except ValueError as exc:
-        raise SystemExit(f"invalid value for PTOM_{name}: {raw!r} ({exc})")
+        raise ValueError(f"invalid value for PTOM_{name}: {raw!r} ({exc})")
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -106,7 +102,7 @@ def _round(value, precision: int):
     return float(f"{value:.{precision - 1}e}")
 
 
-def _write_output(args, columns, rows, footer: dict | None, config: RunConfig) -> None:
+def _write_output(columns, rows, footer: dict | None, config: RunConfig) -> None:
     """Emit the table in CSV or JSON; rows are sequences matching columns."""
     p = config.precision
     if config.format == "json":
@@ -133,8 +129,11 @@ def _write_output(args, columns, rows, footer: dict | None, config: RunConfig) -
                 lines.append(f"# {k}={_fmt(v, p) if isinstance(v, float) else v}")
         text = "\n".join(lines) + "\n"
     if config.output:
-        with open(config.output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {config.output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -159,6 +158,8 @@ def _label_row(label: RegimeLabel) -> tuple[str, str, str]:
 
 
 def _config_from_args(args, command: str, sweep: dict | None = None) -> RunConfig:
+    if args.precision < 1:
+        raise ValueError("--precision must be >= 1")
     params = {"gamma": getattr(args, "gamma", None), "G": getattr(args, "G", None),
               "omega1": args.omega1}
     init = {
@@ -204,7 +205,7 @@ def cmd_classify(args) -> int:
     row = [args.gamma, args.G, region, pt, stab, spectrum.max_re_lambda(params) / k]
     for z in (spec.omega_plus, spec.omega_minus, *spec.lambdas):
         row.extend([z.real / k, z.imag / k])
-    _write_output(args, columns, [row], None, config)
+    _write_output(columns, [row], None, config)
     return EXIT_OK
 
 
@@ -228,7 +229,7 @@ def cmd_sweep(args) -> int:
     for g, G, label, rmax in grid.rows():
         region, pt, stab = _label_row(label)
         rows.append([g, G, region, pt, stab, rmax])
-    _write_output(args, columns, rows, None, config)
+    _write_output(columns, rows, None, config)
     return EXIT_OK
 
 
@@ -252,6 +253,12 @@ def _evolve_tables(args):
 
     first = numeric.integrate_first_moments(params, init, t_end_s, dt=dt_s, n_samples=args.samples)
     second = numeric.integrate_second_moments(params, init, t_end_s, dt=dt_s, n_samples=args.samples)
+    # Each series stops at its own overflow sample; keep the rows both reached.
+    n = min(len(first.t), len(second.t))
+    first = dataclasses.replace(first, t=first.t[:n], a_mean=first.a_mean[:n],
+                                b_mean=first.b_mean[:n])
+    second = dataclasses.replace(second, t=second.t[:n], n_a=second.n_a[:n],
+                                 n_b=second.n_b[:n], ab_corr=second.ab_corr[:n])
     split = numeric.stimulated_spontaneous_split(first, second)
     t = first.t
 
@@ -281,10 +288,7 @@ def _evolve_tables(args):
         numbers = split
         disc_n = 0.0
     else:
-        disc_n = max(
-            _relmax(np.asarray(numbers.n_a), second.n_a),
-            _relmax(np.asarray(numbers.n_b), second.n_b),
-        )
+        disc_n = _relmax(np.stack([numbers.n_a, numbers.n_b]), np.stack([second.n_a, second.n_b]))
 
     columns = ["t", "x_analytic", "x_numeric", "n_a", "n_b", "n_a_st", "n_b_st", "n_a_sp", "n_b_sp"]
     rows = [
@@ -302,17 +306,19 @@ def _evolve_tables(args):
     if source == "numeric_fallback":
         footer["note"] = note
     if first.truncated or second.truncated:
-        footer["truncated_at_t"] = min(
-            ts for ts in (first.blowup_time, second.blowup_time) if ts is not None
-        )
-    return columns, rows, footer, max(disc_x, disc_n)
+        footer["truncated_at_t"] = float(t[-1])
+    # np.maximum, unlike max(), keeps a NaN discrepancy.
+    return columns, rows, footer, float(np.maximum(disc_x, disc_n))
 
 
 def cmd_evolve(args) -> int:
     config = _config_from_args(args, "evolve")
-    columns, rows, footer, disc = _evolve_tables(args)
-    _write_output(args, columns, rows, footer, config)
-    if disc > args.max_discrepancy:
+    # Overflow is reported through the truncation footer and the discrepancy
+    # gate below, not through numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns, rows, footer, disc = _evolve_tables(args)
+    _write_output(columns, rows, footer, config)
+    if not disc <= args.max_discrepancy:
         raise DiscrepancyExceeded(
             f"analytic/numeric discrepancy {disc:.3e} exceeds threshold {args.max_discrepancy:.3e}"
         )
@@ -332,7 +338,7 @@ def _steady_sweep_rows(args):
             rows.append([float(v), n_a_s, n_b_s, 1])
         except ValueError:
             rows.append([float(v), float("nan"), float("nan"), 0])
-    return values, rows
+    return rows
 
 
 def cmd_steady(args) -> int:
@@ -349,8 +355,8 @@ def cmd_steady(args) -> int:
         if args.sweep == "G" and args.gamma is None:
             raise ValueError("steady sweep over G requires --gamma")
         axis = "gamma_over_kappa" if args.sweep == "gamma" else "G_over_kappa"
-        _, rows = _steady_sweep_rows(args)
-        _write_output(args, [axis, "n_a_s", "n_b_s", "stable"], rows, None, config)
+        rows = _steady_sweep_rows(args)
+        _write_output([axis, "n_a_s", "n_b_s", "stable"], rows, None, config)
         return EXIT_OK
     if args.gamma is None or args.G is None:
         raise ValueError("steady requires --gamma and --G (in units of kappa)")
@@ -360,7 +366,7 @@ def cmd_steady(args) -> int:
     except ValueError as exc:
         raise UnstableSteadyQuery(f"no finite steady state at this point: {exc}")
     columns = ["gamma_over_kappa", "G_over_kappa", "n_a_s", "n_b_s"]
-    _write_output(args, columns, [[args.gamma, args.G, n_a_s, n_b_s]], None, config)
+    _write_output(columns, [[args.gamma, args.G, n_a_s, n_b_s]], None, config)
     return EXIT_OK
 
 
@@ -379,7 +385,7 @@ def cmd_figure(args) -> int:
                "" if preset.sweep_min is None else _fmt(preset.sweep_min, args.precision),
                "" if preset.sweep_max is None else _fmt(preset.sweep_max, args.precision),
                "" if preset.sweep_points is None else preset.sweep_points]
-        _write_output(args, columns, [row], None, config)
+        _write_output(columns, [row], None, config)
         return EXIT_OK
     # Presets fill in whatever the user did not override explicitly.
     if preset.gamma is not None and args.gamma is None:
@@ -492,10 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the preset parameter record instead of running it")
     _add_point(p)
     _add_evolution(p)
-    p.add_argument("--sweep", choices=("G", "gamma"), default=None, help=argparse.SUPPRESS)
-    p.add_argument("--sweep-min", type=float, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--sweep-max", type=float, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--sweep-points", type=int, default=101, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_figure)
 
@@ -503,9 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UnstableSteadyQuery as exc:
         print(f"ptomech: {exc}", file=sys.stderr)

@@ -107,10 +107,7 @@ class SystemParams:
         Real in the broken-PT regime (G < (kappa+gamma)/2), purely imaginary in
         the PT-symmetric regime, zero at the exceptional point.
         """
-        radicand = (self.gamma + self.kappa) ** 2 - 4.0 * self.coupling_G**2
-        if radicand >= 0.0:
-            return complex(math.sqrt(radicand), 0.0)
-        return complex(0.0, math.sqrt(-radicand))
+        return cmath.sqrt((self.gamma + self.kappa) ** 2 - 4.0 * self.coupling_G**2)
 
     @property
     def x_zpf(self) -> float:

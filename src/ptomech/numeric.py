@@ -1,15 +1,19 @@
 """Independent ground truth: working-point solver and fixed-step moment integration.
 
-The integrators are classical fixed-step RK4. The moment systems are linear
-and autonomous, so a single RK4 step reduces to multiplication by the constant
-matrix R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 (plus the matching affine
-term for the inhomogeneous second-moment system); the update is applied
-step by step, which keeps the oracle simple, deterministic and diffable.
-All integration runs in kappa-normalized time internally; times are converted
-to seconds at the boundary.
+The integrators are classical fixed-step RK4. The moment systems are linear,
+autonomous and at most affine, x' = Ax + b, so a single RK4 step reduces to
+multiplication by one constant matrix: R = I + hM + (hM)^2/2 + (hM)^3/6 +
+(hM)^4/24 for the augmented matrix M = [[A, b], [0, 0]] acting on (x, 1).
+Both moment systems share one propagator. The map between stored samples is
+R^chunk, built once per run by repeated squaring (``np.linalg.matrix_power``)
+and applied once per sample. It is still the discrete RK4 map, not the exact
+exponential, so the oracle stays independent of the closed forms. All
+integration runs in kappa-normalized time internally; times are converted to
+seconds at the boundary.
 
-For unstable regimes the integration halts with a flagged truncation once any
-moment magnitude exceeds 1e12, reporting the blow-up time.
+For unstable regimes the integration halts with a flagged truncation at the
+first stored sample whose largest moment magnitude exceeds 1e12 or is NaN,
+reporting that sample's time as the blow-up time.
 """
 
 from __future__ import annotations
@@ -141,7 +145,12 @@ class SecondMomentSeries:
 
 
 def default_dt(params: SystemParams) -> float:
-    """Default integration step 1e-3/max(kappa, gamma, G, omega1), seconds."""
+    """Default integration step 1e-3/max(kappa, gamma, G, omega1), seconds.
+
+    Both moment series use this one step rule, limited by omega1, although the
+    second-moment system has no omega1 term: the stimulated/spontaneous split
+    needs both series on one time grid.
+    """
     return 1e-3 / max(params.kappa, params.gamma, params.coupling_G, params.omega1)
 
 
@@ -168,27 +177,42 @@ def _plan_grid(t_end_k: float, dt_k: float, n_samples: int | None) -> tuple[int,
     return chunk, intervals
 
 
-def _rk4_update(A: np.ndarray, h: float) -> np.ndarray:
-    """One-step RK4 propagator I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24."""
-    eye = np.eye(A.shape[0], dtype=A.dtype)
-    hA = h * A
-    term = eye.copy()
-    R = eye.copy()
+def _propagate(
+    A: np.ndarray, b: np.ndarray, x0: np.ndarray, t_end_k: float, dt_k: float,
+    n_samples: int | None,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Sample the RK4 solution of x' = Ax + b on the grid of :func:`_plan_grid`.
+
+    Works in kappa-normalized time. Returns the sample times, one state per
+    row, and whether the run stopped at the overflow guard; a truncated run
+    keeps the first sample that failed the guard as its last row.
+    """
+    chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
+    h = t_end_k / (chunk * intervals)
+    n = len(x0)
+    # Homogeneous coordinates (x, 1) make the affine system linear, so one
+    # matrix carries both the RK4 update and its inhomogeneous term.
+    hM = np.zeros((n + 1, n + 1), dtype=A.dtype)
+    hM[:n, :n] = h * A
+    hM[:n, n] = h * b
+    term = np.eye(n + 1, dtype=A.dtype)
+    step = term.copy()
     for k in (1.0, 2.0, 3.0, 4.0):
-        term = term @ hA / k
-        R = R + term
-    return R
+        term = term @ hM / k
+        step = step + term
+    per_sample = np.linalg.matrix_power(step, chunk)
 
-
-def _rk4_affine(A: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
-    """Affine part of one RK4 step for x' = Ax + b: (h + h^2 A/2 + h^3 A^2/6 + h^4 A^3/24) b."""
-    r = h * b
-    term = h * b
-    hA = h * A
-    for k in (2.0, 3.0, 4.0):
-        term = hA @ term / k
-        r = r + term
-    return r
+    xs = np.empty((intervals + 1, n + 1), dtype=A.dtype)
+    xs[0, :n] = x0
+    xs[0, n] = 1.0
+    kept, truncated = intervals + 1, False
+    for i in range(1, intervals + 1):
+        xs[i] = per_sample @ xs[i - 1]
+        # Written so that NaN also stops the run.
+        if not np.max(np.abs(xs[i, :n])) <= OVERFLOW_GUARD:
+            kept, truncated = i + 1, True
+            break
+    return np.arange(kept) * chunk * h, xs[:kept, :n], truncated
 
 
 def integrate_first_moments(
@@ -210,41 +234,19 @@ def integrate_first_moments(
     gn = params.gamma / k
     Gn = params.coupling_G / k
     w1 = params.omega1 / k
-    t_end_k = t_end * k
-    dt_k = dt * k
-
-    chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
-    h = t_end_k / (chunk * intervals)
-
-    M = np.array(
+    A = np.array(
         [[-1j * w1 - 1.0, 1j * Gn], [1j * Gn, -1j * w1 + gn]],
         dtype=complex,
     )
-    R = _rk4_update(M, h)
-
-    z = np.array([init.alpha, init.beta], dtype=complex)
-    ts = [0.0]
-    out = [z.copy()]
-    truncated = False
-    blowup_time = None
-    for i in range(1, intervals + 1):
-        for _ in range(chunk):
-            z = R @ z
-        if np.max(np.abs(z)) > OVERFLOW_GUARD:
-            truncated = True
-            blowup_time = i * chunk * h / k
-            ts.append(i * chunk * h / k)
-            out.append(z.copy())
-            break
-        ts.append(i * chunk * h / k)
-        out.append(z.copy())
-    arr = np.array(out)
+    z0 = np.array([init.alpha, init.beta], dtype=complex)
+    t, z, truncated = _propagate(A, np.zeros(2, dtype=complex), z0, t_end * k, dt * k, n_samples)
+    t = t / k
     return FirstMomentSeries(
-        t=np.array(ts),
-        a_mean=arr[:, 0],
-        b_mean=arr[:, 1],
+        t=t,
+        a_mean=z[:, 0],
+        b_mean=z[:, 1],
         truncated=truncated,
-        blowup_time=blowup_time,
+        blowup_time=float(t[-1]) if truncated else None,
     )
 
 
@@ -267,12 +269,6 @@ def integrate_second_moments(
     k = params.kappa
     gn = params.gamma / k
     Gn = params.coupling_G / k
-    t_end_k = t_end * k
-    dt_k = dt * k
-
-    chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
-    h = t_end_k / (chunk * intervals)
-
     A = np.array(
         [
             [-2.0, 0.0, 0.0, -2.0 * Gn],
@@ -282,32 +278,17 @@ def integrate_second_moments(
         ]
     )
     b = np.array([0.0, 2.0 * gn, 0.0, 0.0])
-    R = _rk4_update(A, h)
-    r = _rk4_affine(A, h, b)
-
     c0 = complex(init.alpha).conjugate() * complex(init.beta)
-    v = np.array([abs(init.alpha) ** 2, abs(init.beta) ** 2, c0.real, c0.imag])
-    ts = [0.0]
-    out = [v.copy()]
-    truncated = False
-    blowup_time = None
-    for i in range(1, intervals + 1):
-        for _ in range(chunk):
-            v = R @ v + r
-        ts.append(i * chunk * h / k)
-        out.append(v.copy())
-        if np.max(np.abs(v)) > OVERFLOW_GUARD:
-            truncated = True
-            blowup_time = i * chunk * h / k
-            break
-    arr = np.array(out)
+    v0 = np.array([abs(init.alpha) ** 2, abs(init.beta) ** 2, c0.real, c0.imag])
+    t, v, truncated = _propagate(A, b, v0, t_end * k, dt * k, n_samples)
+    t = t / k
     return SecondMomentSeries(
-        t=np.array(ts),
-        n_a=arr[:, 0],
-        n_b=arr[:, 1],
-        ab_corr=arr[:, 2] + 1j * arr[:, 3],
+        t=t,
+        n_a=v[:, 0],
+        n_b=v[:, 1],
+        ab_corr=v[:, 2] + 1j * v[:, 3],
         truncated=truncated,
-        blowup_time=blowup_time,
+        blowup_time=float(t[-1]) if truncated else None,
     )
 
 

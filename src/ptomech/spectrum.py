@@ -46,11 +46,7 @@ def supermode_frequencies(params: SystemParams) -> tuple[complex, complex]:
     omega_pm = omega1 - (i/2)(kappa - gamma) +- sqrt(G^2 - (kappa+gamma)^2/4);
     omega_plus carries the + branch of the square root.
     """
-    radicand = params.coupling_G**2 - 0.25 * (params.kappa + params.gamma) ** 2
-    if radicand >= 0.0:
-        root = complex(math.sqrt(radicand), 0.0)
-    else:
-        root = complex(0.0, math.sqrt(-radicand))
+    root = cmath.sqrt(params.coupling_G**2 - 0.25 * (params.kappa + params.gamma) ** 2)
     base = params.omega1 - 0.5j * (params.kappa - params.gamma)
     return base + root, base - root
 

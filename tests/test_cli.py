@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,31 @@ class TestEvolveCommand:
         _, _, footer = parse_csv(out)
         assert footer["numbers_source"] == "analytic_equal_gain"
         assert float(footer["max_rel_discrepancy_numbers"]) < 1e-6
+
+    def test_series_truncate_at_common_horizon(self, capsys):
+        # The second moments reach the overflow guard one sample before the first.
+        code, out, _ = run(
+            capsys, "evolve", "--gamma", "1.8", "--G", "1.2", "--t-end", "30", "--samples", "5"
+        )
+        assert code == EXIT_OK
+        _, rows, footer = parse_csv(out)
+        assert 2 <= len(rows) < 5
+        assert float(footer["truncated_at_t"]) == float(rows[-1][0])
+        assert float(footer["max_rel_discrepancy_x"]) <= 1e-6
+        assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-6
+
+    def test_nonfinite_discrepancy_fails_gate(self, capsys):
+        # Over 400/kappa the second moments overflow to inf inside one sample.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "evolve", "--gamma", "1.8", "--G", "1.2", "--t-end", "400", "--samples", "2"
+            )
+        assert code == EXIT_DISCREPANCY
+        assert err.count("\n") == 1 and "discrepancy nan" in err
+        _, _, footer = parse_csv(out)
+        assert footer["max_rel_discrepancy_numbers"] == "nan"
+        assert "truncated_at_t" in footer
 
 
 class TestSteadyCommand:
@@ -314,6 +340,24 @@ class TestOutputFormats:
         assert code == EXIT_OK
         _, rows, _ = parse_csv(out)
         assert rows[0][2] == "4"
+
+    def test_bad_env_value_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setenv("PTOM_GAMMA", "abc")
+        code, out, err = run(capsys, "classify", "--G", "1.2")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.count("\n") == 1 and "PTOM_GAMMA" in err
+
+    def test_precision_below_one_rejected(self, capsys):
+        code, _, err = run(capsys, "classify", "--gamma", "0.6", "--G", "1.2", "--precision", "0")
+        assert code == EXIT_INVALID
+        assert err.count("\n") == 1 and "--precision must be >= 1" in err
+
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code, _, err = run(capsys, "classify", "--gamma", "0.6", "--G", "1.2", "--out", str(path))
+        assert code == EXIT_INVALID
+        assert err.count("\n") == 1 and str(path) in err
 
     def test_seedless_flag_accepted(self, capsys):
         code, _, _ = run(capsys, "classify", "--gamma", "0.6", "--G", "1.2", "--seedless")

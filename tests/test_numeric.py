@@ -17,9 +17,90 @@ from ptomech import (
     steady_numbers,
     stimulated_spontaneous_split,
 )
-from ptomech.numeric import default_dt, moment_state
+from ptomech.numeric import OVERFLOW_GUARD, _plan_grid, default_dt, moment_state
 
 from conftest import KAPPA, MASS, OMEGA1, params_at
+
+
+def second_moment_matrix(g, G):
+    """Drift of (n_a, n_b, Re<a^dag b>, Im<a^dag b>) in kappa units; b = (0, 2g, 0, 0)."""
+    return np.array(
+        [
+            [-2.0, 0.0, 0.0, -2.0 * G],
+            [0.0, 2.0 * g, 0.0, 2.0 * G],
+            [0.0, 0.0, g - 1.0, 0.0],
+            [G, -G, 0.0, g - 1.0],
+        ]
+    )
+
+
+def stepwise_rk4(A, b, x0, t_end_k, dt_k, n_samples):
+    """Reference oracle: apply the one-step RK4 map step by step, guard per sample.
+
+    R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and the affine part
+    r = (h + h^2 A/2 + h^3 A^2/6 + h^4 A^3/24) b, so x <- R x + r per step.
+    """
+    chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
+    h = t_end_k / (chunk * intervals)
+    hA = h * A
+    R = term = np.eye(len(x0), dtype=A.dtype)
+    for k in (1.0, 2.0, 3.0, 4.0):
+        term = term @ hA / k
+        R = R + term
+    r = term = h * b
+    for k in (2.0, 3.0, 4.0):
+        term = hA @ term / k
+        r = r + term
+    x = x0
+    out = [x0]
+    for _ in range(intervals):
+        for _ in range(chunk):
+            x = R @ x + r
+        out.append(x)
+        if np.max(np.abs(x)) > OVERFLOW_GUARD:
+            break
+    return np.array(out)
+
+
+class TestPropagatorAgainstStepwiseLoop:
+    # (gamma, G) in kappa units, omega1 in kappa units, t_end in 1/kappa, n_samples.
+    # A small omega1 keeps the reference loop short at the largest allowed step.
+    CASES = {
+        "chunk1": (0.6, 1.2, 2.0, 1.0, None),
+        "chunked": (1.0, 0.8, 2.0, 6.0, 20),
+        "truncating": (1.8, 1.2, 2.0, 15.0, 50),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_both_series_match_reference(self, case, coherent_init):
+        g, G, w1, t_end, n_samples = self.CASES[case]
+        p = make_params(KAPPA, g * KAPPA, G * KAPPA, w1 * KAPPA, MASS)
+        dt = 0.005 / KAPPA
+        first = integrate_first_moments(p, coherent_init, t_end / KAPPA, dt=dt, n_samples=n_samples)
+        second = integrate_second_moments(p, coherent_init, t_end / KAPPA, dt=dt, n_samples=n_samples)
+
+        alpha, beta = coherent_init.alpha, coherent_init.beta
+        A1 = np.array([[-1j * w1 - 1.0, 1j * G], [1j * G, -1j * w1 + g]])
+        ref1 = stepwise_rk4(A1, np.zeros(2, dtype=complex), np.array([alpha, beta]),
+                            t_end, 0.005, n_samples)
+        c0 = alpha.conjugate() * beta
+        x0 = np.array([abs(alpha) ** 2, abs(beta) ** 2, c0.real, c0.imag])
+        ref2 = stepwise_rk4(second_moment_matrix(g, G), np.array([0.0, 2.0 * g, 0.0, 0.0]),
+                            x0, t_end, 0.005, n_samples)
+
+        got1 = np.column_stack([first.a_mean, first.b_mean])
+        got2 = np.column_stack([second.n_a, second.n_b, second.ab_corr.real, second.ab_corr.imag])
+        for got, ref, series in ((got1, ref1, first), (got2, ref2, second)):
+            assert got.shape == ref.shape
+            assert series.truncated == (np.max(np.abs(ref[-1])) > OVERFLOW_GUARD)
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.max(np.abs(got - ref) / scale) <= 1e-9
+        if case == "chunk1":
+            assert len(first.t) == math.ceil(t_end / 0.005) + 1
+        if case == "truncating":
+            # The second moments grow twice as fast and reach the guard first.
+            assert second.truncated and not first.truncated
+            assert 2 < len(second.t) < len(first.t)
 
 
 class TestWorkingPoint:
@@ -175,15 +256,7 @@ class TestSecondMoments:
         for _ in range(50):
             g, G = rng.uniform(0.0, 2.0, size=2)
             p = make_params(1.0, g, G, 10.0, 1.0)
-            A = np.array(
-                [
-                    [-2.0, 0.0, 0.0, -2.0 * G],
-                    [0.0, 2.0 * g, 0.0, 2.0 * G],
-                    [0.0, 0.0, g - 1.0, 0.0],
-                    [G, -G, 0.0, g - 1.0],
-                ]
-            )
-            second_eigs = np.linalg.eigvals(A)
+            second_eigs = np.linalg.eigvals(second_moment_matrix(g, G))
             lam_p, lam_m = drift_eigenvalues(p).lambdas[1], drift_eigenvalues(p).lambdas[3]
             expected = np.array(
                 [
@@ -213,6 +286,15 @@ class TestSecondMoments:
         assert series.blowup_time is not None
         assert series.t[-1] < 40.0 / KAPPA
         assert np.max(series.n_b) > 1e12
+
+    def test_nan_state_counts_as_overflow(self, coherent_init):
+        # One 400/kappa sample interval: the composed map overflows and inf - inf gives NaN.
+        p = params_at(1.8, 1.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            series = integrate_second_moments(p, coherent_init, 400.0 / KAPPA, n_samples=2)
+        assert np.isnan(series.n_b[-1])
+        assert series.truncated
+        assert series.blowup_time == series.t[-1]
 
 
 class TestSplit:
