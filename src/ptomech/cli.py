@@ -4,12 +4,22 @@ Rates are accepted in units of kappa (matching how the parameter points are
 usually quoted); ``--kappa-hz`` sets the absolute scale. Times on the command
 line are in units of 1/kappa; serialized output uses seconds and meters.
 Output is CSV (fixed significant digits, '.' decimal, mandatory header row) or
-a JSON mirror with identical field names. Every flag can be supplied through
-an environment variable with the ``PTOM_`` prefix (e.g. ``PTOM_GAMMA``);
-explicit flags win.
+a JSON mirror with identical field names. Every flag that takes a value can be
+supplied through an environment variable with the ``PTOM_`` prefix (e.g.
+``PTOM_GAMMA``); only the chosen subcommand's variables are read, each is
+checked like its flag, and explicit flags win.
 
-Exit codes: 0 ok, 2 invalid configuration, 3 steady-state query at an
-unstable point, 4 analytic/numeric discrepancy above threshold.
+``evolve`` (and every trajectory figure) tabulates the closed forms next to the
+RK4 oracle and reports, in its footer, the largest relative discrepancy of the
+displacement and of the particle numbers, ``numbers_source`` (always
+``analytic``: one closed form covers the whole (gamma, G) plane) and, when
+the oracle reached its overflow guard, ``truncated_at_t``.
+
+Exit codes: 0 ok; 2 invalid configuration (a bad flag or ``PTOM_*`` value
+included); 3 steady-state query at an unstable point; 4 analytic/numeric
+discrepancy above threshold, or a closed form that is not finite at a
+requested time (``analytic.ClosedFormError``). Each failure prints one line
+on stderr.
 """
 
 from __future__ import annotations
@@ -74,16 +84,6 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(json.loads(text))
-
-
-def _env_default(name: str, fallback=None, cast=float):
-    raw = os.environ.get("PTOM_" + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ValueError(f"invalid value for PTOM_{name}: {raw!r} ({exc})")
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -255,56 +255,29 @@ def _evolve_tables(args):
     second = numeric.integrate_second_moments(params, init, t_end_s, dt=dt_s, n_samples=args.samples)
     # Each series stops at its own overflow sample; keep the rows both reached.
     n = min(len(first.t), len(second.t))
-    first = dataclasses.replace(first, t=first.t[:n], a_mean=first.a_mean[:n],
-                                b_mean=first.b_mean[:n])
-    second = dataclasses.replace(second, t=second.t[:n], n_a=second.n_a[:n],
-                                 n_b=second.n_b[:n], ab_corr=second.ab_corr[:n])
-    split = numeric.stimulated_spontaneous_split(first, second)
-    t = first.t
+    t = first.t[:n]
+    x_numeric = params.x_zpf * 2.0 * first.b_mean[:n].real
+    n_numeric = np.stack([second.n_a[:n], second.n_b[:n]])
+    # Only the last row of a truncated run can lie past float range. The closed
+    # forms are evaluated on the rows where the oracle is finite; the rest read
+    # nan, so the discrepancy gate fails there.
+    m = n if np.all(np.isfinite([x_numeric[-1], *n_numeric[:, -1]])) else n - 1
+    numbers = analytic.numbers(params, init, t[:m])
+    closed = np.full((7, n), np.nan)
+    closed[:, :m] = [analytic.displacement(params, init, t[:m]),
+                     numbers.n_a, numbers.n_b, numbers.n_a_st, numbers.n_b_st,
+                     numbers.n_a_sp, numbers.n_b_sp]
 
-    x_analytic = np.asarray(analytic.displacement(params, init, t))
-    x_numeric = params.x_zpf * 2.0 * first.b_mean.real
-
-    band_lo = analytic.EQUAL_GAIN_TOL
-    band_hi = analytic.WARNING_BAND_TOL
-    dgam = abs(params.gamma - k) / k
-    f_norm = abs(params.f) / k**2
-    numbers = None
-    if dgam <= band_lo:
-        numbers = analytic.numbers_equal_gain(params, init, t)
-        source = "analytic_equal_gain"
-    elif dgam < band_hi:
-        source = "numeric_fallback"
-        note = "gamma within the near-equal-gain warning band; closed form bypassed"
-    elif f_norm < band_hi:
-        source = "numeric_fallback"
-        note = "f = G^2 - gamma*kappa too close to 0; closed form bypassed"
-    else:
-        numbers = analytic.numbers_unequal_gain(params, init, t)
-        source = "analytic_unequal_gain"
-
-    disc_x = _relmax(x_analytic / params.x_zpf, x_numeric / params.x_zpf)
-    if numbers is None:
-        numbers = split
-        disc_n = 0.0
-    else:
-        disc_n = _relmax(np.stack([numbers.n_a, numbers.n_b]), np.stack([second.n_a, second.n_b]))
+    disc_x = _relmax(closed[0] / params.x_zpf, x_numeric / params.x_zpf)
+    disc_n = _relmax(closed[1:3], n_numeric)
 
     columns = ["t", "x_analytic", "x_numeric", "n_a", "n_b", "n_a_st", "n_b_st", "n_a_sp", "n_b_sp"]
-    rows = [
-        [t[i], x_analytic[i], x_numeric[i],
-         numbers.n_a[i], numbers.n_b[i],
-         numbers.n_a_st[i], numbers.n_b_st[i],
-         numbers.n_a_sp[i], numbers.n_b_sp[i]]
-        for i in range(len(t))
-    ]
+    rows = list(zip(t, closed[0], x_numeric, *closed[1:]))
     footer = {
         "max_rel_discrepancy_x": disc_x,
         "max_rel_discrepancy_numbers": disc_n,
-        "numbers_source": source,
+        "numbers_source": "analytic",
     }
-    if source == "numeric_fallback":
-        footer["note"] = note
     if first.truncated or second.truncated:
         footer["truncated_at_t"] = float(t[-1])
     # np.maximum, unlike max(), keeps a NaN discrepancy.
@@ -401,22 +374,42 @@ def cmd_figure(args) -> int:
     return cmd_evolve(args)
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """Parser of one subcommand; each of its flags may also come from ``PTOM_<FLAG>``.
+
+    Only the chosen subcommand's parser runs, so only its variables are read.
+    A set variable is parsed as if its flag came first on the command line:
+    argparse converts and checks it (type, choices), and an explicit flag,
+    coming later, wins.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        from_env = []
+        for action in self._actions:
+            if not action.option_strings or action.nargs == 0:
+                continue  # positionals and switches have no variable
+            raw = os.environ.get(_env_name(action.dest))
+            if raw is not None:
+                from_env.append(f"{action.option_strings[-1]}={raw}")
+        return super().parse_known_args(from_env + list(args), namespace)
+
+
+def _env_name(dest: str) -> str:
+    return "PTOM_" + dest.upper()
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kappa-hz", type=float,
-                        default=_env_default("KAPPA_HZ", presets.KAPPA_HZ_DEFAULT),
+    parser.add_argument("--kappa-hz", type=float, default=presets.KAPPA_HZ_DEFAULT,
                         help="cavity loss rate setting the absolute scale, rad/s (default 6.45e6)")
-    parser.add_argument("--omega1", type=float,
-                        default=_env_default("OMEGA1", presets.OMEGA1_OVER_KAPPA_DEFAULT),
+    parser.add_argument("--omega1", type=float, default=presets.OMEGA1_OVER_KAPPA_DEFAULT,
                         help="common frequency in units of kappa (default 2*pi*23.4 MHz / kappa)")
-    parser.add_argument("--mass", type=float, default=_env_default("MASS", presets.MASS_DEFAULT),
+    parser.add_argument("--mass", type=float, default=presets.MASS_DEFAULT,
                         help="mechanical effective mass, kg (default 5e-11)")
-    parser.add_argument("--tol", type=float, default=_env_default("TOL", spectrum.DEFAULT_TOL),
+    parser.add_argument("--tol", type=float, default=spectrum.DEFAULT_TOL,
                         help="classification tolerance in kappa-normalized units (default 1e-9)")
-    parser.add_argument("--out", default=_env_default("OUT", None, str),
-                        help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        default=_env_default("FORMAT", "csv", str), help="output format")
-    parser.add_argument("--precision", type=int, default=_env_default("PRECISION", 12, int),
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    parser.add_argument("--precision", type=int, default=12,
                         help="significant digits in numeric output (default 12)")
     parser.add_argument("--seedless", action="store_true",
                         help="assert that the run uses no random numbers (always true; "
@@ -424,75 +417,72 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_point(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gamma", type=float, default=_env_default("GAMMA"),
-                        help="mechanical gain rate in units of kappa")
-    parser.add_argument("--G", type=float, default=_env_default("G"),
-                        help="effective coupling in units of kappa")
+    parser.add_argument("--gamma", type=float, help="mechanical gain rate in units of kappa")
+    parser.add_argument("--G", type=float, help="effective coupling in units of kappa")
 
 
 def _add_evolution(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha-mag", type=float,
-                        default=_env_default("ALPHA_MAG", presets.ALPHA_MAG_DEFAULT))
-    parser.add_argument("--alpha-phase", type=float,
-                        default=_env_default("ALPHA_PHASE", presets.ALPHA_PHASE_DEFAULT),
+    parser.add_argument("--alpha-mag", type=float, default=presets.ALPHA_MAG_DEFAULT)
+    parser.add_argument("--alpha-phase", type=float, default=presets.ALPHA_PHASE_DEFAULT,
                         help="initial cavity phase, radians")
-    parser.add_argument("--beta-mag", type=float,
-                        default=_env_default("BETA_MAG", presets.BETA_MAG_DEFAULT))
-    parser.add_argument("--beta-phase", type=float,
-                        default=_env_default("BETA_PHASE", presets.BETA_PHASE_DEFAULT),
+    parser.add_argument("--beta-mag", type=float, default=presets.BETA_MAG_DEFAULT)
+    parser.add_argument("--beta-phase", type=float, default=presets.BETA_PHASE_DEFAULT,
                         help="initial mechanical phase, radians")
-    parser.add_argument("--t-end", type=float, default=_env_default("T_END", presets.T_END_DEFAULT),
+    parser.add_argument("--t-end", type=float, default=presets.T_END_DEFAULT,
                         help="evolution time in units of 1/kappa (default 10)")
-    parser.add_argument("--dt", type=float, default=_env_default("DT"),
+    parser.add_argument("--dt", type=float,
                         help="integration step in units of 1/kappa "
                              "(default 1e-3/max(1, gamma, G, omega1))")
-    parser.add_argument("--samples", type=int,
-                        default=_env_default("SAMPLES", presets.SAMPLES_DEFAULT, int),
+    parser.add_argument("--samples", type=int, default=presets.SAMPLES_DEFAULT,
                         help="number of stored sample times (default 200)")
-    parser.add_argument("--max-discrepancy", type=float,
-                        default=_env_default("MAX_DISCREPANCY", 1e-6),
+    parser.add_argument("--max-discrepancy", type=float, default=1e-6,
                         help="largest allowed analytic/numeric relative discrepancy (default 1e-6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # exit_on_error=False: a bad value raises argparse.ArgumentError, which
+    # main() reports in one line.
     parser = argparse.ArgumentParser(
         prog="ptomech",
         description="Two-mode gain/loss optomechanical dynamics: regimes, spectra, trajectories.",
+        exit_on_error=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    p = sub.add_parser("classify", help="regime label and spectrum of one parameter point")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, exit_on_error=False)
+
+    p = command("classify", "regime label and spectrum of one parameter point")
     _add_point(p)
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("sweep", help="phase-diagram grid over (gamma, G)")
-    p.add_argument("--gamma-min", type=float, default=_env_default("GAMMA_MIN", 0.0))
-    p.add_argument("--gamma-max", type=float, default=_env_default("GAMMA_MAX", 2.0))
-    p.add_argument("--gamma-res", type=int, default=_env_default("GAMMA_RES", 201, int))
-    p.add_argument("--G-min", type=float, default=_env_default("G_MIN", 0.0))
-    p.add_argument("--G-max", type=float, default=_env_default("G_MAX", 2.0))
-    p.add_argument("--G-res", type=int, default=_env_default("G_RES", 201, int))
+    p = command("sweep", "phase-diagram grid over (gamma, G)")
+    p.add_argument("--gamma-min", type=float, default=0.0)
+    p.add_argument("--gamma-max", type=float, default=2.0)
+    p.add_argument("--gamma-res", type=int, default=201)
+    p.add_argument("--G-min", type=float, default=0.0)
+    p.add_argument("--G-max", type=float, default=2.0)
+    p.add_argument("--G-res", type=int, default=201)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("evolve", help="time evolution: displacement and particle numbers")
+    p = command("evolve", "time evolution: displacement and particle numbers")
     _add_point(p)
     _add_evolution(p)
     _add_common(p)
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("steady", help="steady-state particle numbers (single point or sweep)")
+    p = command("steady", "steady-state particle numbers (single point or sweep)")
     _add_point(p)
-    p.add_argument("--sweep", choices=("G", "gamma"), default=_env_default("SWEEP", None, str),
-                   help="sweep variable for curve output")
-    p.add_argument("--sweep-min", type=float, default=_env_default("SWEEP_MIN"))
-    p.add_argument("--sweep-max", type=float, default=_env_default("SWEEP_MAX"))
-    p.add_argument("--sweep-points", type=int, default=_env_default("SWEEP_POINTS", 101, int))
+    p.add_argument("--sweep", choices=("G", "gamma"), help="sweep variable for curve output")
+    p.add_argument("--sweep-min", type=float)
+    p.add_argument("--sweep-max", type=float)
+    p.add_argument("--sweep-points", type=int, default=101)
     _add_common(p)
     p.set_defaults(func=cmd_steady)
 
-    p = sub.add_parser("figure", help="run a named parameter preset")
+    p = command("figure", "run a named parameter preset")
     p.add_argument("name", help="preset name, e.g. 3a..3f, 4top, 4bot, 5a..5i, 6a, 6b")
     p.add_argument("--show-preset", action="store_true",
                    help="print the preset parameter record instead of running it")
@@ -504,14 +494,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _argument_error(exc: argparse.ArgumentError) -> str:
+    """One line for a bad flag or PTOM_* value, quoting the variable if it is set."""
+    text = str(exc)
+    if exc.argument_name and exc.argument_name.startswith("--"):
+        name = _env_name(exc.argument_name[2:].replace("-", "_"))
+        if name in os.environ:
+            text += f" ({name}={os.environ[name]!r})"
+    return text
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        print(f"ptomech: invalid configuration: {_argument_error(exc)}", file=sys.stderr)
+        return EXIT_INVALID
     except UnstableSteadyQuery as exc:
         print(f"ptomech: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except DiscrepancyExceeded as exc:
+    except (DiscrepancyExceeded, analytic.ClosedFormError) as exc:
         print(f"ptomech: {exc}", file=sys.stderr)
         return EXIT_DISCREPANCY
     except (ValueError, numeric.ConvergenceError) as exc:

@@ -1,10 +1,14 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptomech import (
+    ClosedFormError,
     CoherentInit,
     displacement,
     finite_time_amplitude,
@@ -12,11 +16,12 @@ from ptomech import (
     integrate_first_moments,
     integrate_second_moments,
     make_params,
-    numbers_equal_gain,
-    numbers_unequal_gain,
+    numbers,
     steady_numbers,
     stimulated_spontaneous_split,
 )
+from ptomech import presets
+from ptomech.presets import PRESETS
 
 from conftest import KAPPA, TRAJECTORY_SETS, params_at
 
@@ -106,7 +111,7 @@ class TestFiniteTimeAmplitude:
 class TestNumbersEqualGain:
     def test_initial_decomposition(self, coherent_init):
         p = params_at(1.0, 1.5)
-        split = numbers_equal_gain(p, coherent_init, 0.0)
+        split = numbers(p, coherent_init, 0.0)
         assert split.n_a_st == pytest.approx(abs(coherent_init.alpha) ** 2, rel=1e-14)
         assert split.n_b_st == pytest.approx(abs(coherent_init.beta) ** 2, rel=1e-14)
         assert split.n_a_sp == 0.0
@@ -116,7 +121,7 @@ class TestNumbersEqualGain:
     def test_matches_moment_oracle(self, G, coherent_init):
         p = params_at(1.0, G)
         _, second, split = oracle_split(p, coherent_init, 10.0 / KAPPA)
-        closed = numbers_equal_gain(p, coherent_init, second.t)
+        closed = numbers(p, coherent_init, second.t)
         assert relmax(closed.n_a_st, split.n_a_st) <= 1e-6
         assert relmax(closed.n_b_st, split.n_b_st) <= 1e-6
         assert relmax(closed.n_a_sp, split.n_a_sp) <= 1e-6
@@ -126,22 +131,18 @@ class TestNumbersEqualGain:
     def test_region6_oscillates_with_rising_equilibrium(self, coherent_init):
         p = params_at(1.0, 1.5)
         t = np.linspace(0.0, 30.0 / KAPPA, 3001)
-        n_a = numbers_equal_gain(p, coherent_init, t).n_a
+        n_a = numbers(p, coherent_init, t).n_a
         # Rising long-run trend: window means increase monotonically.
         means = [np.mean(n_a[(t * KAPPA >= lo) & (t * KAPPA < lo + 7.5)]) for lo in (0, 7.5, 15, 22.5)]
         assert all(b > a for a, b in zip(means, means[1:]))
         # Superimposed oscillation: the signal dips below each window mean.
         assert np.min(n_a[t * KAPPA >= 22.5]) < means[-1]
 
-    def test_rejects_unequal_gain(self, coherent_init):
-        with pytest.raises(ValueError):
-            numbers_equal_gain(params_at(0.6, 1.2), coherent_init, 0.0)
-
 
 class TestNumbersUnequalGain:
     def test_initial_decomposition(self, coherent_init):
         p = params_at(0.6, 0.798)
-        split = numbers_unequal_gain(p, coherent_init, 0.0)
+        split = numbers(p, coherent_init, 0.0)
         assert split.n_a_st == pytest.approx(abs(coherent_init.alpha) ** 2, rel=1e-14)
         assert split.n_b_st == pytest.approx(abs(coherent_init.beta) ** 2, rel=1e-14)
         assert split.n_a_sp == 0.0
@@ -151,7 +152,7 @@ class TestNumbersUnequalGain:
     def test_matches_moment_oracle(self, g, G, coherent_init):
         p = params_at(g, G)
         _, second, split = oracle_split(p, coherent_init, 10.0 / KAPPA)
-        closed = numbers_unequal_gain(p, coherent_init, second.t)
+        closed = numbers(p, coherent_init, second.t)
         assert relmax(closed.n_a_st, split.n_a_st) <= 1e-6
         assert relmax(closed.n_b_st, split.n_b_st) <= 1e-6
         assert relmax(closed.n_a_sp, split.n_a_sp) <= 1e-6
@@ -160,7 +161,7 @@ class TestNumbersUnequalGain:
     def test_long_time_reaches_steady_values(self, coherent_init):
         p = params_at(0.6, 0.798)
         n_a_s, n_b_s = steady_numbers(p)
-        split = numbers_unequal_gain(p, coherent_init, 60.0 / KAPPA)
+        split = numbers(p, coherent_init, 60.0 / KAPPA)
         assert split.n_a == pytest.approx(n_a_s, rel=1e-5)
         assert split.n_b == pytest.approx(n_b_s, rel=1e-5)
 
@@ -168,8 +169,8 @@ class TestNumbersUnequalGain:
         # gamma > kappa: exponential growth, oscillating for G > (kappa+gamma)/2
         # and monotone (after an initial transient) otherwise.
         t = np.linspace(0.0, 10.0 / KAPPA, 2001)
-        osc = numbers_unequal_gain(params_at(1.8, 2.1), coherent_init, t).n_a
-        mono = numbers_unequal_gain(params_at(1.8, 1.2), coherent_init, t).n_a
+        osc = numbers(params_at(1.8, 2.1), coherent_init, t).n_a
+        mono = numbers(params_at(1.8, 1.2), coherent_init, t).n_a
         assert osc[-1] > 1e3 and mono[-1] > 1e3
         late = t * KAPPA >= 5.0
         assert np.all(np.diff(mono[late]) > 0)
@@ -179,8 +180,8 @@ class TestNumbersUnequalGain:
         # gamma -> kappa at fixed G = 1.5 kappa, t = 2/kappa: converges to the
         # equal-gain values within 1e-4 relative at |gamma-kappa| = 1e-6 kappa.
         t = 2.0 / KAPPA
-        eq = numbers_equal_gain(params_at(1.0, 1.5), coherent_init, t)
-        near = numbers_unequal_gain(params_at(1.0 + 1e-6, 1.5), coherent_init, t)
+        eq = numbers(params_at(1.0, 1.5), coherent_init, t)
+        near = numbers(params_at(1.0 + 1e-6, 1.5), coherent_init, t)
         for field in ("n_a_st", "n_b_st", "n_a_sp", "n_b_sp"):
             assert getattr(near, field) == pytest.approx(getattr(eq, field), rel=1e-4)
 
@@ -190,18 +191,12 @@ class TestNumbersUnequalGain:
         G_ep = 0.5 * (1.0 + g)
         G_near = 0.5 * math.sqrt((1.0 + g) ** 2 - 1e-12)  # |Omega| = 1e-6 kappa
         t = np.linspace(0.0, 10.0 / KAPPA, 101)
-        at_ep = numbers_unequal_gain(params_at(g, G_ep), coherent_init, t)
-        near = numbers_unequal_gain(params_at(g, G_near), coherent_init, t)
+        at_ep = numbers(params_at(g, G_ep), coherent_init, t)
+        near = numbers(params_at(g, G_near), coherent_init, t)
         for field in ("n_a_st", "n_b_st", "n_a_sp", "n_b_sp"):
             a = np.asarray(getattr(at_ep, field))
             b = np.asarray(getattr(near, field))
             assert np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(a))) < 1e-6
-
-    def test_rejects_equal_gain_and_f_zero(self, coherent_init):
-        with pytest.raises(ValueError):
-            numbers_unequal_gain(params_at(1.0, 1.5), coherent_init, 0.0)
-        with pytest.raises(ValueError):
-            numbers_unequal_gain(params_at(0.6, math.sqrt(0.6)), coherent_init, 0.0)
 
 
 class TestSteadyNumbers:
@@ -245,7 +240,7 @@ class TestDecompositionProperties:
                 alpha=rng.uniform(0, 3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
                 beta=rng.uniform(0, 3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
             )
-            split = numbers_unequal_gain(p, init, t)
+            split = numbers(p, init, t)
             assert split.n_a == pytest.approx(n_a_s, rel=1e-4)
             assert split.n_b == pytest.approx(n_b_s, rel=1e-4)
 
@@ -255,17 +250,17 @@ class TestDecompositionProperties:
         for g, G in [(0.6, 1.2), (1.8, 2.1)]:
             p = params_at(g, G)
             first = integrate_first_moments(p, coherent_init, 8.0 / KAPPA, n_samples=100)
-            closed = numbers_unequal_gain(p, coherent_init, first.t)
+            closed = numbers(p, coherent_init, first.t)
             assert relmax(closed.n_a_st, np.abs(first.a_mean) ** 2) <= 1e-7
             assert relmax(closed.n_b_st, np.abs(first.b_mean) ** 2) <= 1e-7
 
     def test_spontaneous_parts_nonnegative(self, coherent_init):
         t = np.linspace(0.0, 10.0 / KAPPA, 501)
         for g, G in [(0.6, 1.2), (0.6, 0.798), (1.8, 2.1), (1.8, 1.2)]:
-            split = numbers_unequal_gain(params_at(g, G), coherent_init, t)
+            split = numbers(params_at(g, G), coherent_init, t)
             for sp, tot in ((split.n_a_sp, split.n_a), (split.n_b_sp, split.n_b)):
                 assert np.all(sp >= -1e-9 * np.maximum(1.0, tot))
-        eq = numbers_equal_gain(params_at(1.0, 1.5), coherent_init, t)
+        eq = numbers(params_at(1.0, 1.5), coherent_init, t)
         assert np.all(eq.n_a_sp >= -1e-9 * np.maximum(1.0, eq.n_a))
         assert np.all(eq.n_b_sp >= -1e-9 * np.maximum(1.0, eq.n_b))
 
@@ -279,13 +274,153 @@ class TestDecompositionProperties:
                     alpha=complex(rng.normal(), rng.normal()),
                     beta=complex(rng.normal(), rng.normal()),
                 )
-                if abs(params.gamma - params.kappa) < 1e-9:
-                    split = numbers_equal_gain(params, init, t)
-                else:
-                    split = numbers_unequal_gain(params, init, t)
+                split = numbers(params, init, t)
                 pair = (np.asarray(split.n_a_sp), np.asarray(split.n_b_sp))
                 if reference is None:
                     reference = pair
                 else:
                     assert np.allclose(pair[0], reference[0], rtol=1e-10, atol=1e-12)
                     assert np.allclose(pair[1], reference[1], rtol=1e-10, atol=1e-12)
+
+
+def mp_reference(params, init, t_kappa):
+    """50-digit (n_a_st, n_b_st, n_a_sp, n_b_sp) on a uniform grid t_kappa (units of 1/kappa).
+
+    mp.expm of the second-moment drift augmented with its 2*gamma source, the
+    5x5 matrix acting on (n_a, n_b, Re<a^dag b>, Im<a^dag b>, 1): the
+    coherent initial moments with source weight 0 give the stimulated parts,
+    the vacuum with source weight 1 the spontaneous parts.
+    """
+    with mp.workdps(50):
+        kappa = mp.mpf(params.kappa)
+        g, G = mp.mpf(params.gamma) / kappa, mp.mpf(params.coupling_G) / kappa
+        drift = mp.matrix([
+            [-2, 0, 0, -2 * G, 0],
+            [0, 2 * g, 0, 2 * G, 2 * g],
+            [0, 0, g - 1, 0, 0],
+            [G, -G, 0, g - 1, 0],
+            [0, 0, 0, 0, 0],
+        ])
+        alpha, beta = mp.mpc(init.alpha), mp.mpc(init.beta)
+        c0 = mp.conj(alpha) * beta
+        coherent = mp.matrix([abs(alpha) ** 2, abs(beta) ** 2, c0.real, c0.imag, 0])
+        vacuum = mp.matrix([0, 0, 0, 0, 1])
+        step = mp.expm(drift * (mp.mpf(t_kappa[1]) - mp.mpf(t_kappa[0])))
+        out, prop = [], mp.eye(5)
+        for _ in t_kappa:
+            st, sp = prop * coherent, prop * vacuum
+            out.append([float(st[0]), float(st[1]), float(sp[0]), float(sp[1])])
+            prop = step * prop
+    return np.array(out).T
+
+
+def _pointwise_rel(got, ref):
+    # Both sides are exactly 0 for the spontaneous parts at t = 0.
+    return float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)))
+
+
+MP_GRID = np.linspace(0.0, 10.0, 11)
+
+
+def _near_line_points():
+    for k in range(2, 13):
+        e = 10.0**-k
+        for s, sign in ((1, "+"), (-1, "-")):
+            yield f"gamma=kappa(1{sign}1e-{k})", 1.0 + s * e, 1.5
+            yield f"f={sign}1e-{k}", 0.6, math.sqrt(0.6 + s * e)
+            yield f"Omega^2={sign}1e-{k}", 0.6, 0.5 * math.sqrt(1.6**2 - s * e)
+
+
+EXACT_LINE_POINTS = [
+    ("gamma=kappa,PT", 1.0, 1.5),
+    ("gamma=kappa,broken", 1.0, 0.8),
+    ("f=0,gain<loss", 0.6, math.sqrt(0.6)),
+    ("f=0,gain>loss", 1.8, math.sqrt(1.8)),
+    ("Omega=0,gain<loss", 0.6, 0.8),
+    ("Omega=0,gain>loss", 1.8, 1.4),
+    ("EP", 1.0, 1.0),
+    ("decoupled", 2.5, 0.0),
+    # Regression point: a form with a 1/((gamma-kappa) f) prefactor is off by 2.1e-7 here.
+    ("regression,near-EP", 0.6, 0.8 * (1.0 - 1e-8)),
+]
+
+
+class TestNumbersAgainstMpmath:
+    @pytest.mark.parametrize("g,G", [pytest.param(g, G, id=name) for name, g, G
+                                     in [*_near_line_points(), *EXACT_LINE_POINTS]])
+    def test_matches_50_digit_reference(self, g, G, coherent_init):
+        p = params_at(g, G)
+        ref = mp_reference(p, coherent_init, MP_GRID)
+        got = numbers(p, coherent_init, MP_GRID / KAPPA)
+        for i, field in enumerate(("n_a_st", "n_b_st", "n_a_sp", "n_b_sp")):
+            assert _pointwise_rel(getattr(got, field), ref[i]) <= 1e-10, field
+
+
+    def test_cavity_only_state_at_weak_coupling(self):
+        # With beta = 0 the growing mode of <a> is fed only through
+        # gamma + kappa - Omega ~ 2G^2/(gamma+kappa), which must not be formed
+        # by cancellation.
+        p, init = params_at(2.5, 1e-5), CoherentInit(alpha=2.0, beta=0.0)
+        ref = mp_reference(p, init, MP_GRID)
+        got = numbers(p, init, MP_GRID / KAPPA)
+        for i, field in enumerate(("n_a_st", "n_b_st", "n_a_sp", "n_b_sp")):
+            assert _pointwise_rel(getattr(got, field), ref[i]) <= 1e-10, field
+
+
+_PLANE = st.floats(0.0, 2.5)
+# Points of the open plane mixed with points hit exactly on gamma = kappa, on
+# f = 0 (G = sqrt(gamma kappa)) and on the transition line G = (gamma+kappa)/2.
+_POINTS = st.tuples(_PLANE, _PLANE) | _PLANE.flatmap(
+    lambda g: st.sampled_from([(1.0, g), (g, math.sqrt(g)), (g, 0.5 * (1.0 + g))]))
+
+
+class TestNumbersAgainstOracleProperty:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(point=_POINTS)
+    def test_agrees_with_oracle_and_sp_nonnegative(self, point):
+        g, G = point
+        p = params_at(g, G)
+        init = CoherentInit.from_polar(2.0, math.pi / 6.0, 2.0, math.pi / 3.0)
+        first, second, split = oracle_split(p, init, 4.0 / KAPPA, n_samples=41)
+        n = min(len(first.t), len(second.t))
+        closed = numbers(p, init, second.t[:n])
+        assert relmax(closed.n_a, second.n_a[:n]) <= 1e-6
+        assert relmax(closed.n_b, second.n_b[:n]) <= 1e-6
+        assert np.all(closed.n_a_sp >= 0.0) and np.all(closed.n_b_sp >= 0.0)
+
+
+class TestClosedFormChecks:
+    def test_no_floating_point_exceptions_at_the_paper_points(self, coherent_init):
+        for name, preset in sorted(PRESETS.items()):
+            if preset.kind != "evolve":
+                continue
+            p = params_at(preset.gamma, preset.G)
+            t = integrate_first_moments(
+                p, coherent_init, presets.T_END_DEFAULT / KAPPA, n_samples=presets.SAMPLES_DEFAULT
+            ).t
+            with np.errstate(all="raise"):
+                numbers(p, coherent_init, t)
+                displacement(p, coherent_init, t)
+
+    def test_overflow_raises_with_horizon(self, coherent_init):
+        p = params_at(3.0, 0.5)
+        t = np.linspace(0.0, 400.0, 401) / KAPPA
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ClosedFormError, match="displacement is not finite") as info:
+                displacement(p, coherent_init, t)
+            horizon = float(info.value.args[0].split("t = ")[1].split(" s")[0])
+            i = int(np.argmin(np.abs(t - horizon)))
+            assert t[i] == pytest.approx(horizon, rel=1e-6) and i > 0
+            displacement(p, coherent_init, t[:i])  # finite up to the horizon
+            with pytest.raises(ClosedFormError, match="not finite"):
+                numbers(p, coherent_init, t)
+
+    def test_long_horizon_in_the_stable_regime_stays_finite(self, coherent_init):
+        # Real Omega and gamma < kappa: cosh(Omega t/2) overflows long before the
+        # decaying envelope underflows to 0, so an unregrouped form gives 0 * inf.
+        p = params_at(0.1, 0.4)
+        n_a_s, n_b_s = steady_numbers(p)
+        split = numbers(p, coherent_init, 2000.0 / KAPPA)
+        assert split.n_a == pytest.approx(n_a_s, rel=1e-9)
+        assert split.n_b == pytest.approx(n_b_s, rel=1e-9)
+        assert abs(displacement(p, coherent_init, 2000.0 / KAPPA)) < 1e-50 * p.x_zpf

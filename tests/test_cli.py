@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ptomech import analytic
 from ptomech.cli import EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, RunConfig, main
 from ptomech.presets import PRESETS
 
@@ -111,7 +112,7 @@ class TestEvolveCommand:
                           "n_a", "n_b", "n_a_st", "n_b_st", "n_a_sp", "n_b_sp"]
         assert len(rows) == 50
         assert float(footer["max_rel_discrepancy_x"]) < 1e-6
-        assert footer["numbers_source"] == "analytic_unequal_gain"
+        assert footer["numbers_source"] == "analytic"
 
     def test_zero_init_zero_gain_all_zero(self, capsys):
         code, out, _ = run(
@@ -123,23 +124,23 @@ class TestEvolveCommand:
         for row in rows:
             assert all(float(v) == 0.0 for v in row[1:])
 
-    def test_warning_band_falls_back_to_oracle(self, capsys):
+    @staticmethod
+    def assert_closed_form_checked(out):
+        _, _, footer = parse_csv(out)
+        assert footer["numbers_source"] == "analytic"
+        assert 0.0 < float(footer["max_rel_discrepancy_numbers"]) <= 1e-6
+
+    def test_near_equal_gain_uses_closed_form(self, capsys):
         code, out, _ = run(
             capsys, "evolve", "--gamma", "1.00005", "--G", "1.5", "--t-end", "2", "--samples", "20"
         )
         assert code == EXIT_OK
-        _, _, footer = parse_csv(out)
-        assert footer["numbers_source"] == "numeric_fallback"
-        assert "note" in footer
+        self.assert_closed_form_checked(out)
 
-    def test_f_zero_curve_falls_back_to_oracle(self, capsys):
-        code, out, _ = run(
-            capsys, "evolve", "--gamma", "0.6", "--G", str(math.sqrt(0.6)),
-            "--t-end", "2", "--samples", "20",
-        )
+    def test_f_zero_curve_uses_closed_form(self, capsys):
+        code, out, _ = run(capsys, "figure", "3e")
         assert code == EXIT_OK
-        _, _, footer = parse_csv(out)
-        assert footer["numbers_source"] == "numeric_fallback"
+        self.assert_closed_form_checked(out)
 
     def test_discrepancy_threshold_exit_code(self, capsys):
         code, _, err = run(
@@ -154,9 +155,7 @@ class TestEvolveCommand:
             capsys, "evolve", "--gamma", "1", "--G", "1.5", "--t-end", "2", "--samples", "20"
         )
         assert code == EXIT_OK
-        _, _, footer = parse_csv(out)
-        assert footer["numbers_source"] == "analytic_equal_gain"
-        assert float(footer["max_rel_discrepancy_numbers"]) < 1e-6
+        self.assert_closed_form_checked(out)
 
     def test_series_truncate_at_common_horizon(self, capsys):
         # The second moments reach the overflow guard one sample before the first.
@@ -182,6 +181,29 @@ class TestEvolveCommand:
         _, _, footer = parse_csv(out)
         assert footer["max_rel_discrepancy_numbers"] == "nan"
         assert "truncated_at_t" in footer
+
+    def test_long_horizon_in_the_stable_regime(self, capsys):
+        # cosh(Omega t/2) overflows here while the moments decay: the closed forms
+        # must not turn that into 0 * inf.
+        code, out, _ = run(
+            capsys, "evolve", "--gamma", "0.1", "--G", "0.4", "--t-end", "2000", "--samples", "3"
+        )
+        assert code == EXIT_OK
+        _, rows, footer = parse_csv(out)
+        assert len(rows) == 3 and "truncated_at_t" not in footer
+        assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-6
+
+    def test_closed_form_error_exit_code(self, capsys, monkeypatch):
+        def overflowing(params, init, t):
+            raise analytic.ClosedFormError("n_b_sp is not finite from t = 1.0e-05 s on")
+
+        monkeypatch.setattr(analytic, "numbers", overflowing)
+        code, out, err = run(
+            capsys, "evolve", "--gamma", "0.6", "--G", "1.2", "--t-end", "2", "--samples", "5"
+        )
+        assert code == EXIT_DISCREPANCY
+        assert out == ""
+        assert err == "ptomech: n_b_sp is not finite from t = 1.0e-05 s on\n"
 
 
 class TestSteadyCommand:
@@ -347,6 +369,27 @@ class TestOutputFormats:
         assert code == EXIT_INVALID
         assert out == ""
         assert err.count("\n") == 1 and "PTOM_GAMMA" in err
+
+    def test_env_read_only_for_the_chosen_subcommand(self, capsys, monkeypatch):
+        monkeypatch.setenv("PTOM_GAMMA", "abc")  # sweep has no --gamma
+        code, out, _ = run(capsys, "sweep", "--gamma-res", "2", "--G-res", "2")
+        assert code == EXIT_OK
+        assert len(parse_csv(out)[1]) == 4
+
+    def test_env_value_checked_against_choices(self, capsys, monkeypatch):
+        monkeypatch.setenv("PTOM_FORMAT", "xml")
+        code, out, err = run(capsys, "classify", "--gamma", "0.6", "--G", "1.2")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.count("\n") == 1 and "PTOM_FORMAT" in err and "invalid choice" in err
+
+    def test_explicit_flag_wins_over_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("PTOM_GAMMA", "1.8")
+        monkeypatch.setenv("PTOM_FORMAT", "json")
+        code, out, _ = run(capsys, "classify", "--gamma", "0.6", "--G", "1.2", "--format", "csv")
+        assert code == EXIT_OK
+        _, rows, _ = parse_csv(out)
+        assert rows[0][2] == "4"
 
     def test_precision_below_one_rejected(self, capsys):
         code, _, err = run(capsys, "classify", "--gamma", "0.6", "--G", "1.2", "--precision", "0")
