@@ -48,6 +48,7 @@ import math
 import numpy as np
 
 from .model import CoherentInit, NumberSplit, SystemParams
+from .spectrum import DEFAULT_TOL, check_tol
 
 __all__ = [
     "ClosedFormError",
@@ -210,7 +211,7 @@ def displacement(params: SystemParams, init: CoherentInit, t) -> float | np.ndar
 
 
 def finite_time_amplitude(
-    params: SystemParams, init: CoherentInit, tol: float = 1e-9
+    params: SystemParams, init: CoherentInit, tol: float = DEFAULT_TOL
 ) -> float:
     """Late-time constant oscillation amplitude on the f = 0, gamma < kappa curve, meters.
 
@@ -218,6 +219,7 @@ def finite_time_amplitude(
           - i*kappa*sqrt(kappa*gamma)(alpha* beta - beta* alpha)).
     The bracket is a real nonnegative combination (it equals |kappa*beta + iG*alpha|^2).
     """
+    check_tol(tol)
     k, g, G = params.kappa, params.gamma, params.coupling_G
     if abs(params.f) / k**2 > tol:
         raise ValueError(
@@ -279,13 +281,14 @@ def numbers(params: SystemParams, init: CoherentInit, t) -> NumberSplit:
 numbers_equal_gain = numbers_unequal_gain = numbers
 
 
-def steady_numbers(params: SystemParams, tol: float = 1e-9) -> tuple[float, float]:
+def steady_numbers(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Equilibrium particle numbers (n_a_s, n_b_s) in the asymptotically stable regime.
 
     n_a_s = G^2 gamma / ((kappa-gamma) f) and n_b_s = n_a_s + kappa*gamma/f,
     independent of the initial state. Requires f > 0 and gamma < kappa; no
     finite steady state exists elsewhere.
     """
+    check_tol(tol)
     k, g = params.kappa, params.gamma
     f = params.f
     if f / k**2 <= tol:

@@ -4,7 +4,9 @@ Rates are accepted in units of kappa (matching how the parameter points are
 usually quoted); ``--kappa-hz`` sets the absolute scale. Times on the command
 line are in units of 1/kappa; serialized output uses seconds and meters.
 Output is CSV (fixed significant digits, '.' decimal, mandatory header row) or
-a JSON mirror with identical field names. Every flag that takes a value can be
+a JSON mirror with identical field names. Commands hand the writer named
+columns; each float column is formatted once, and CSV and JSON both take
+their digits from those strings. Every flag that takes a value can be
 supplied through an environment variable with the ``PTOM_`` prefix (e.g.
 ``PTOM_GAMMA``); only the chosen subcommand's variables are read, each is
 checked like its flag, and explicit flags win.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, numeric, presets, spectrum
-from .model import CoherentInit, RegimeLabel, make_params
+from .model import CoherentInit, make_params
 from .presets import PRESETS
 
 EXIT_OK = 0
@@ -86,47 +88,47 @@ class RunConfig:
         return cls.from_dict(json.loads(text))
 
 
-def _fmt(value: float, precision: int) -> str:
-    if isinstance(value, str):
-        return value
-    if value != value:  # nan
-        return "nan"
-    return f"{value + 0.0:.{precision - 1}e}"  # +0.0 normalizes negative zero
+def _fmt(values, precision: int) -> list[str]:
+    """Each float as '%.{precision-1}e'; -0.0 prints as 0 and NaN as 'nan'."""
+    fmt = f"%.{precision - 1}e"
+    # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
+    return [fmt % v for v in (np.asarray(values, dtype=float) + 0.0).tolist()]
 
 
-def _round(value, precision: int):
-    if value is None or isinstance(value, (str, int)):
-        return value
-    if value != value:
-        return None
-    return float(f"{value:.{precision - 1}e}")
+def _json_number(text: str) -> float | None:
+    return None if text == "nan" else float(text)
 
 
-def _write_output(columns, rows, footer: dict | None, config: RunConfig) -> None:
-    """Emit the table in CSV or JSON; rows are sequences matching columns."""
+def _write_output(columns: dict, footer: dict | None, config: RunConfig) -> None:
+    """Emit named columns in CSV or JSON.
+
+    A column is a float ndarray, formatted once by :func:`_fmt` for both
+    formats, or a list of str/int cells, written as they are. JSON reads the
+    formatted floats back, so it carries the CSV digits (NaN as null). Footer
+    floats are formatted the same way.
+    """
     p = config.precision
+    cells = {name: _fmt(col, p) if isinstance(col, np.ndarray) else col
+             for name, col in columns.items()}
+    footer = footer or {}
+    notes = {k: _fmt([v], p)[0] if isinstance(v, float) else v for k, v in footer.items()}
     if config.format == "json":
+        cells = {name: [_json_number(c) for c in cells[name]] if isinstance(col, np.ndarray)
+                 else col for name, col in columns.items()}
         payload = {
             "command": config.command,
             "config": config.to_dict(),
             "columns": list(columns),
-            "rows": [
-                {c: _round(v, p) if not isinstance(v, (str, int)) else v for c, v in zip(columns, row)}
-                for row in rows
-            ],
+            "rows": [dict(zip(cells, row)) for row in zip(*cells.values())],
         }
         if footer:
-            payload["summary"] = {
-                k: (_round(v, p) if isinstance(v, float) else v) for k, v in footer.items()
-            }
+            payload["summary"] = {k: _json_number(notes[k]) if isinstance(v, float) else v
+                                  for k, v in footer.items()}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(str(v) if isinstance(v, (str, int)) else _fmt(v, p) for v in row))
-        if footer:
-            for k, v in footer.items():
-                lines.append(f"# {k}={_fmt(v, p) if isinstance(v, float) else v}")
+        lines += map(",".join, zip(*[map(str, col) for col in cells.values()]))
+        lines += [f"# {k}={v}" for k, v in notes.items()]
         text = "\n".join(lines) + "\n"
     if config.output:
         try:
@@ -138,23 +140,29 @@ def _write_output(columns, rows, footer: dict | None, config: RunConfig) -> None
         sys.stdout.write(text)
 
 
+def _one_row(record: dict) -> dict:
+    """The columns of a one-row table: floats as float arrays, other cells as they are."""
+    return {name: np.array([v]) if isinstance(v, float) else [v] for name, v in record.items()}
+
+
 def _build_params(args):
     kappa = args.kappa_hz
-    return make_params(
-        kappa=kappa,
-        gamma=args.gamma * kappa,
-        G=args.G * kappa,
-        omega1=args.omega1 * kappa,
-        mass=args.mass,
-    )
+    return make_params(kappa, args.gamma * kappa, args.G * kappa, args.omega1 * kappa, args.mass)
 
 
 def _build_init(args) -> CoherentInit:
     return CoherentInit.from_polar(args.alpha_mag, args.alpha_phase, args.beta_mag, args.beta_phase)
 
 
-def _label_row(label: RegimeLabel) -> tuple[str, str, str]:
-    return str(label.region_id), label.pt.value, label.stability.value
+# Row k: the strings of regime code k. dtype=object, so the cells of a column
+# share nine string objects instead of one per cell.
+_LABEL_STRINGS = np.array([(str(label.region_id), label.pt.value, label.stability.value)
+                           for label in spectrum.REGIME_LABELS], dtype=object)
+
+
+def _label_columns(codes) -> dict:
+    """region_id, pt and stability: a list per column for an array of codes, a string for one."""
+    return dict(zip(("region_id", "pt", "stability"), _LABEL_STRINGS[codes].T.tolist()))
 
 
 def _config_from_args(args, command: str, sweep: dict | None = None) -> RunConfig:
@@ -162,12 +170,8 @@ def _config_from_args(args, command: str, sweep: dict | None = None) -> RunConfi
         raise ValueError("--precision must be >= 1")
     params = {"gamma": getattr(args, "gamma", None), "G": getattr(args, "G", None),
               "omega1": args.omega1}
-    init = {
-        "alpha_mag": getattr(args, "alpha_mag", None),
-        "alpha_phase": getattr(args, "alpha_phase", None),
-        "beta_mag": getattr(args, "beta_mag", None),
-        "beta_phase": getattr(args, "beta_phase", None),
-    }
+    init = {name: getattr(args, name, None)
+            for name in ("alpha_mag", "alpha_phase", "beta_mag", "beta_phase")}
     return RunConfig(
         command=command,
         params_in_kappa_units=params,
@@ -191,45 +195,32 @@ def cmd_classify(args) -> int:
         raise ValueError("classify requires --gamma and --G (in units of kappa)")
     params = _build_params(args)
     config = _config_from_args(args, "classify")
-    label = spectrum.classify(params, tol=args.tol)
+    code = spectrum.REGIME_LABELS.index(spectrum.classify(params, tol=args.tol))
     spec = spectrum.drift_eigenvalues(params, tol=args.tol)
     k = params.kappa
-    region, pt, stab = _label_row(label)
-    columns = [
-        "gamma_over_kappa", "G_over_kappa", "region_id", "pt", "stability",
-        "max_re_lambda",
-        "omega_plus_re", "omega_plus_im", "omega_minus_re", "omega_minus_im",
-        "lambda_pp_re", "lambda_pp_im", "lambda_pm_re", "lambda_pm_im",
-        "lambda_mp_re", "lambda_mp_im", "lambda_mm_re", "lambda_mm_im",
-    ]
-    row = [args.gamma, args.G, region, pt, stab, spectrum.max_re_lambda(params) / k]
-    for z in (spec.omega_plus, spec.omega_minus, *spec.lambdas):
-        row.extend([z.real / k, z.imag / k])
-    _write_output(columns, [row], None, config)
+    record = {"gamma_over_kappa": args.gamma, "G_over_kappa": args.G,
+              **_label_columns(code),
+              "max_re_lambda": spectrum.max_re_lambda(params) / k}
+    names = ("omega_plus", "omega_minus", "lambda_pp", "lambda_pm", "lambda_mp", "lambda_mm")
+    for name, z in zip(names, (spec.omega_plus, spec.omega_minus, *spec.lambdas)):
+        record[f"{name}_re"], record[f"{name}_im"] = z.real / k, z.imag / k
+    _write_output(_one_row(record), None, config)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    config = _config_from_args(
-        args,
-        "sweep",
-        sweep={
-            "gamma_min": args.gamma_min, "gamma_max": args.gamma_max, "gamma_res": args.gamma_res,
-            "G_min": args.G_min, "G_max": args.G_max, "G_res": args.G_res,
-        },
-    )
-    grid = spectrum.phase_diagram(
-        (args.gamma_min, args.gamma_max),
-        (args.G_min, args.G_max),
-        (args.gamma_res, args.G_res),
-        tol=args.tol,
-    )
-    columns = ["gamma_over_kappa", "G_over_kappa", "region_id", "pt", "stability", "max_re_lambda"]
-    rows = []
-    for g, G, label, rmax in grid.rows():
-        region, pt, stab = _label_row(label)
-        rows.append([g, G, region, pt, stab, rmax])
-    _write_output(columns, rows, None, config)
+    names = ("gamma_min", "gamma_max", "gamma_res", "G_min", "G_max", "G_res")
+    config = _config_from_args(args, "sweep", sweep={name: getattr(args, name) for name in names})
+    grid = spectrum.phase_diagram((args.gamma_min, args.gamma_max), (args.G_min, args.G_max),
+                                  (args.gamma_res, args.G_res), tol=args.tol)
+    n_gamma, n_G = grid.codes.shape
+    columns = {
+        "gamma_over_kappa": np.repeat(grid.gamma_over_kappa, n_G),
+        "G_over_kappa": np.tile(grid.G_over_kappa, n_gamma),
+        **_label_columns(grid.codes.ravel()),
+        "max_re_lambda": grid.max_re_lambda.ravel(),
+    }
+    _write_output(columns, None, config)
     return EXIT_OK
 
 
@@ -271,8 +262,8 @@ def _evolve_tables(args):
     disc_x = _relmax(closed[0] / params.x_zpf, x_numeric / params.x_zpf)
     disc_n = _relmax(closed[1:3], n_numeric)
 
-    columns = ["t", "x_analytic", "x_numeric", "n_a", "n_b", "n_a_st", "n_b_st", "n_a_sp", "n_b_sp"]
-    rows = list(zip(t, closed[0], x_numeric, *closed[1:]))
+    names = ["t", "x_analytic", "x_numeric", "n_a", "n_b", "n_a_st", "n_b_st", "n_a_sp", "n_b_sp"]
+    columns = dict(zip(names, [t, closed[0], x_numeric, *closed[1:]]))
     footer = {
         "max_rel_discrepancy_x": disc_x,
         "max_rel_discrepancy_numbers": disc_n,
@@ -281,7 +272,7 @@ def _evolve_tables(args):
     if first.truncated or second.truncated:
         footer["truncated_at_t"] = float(t[-1])
     # np.maximum, unlike max(), keeps a NaN discrepancy.
-    return columns, rows, footer, float(np.maximum(disc_x, disc_n))
+    return columns, footer, float(np.maximum(disc_x, disc_n))
 
 
 def cmd_evolve(args) -> int:
@@ -289,8 +280,8 @@ def cmd_evolve(args) -> int:
     # Overflow is reported through the truncation footer and the discrepancy
     # gate below, not through numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        columns, rows, footer, disc = _evolve_tables(args)
-    _write_output(columns, rows, footer, config)
+        columns, footer, disc = _evolve_tables(args)
+    _write_output(columns, footer, config)
     if not disc <= args.max_discrepancy:
         raise DiscrepancyExceeded(
             f"analytic/numeric discrepancy {disc:.3e} exceeds threshold {args.max_discrepancy:.3e}"
@@ -298,20 +289,18 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _steady_sweep_rows(args):
+def _steady_sweep_columns(args, axis: str) -> dict:
     values = np.linspace(args.sweep_min, args.sweep_max, args.sweep_points)
-    kappa = args.kappa_hz
-    rows = []
-    for v in values:
-        gamma = v if args.sweep == "gamma" else args.gamma
-        G = v if args.sweep == "G" else args.G
-        params = make_params(kappa, gamma * kappa, G * kappa, args.omega1 * kappa, args.mass)
+    n_s = np.full((2, len(values)), np.nan)
+    stable = [0] * len(values)
+    for i, v in enumerate(values):
+        params = _build_params(argparse.Namespace(**{**vars(args), args.sweep: v}))
         try:
-            n_a_s, n_b_s = analytic.steady_numbers(params, tol=args.tol)
-            rows.append([float(v), n_a_s, n_b_s, 1])
+            n_s[:, i] = analytic.steady_numbers(params, tol=args.tol)
+            stable[i] = 1
         except ValueError:
-            rows.append([float(v), float("nan"), float("nan"), 0])
-    return rows
+            pass
+    return {axis: values, "n_a_s": n_s[0], "n_b_s": n_s[1], "stable": stable}
 
 
 def cmd_steady(args) -> int:
@@ -320,6 +309,8 @@ def cmd_steady(args) -> int:
         sweep_cfg = {"param": args.sweep, "min": args.sweep_min, "max": args.sweep_max,
                      "points": args.sweep_points}
     config = _config_from_args(args, "steady", sweep=sweep_cfg)
+    # Checked here: steady_numbers' ValueError means "no steady state" below.
+    spectrum.check_tol(args.tol)
     if args.sweep:
         if args.sweep_min is None or args.sweep_max is None:
             raise ValueError("steady sweep requires --sweep-min and --sweep-max")
@@ -328,8 +319,7 @@ def cmd_steady(args) -> int:
         if args.sweep == "G" and args.gamma is None:
             raise ValueError("steady sweep over G requires --gamma")
         axis = "gamma_over_kappa" if args.sweep == "gamma" else "G_over_kappa"
-        rows = _steady_sweep_rows(args)
-        _write_output([axis, "n_a_s", "n_b_s", "stable"], rows, None, config)
+        _write_output(_steady_sweep_columns(args, axis), None, config)
         return EXIT_OK
     if args.gamma is None or args.G is None:
         raise ValueError("steady requires --gamma and --G (in units of kappa)")
@@ -338,8 +328,8 @@ def cmd_steady(args) -> int:
         n_a_s, n_b_s = analytic.steady_numbers(params, tol=args.tol)
     except ValueError as exc:
         raise UnstableSteadyQuery(f"no finite steady state at this point: {exc}")
-    columns = ["gamma_over_kappa", "G_over_kappa", "n_a_s", "n_b_s"]
-    _write_output(columns, [[args.gamma, args.G, n_a_s, n_b_s]], None, config)
+    _write_output(_one_row({"gamma_over_kappa": args.gamma, "G_over_kappa": args.G,
+                            "n_a_s": n_a_s, "n_b_s": n_b_s}), None, config)
     return EXIT_OK
 
 
@@ -349,16 +339,14 @@ def cmd_figure(args) -> int:
         raise ValueError(f"unknown figure preset {args.name!r}; choose from {sorted(PRESETS)}")
     if args.show_preset:
         config = _config_from_args(args, "figure")
-        columns = ["name", "kind", "description", "gamma_over_kappa", "G_over_kappa",
-                   "sweep_param", "sweep_min", "sweep_max", "sweep_points"]
-        row = [preset.name, preset.kind, preset.description,
-               "" if preset.gamma is None else _fmt(preset.gamma, args.precision),
-               "" if preset.G is None else _fmt(preset.G, args.precision),
-               preset.sweep_param or "",
-               "" if preset.sweep_min is None else _fmt(preset.sweep_min, args.precision),
-               "" if preset.sweep_max is None else _fmt(preset.sweep_max, args.precision),
-               "" if preset.sweep_points is None else preset.sweep_points]
-        _write_output(columns, [row], None, config)
+        record = {"name": preset.name, "kind": preset.kind, "description": preset.description}
+        for name, value in (("gamma_over_kappa", preset.gamma), ("G_over_kappa", preset.G),
+                            ("sweep_param", preset.sweep_param), ("sweep_min", preset.sweep_min),
+                            ("sweep_max", preset.sweep_max), ("sweep_points", preset.sweep_points)):
+            # Strings and ints as they are, floats at --precision, None as "".
+            record[name] = (_fmt([value], args.precision)[0] if isinstance(value, float)
+                            else "" if value is None else value)
+        _write_output(_one_row(record), None, config)
         return EXIT_OK
     # Presets fill in whatever the user did not override explicitly.
     if preset.gamma is not None and args.gamma is None:
@@ -374,14 +362,19 @@ def cmd_figure(args) -> int:
     return cmd_evolve(args)
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """Parser of one subcommand; each of its flags may also come from ``PTOM_<FLAG>``.
+class _Parser(argparse.ArgumentParser):
+    """Each flag that takes a value may also come from ``PTOM_<FLAG>``.
 
     Only the chosen subcommand's parser runs, so only its variables are read.
     A set variable is parsed as if its flag came first on the command line:
     argparse converts and checks it (type, choices), and an explicit flag,
-    coming later, wins.
+    coming later, wins. Errors raise argparse.ArgumentError, which main()
+    reports in one line: argparse calls ``error()`` for an unrecognized flag
+    or a missing subcommand even with ``exit_on_error=False``.
     """
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
     def parse_known_args(self, args=None, namespace=None):
         from_env = []
@@ -391,7 +384,8 @@ class _CommandParser(argparse.ArgumentParser):
             raw = os.environ.get(_env_name(action.dest))
             if raw is not None:
                 from_env.append(f"{action.option_strings[-1]}={raw}")
-        return super().parse_known_args(from_env + list(args), namespace)
+        explicit = sys.argv[1:] if args is None else list(args)  # argparse's default
+        return super().parse_known_args(from_env + explicit, namespace)
 
 
 def _env_name(dest: str) -> str:
@@ -442,12 +436,12 @@ def _add_evolution(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     # exit_on_error=False: a bad value raises argparse.ArgumentError, which
     # main() reports in one line.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptomech",
         description="Two-mode gain/loss optomechanical dynamics: regimes, spectra, trajectories.",
         exit_on_error=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def command(name: str, help: str) -> argparse.ArgumentParser:
         return sub.add_parser(name, help=help, exit_on_error=False)

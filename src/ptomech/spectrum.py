@@ -5,10 +5,13 @@ forms for the supermode frequencies and the drift eigenvalues, and a dense
 eigensolve of the explicitly materialized 4x4 drift matrix. The dense route is
 a redundant cross-check, not the primary formula.
 
-Classification compares f = G^2 - gamma*kappa, gamma vs kappa and
-G vs (kappa+gamma)/2 in kappa-normalized units with an absolute tolerance
-(default 1e-9), because the case analysis uses exact equalities that never
-hold in floating point.
+Classification is one rule over arrays, :func:`regime_codes`: it compares
+f = G^2 - gamma*kappa, gamma vs kappa and G vs (kappa+gamma)/2 in
+kappa-normalized units with an absolute tolerance (default 1e-9), because the
+case analysis uses exact equalities that never hold in floating point, and
+returns an int8 code per point that indexes the nine labels of
+:data:`REGIME_LABELS`. :func:`classify` is its 1x1 case and
+:func:`phase_diagram` applies it to a whole grid at once.
 """
 
 from __future__ import annotations
@@ -101,73 +104,82 @@ def max_re_lambda(params: SystemParams) -> float:
     return 0.5 * (params.gamma - params.kappa + params.Omega.real)
 
 
-def _classify_normalized(g: float, G: float, tol: float) -> RegimeLabel:
-    """Classify a (gamma/kappa, G/kappa) point; comparisons use absolute tol."""
+# Code k of regime_codes is REGIME_LABELS[k]; codes 1..6 are the regions of that
+# number: (1) f < 0, or gamma > kappa below the transition line G = (kappa+gamma)/2;
+# (2) gamma > kappa above it; (3)/(4) f > 0, gamma < kappa below/above it;
+# (5) f = 0, gamma < kappa; (6) f > 0, gamma = kappa. Codes 0, 7, 8 lie on the line:
+# f = 0 = gamma - kappa (two eigenvectors left, secular growth), gamma > or < kappa.
+REGIME_LABELS = (
+    RegimeLabel(PTPhase.EXCEPTIONAL_POINT, Stability.UNSTABLE_DEGENERATE, "EP"),
+    RegimeLabel(PTPhase.BROKEN_PT, Stability.UNSTABLE, 1),
+    RegimeLabel(PTPhase.PT_SYMMETRIC, Stability.UNSTABLE, 2),
+    RegimeLabel(PTPhase.BROKEN_PT, Stability.ASYMPTOTICALLY_STABLE, 3),
+    RegimeLabel(PTPhase.PT_SYMMETRIC, Stability.ASYMPTOTICALLY_STABLE, 4),
+    RegimeLabel(PTPhase.BROKEN_PT, Stability.STABLE_BOUNDARY, 5),
+    RegimeLabel(PTPhase.PT_SYMMETRIC, Stability.FINITE_TIME_STABLE, 6),
+    RegimeLabel(PTPhase.EXCEPTIONAL_POINT, Stability.UNSTABLE, "EP"),
+    RegimeLabel(PTPhase.EXCEPTIONAL_POINT, Stability.ASYMPTOTICALLY_STABLE, "EP"),
+)
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless 0 < tol <= 1e-3 (NaN included)."""
+    if not (0.0 < tol <= 1e-3):
+        raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
+
+
+def regime_codes(g, G, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """int8 regime code of each (gamma/kappa, G/kappa) pair; ``g`` and ``G`` broadcast.
+
+    The first case that holds decides: f = 0 and gamma = kappa; the transition
+    line; gamma = kappa; f = 0; gamma > kappa; f < 0; above or below the line.
+    "=" means within the absolute ``tol``, and so does "f > 0" for gamma = kappa.
+    """
+    check_tol(tol)
     f = G * G - g
     dgam = g - 1.0
     dep = G - 0.5 * (1.0 + g)
-
-    if abs(f) <= tol and abs(dgam) <= tol:
-        # Gain equals loss on the transition line: only two independent
-        # eigenvectors remain and the marginal modes grow secularly.
-        return RegimeLabel(PTPhase.EXCEPTIONAL_POINT, Stability.UNSTABLE_DEGENERATE, "EP")
-    if abs(dep) <= tol:
-        stab = Stability.UNSTABLE if dgam > 0 else Stability.ASYMPTOTICALLY_STABLE
-        return RegimeLabel(PTPhase.EXCEPTIONAL_POINT, stab, "EP")
-    if abs(dgam) <= tol:
-        if f > tol:
-            return RegimeLabel(PTPhase.PT_SYMMETRIC, Stability.FINITE_TIME_STABLE, 6)
-        return RegimeLabel(PTPhase.BROKEN_PT, Stability.UNSTABLE, 1)
-    if abs(f) <= tol:
-        if dgam < 0:
-            return RegimeLabel(PTPhase.BROKEN_PT, Stability.STABLE_BOUNDARY, 5)
-        return RegimeLabel(PTPhase.BROKEN_PT, Stability.UNSTABLE, 1)
-    if dgam > 0:
-        if dep > 0:
-            return RegimeLabel(PTPhase.PT_SYMMETRIC, Stability.UNSTABLE, 2)
-        return RegimeLabel(PTPhase.BROKEN_PT, Stability.UNSTABLE, 1)
-    # gamma < kappa from here on
-    if f < 0:
-        return RegimeLabel(PTPhase.BROKEN_PT, Stability.UNSTABLE, 1)
-    if dep > 0:
-        return RegimeLabel(PTPhase.PT_SYMMETRIC, Stability.ASYMPTOTICALLY_STABLE, 4)
-    return RegimeLabel(PTPhase.BROKEN_PT, Stability.ASYMPTOTICALLY_STABLE, 3)
+    on_f = abs(f) <= tol
+    on_gk = abs(dgam) <= tol
+    return np.select(
+        [on_f & on_gk, abs(dep) <= tol, on_gk, on_f, dgam > 0, f < 0],
+        [0, np.where(dgam > 0, 7, 8), np.where(f > tol, 6, 1), np.where(dgam < 0, 5, 1),
+         np.where(dep > 0, 2, 1), 1],
+        np.where(dep > 0, 4, 3),
+    ).astype(np.int8)
 
 
 def classify(params: SystemParams, tol: float = DEFAULT_TOL) -> RegimeLabel:
-    """Assign the phase-diagram regime of one parameter point.
-
-    Region mapping: (1) f<0, or gamma>kappa with G<(kappa+gamma)/2 -> broken-PT
-    unstable; (2) gamma>kappa with G>(kappa+gamma)/2 -> PT unstable; (3)/(4)
-    f>0, gamma<kappa below/above the transition line -> asymptotically stable;
-    (5) f=0, gamma<kappa -> stable boundary; (6) f>0, gamma=kappa ->
-    finite-time stable; f=0 and gamma=kappa -> degenerate point. Points on the
-    transition line G=(kappa+gamma)/2 carry region_id "EP".
-    """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
-    return _classify_normalized(params.gamma / params.kappa, params.coupling_G / params.kappa, tol)
+    """Phase-diagram regime of one parameter point: the 1x1 case of :func:`regime_codes`."""
+    code = regime_codes(params.gamma / params.kappa, params.coupling_G / params.kappa, tol)
+    return REGIME_LABELS[code]
 
 
 @dataclass(frozen=True)
 class PhaseDiagramGrid:
-    """Row-major grid of regime labels over (gamma/kappa, G/kappa).
+    """Row-major grid of regime codes over (gamma/kappa, G/kappa).
 
-    ``labels[i][j]`` and ``max_re_lambda[i, j]`` correspond to
-    ``gamma_over_kappa[i]``, ``G_over_kappa[j]``; ``max_re_lambda`` is in units
-    of kappa.
+    ``codes[i, j]`` (int8, an index into :data:`REGIME_LABELS`) and
+    ``max_re_lambda[i, j]`` correspond to ``gamma_over_kappa[i]``,
+    ``G_over_kappa[j]``; ``max_re_lambda`` is in units of kappa.
     """
 
     gamma_over_kappa: np.ndarray
     G_over_kappa: np.ndarray
-    labels: tuple[tuple[RegimeLabel, ...], ...]
+    codes: np.ndarray
     max_re_lambda: np.ndarray
+
+    @property
+    def labels(self) -> tuple[tuple[RegimeLabel, ...], ...]:
+        """``labels[i][j]``: the codes as :class:`RegimeLabel` objects, built on each access."""
+        return tuple(tuple(REGIME_LABELS[c] for c in row) for row in self.codes.tolist())
 
     def rows(self):
         """Yield (gamma/kappa, G/kappa, label, max_re_lambda) row-major."""
         for i, g in enumerate(self.gamma_over_kappa):
             for j, G in enumerate(self.G_over_kappa):
-                yield float(g), float(G), self.labels[i][j], float(self.max_re_lambda[i, j])
+                label = REGIME_LABELS[self.codes[i, j]]
+                yield float(g), float(G), label, float(self.max_re_lambda[i, j])
 
 
 def _axis(name: str, lo: float, hi: float, n: int) -> np.ndarray:
@@ -198,28 +210,18 @@ def phase_diagram(
     boundary regime label, so the measure-zero curves remain recoverable from
     grid output.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
     if isinstance(resolution, int):
         n_gamma = n_G = resolution
     else:
         n_gamma, n_G = resolution
     gammas = _axis("gamma", gamma_range[0], gamma_range[1], n_gamma)
     Gs = _axis("G", G_range[0], G_range[1], n_G)
-
-    labels = []
-    re_max = np.empty((len(gammas), len(Gs)))
-    for i, g in enumerate(gammas):
-        row = []
-        for j, G in enumerate(Gs):
-            row.append(_classify_normalized(float(g), float(G), tol))
-            radicand = (g + 1.0) ** 2 - 4.0 * G * G
-            re_root = math.sqrt(radicand) if radicand > 0.0 else 0.0
-            re_max[i, j] = 0.5 * (g - 1.0 + re_root)
-        labels.append(tuple(row))
+    g, G = gammas[:, None], Gs[None, :]
+    codes = regime_codes(g, G, tol)
+    re_root = np.sqrt(np.maximum((g + 1.0) ** 2 - 4.0 * G * G, 0.0))
     return PhaseDiagramGrid(
         gamma_over_kappa=gammas,
         G_over_kappa=Gs,
-        labels=tuple(labels),
-        max_re_lambda=re_max,
+        codes=codes,
+        max_re_lambda=0.5 * (g - 1.0 + re_root),
     )

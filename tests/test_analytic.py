@@ -107,6 +107,11 @@ class TestFiniteTimeAmplitude:
         with pytest.raises(ValueError):
             finite_time_amplitude(params_at(1.5, math.sqrt(1.5)), coherent_init)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.5, 0.0])
+    def test_rejects_bad_tol(self, coherent_init, tol):
+        with pytest.raises(ValueError, match="tol must be in"):
+            finite_time_amplitude(params_at(0.6, math.sqrt(0.6)), coherent_init, tol=tol)
+
 
 class TestNumbersEqualGain:
     def test_initial_decomposition(self, coherent_init):
@@ -200,6 +205,12 @@ class TestNumbersUnequalGain:
 
 
 class TestSteadyNumbers:
+    @pytest.mark.parametrize("tol", [math.nan, 0.5, 0.0])
+    def test_rejects_bad_tol(self, tol):
+        # NaN would otherwise pass both "no steady state" comparisons.
+        with pytest.raises(ValueError, match="tol must be in"):
+            steady_numbers(params_at(1.5, 0.5), tol=tol)
+
     def test_reference_point(self):
         # Exact fractions: n_a_s = 159201/6134, n_b_s = 259201/6134.
         n_a_s, n_b_s = steady_numbers(params_at(0.6, 0.798))

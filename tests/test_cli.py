@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from ptomech import analytic
-from ptomech.cli import EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, RunConfig, main
+from ptomech.cli import (
+    EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, RunConfig, _write_output, main,
+)
 from ptomech.presets import PRESETS
 
 
@@ -61,17 +64,57 @@ class TestClassifyCommand:
         assert "--G" in err
 
 
+def digest(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """sha256 of outputs recorded from ptomech 0.1.0; every value in them comes
+    from element-wise IEEE arithmetic, so the bytes are the same on any machine."""
+
+    SWEEP_41 = ("sweep", "--gamma-res", "41", "--G-res", "41")
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("csv", "e6eff097bec351419f2e5acca2bcf66a47b628b4e9b894c80289cb0ba41ee9c3"),
+        ("json", "e28ca685f6bade278e2e5886a0af81b4ad5e5f32f9932031c6328c09b5506ab4"),
+    ])
+    def test_sweep_41(self, capsys, fmt, expected):
+        assert digest(capsys, *self.SWEEP_41, "--format", fmt) == expected
+
+    @pytest.mark.parametrize("name,fmt,expected", [
+        ("6a", "csv", "5688ce5cb1ae11fefc6bea4dc3a04a621e4a8adcbcd38dca24575084a29bbd91"),
+        ("6a", "json", "7e8a1537298e64f276f54437cc8e610c53eea2aef15061e7d1bac8bcc7d13c25"),
+        ("6b", "csv", "471f092174e704c297a9c4c247348b4f26cb23b7e7a796cec1b487896927e499"),
+        ("6b", "json", "613584f6a028fb68d58ad8e7686a7ccbf52d1c1ebfd61d3fa93dd95e337d01f1"),
+    ])
+    def test_steady_figures(self, capsys, name, fmt, expected):
+        assert digest(capsys, "figure", name, "--format", fmt) == expected
+
+    # One point per regime label.
+    @pytest.mark.parametrize("gamma,G,expected", [
+        ("1", "1", "1e0369b7c3e28a5957333e43b63cbcb2bb23ae91b86f0c1cd7e1b153f34888d6"),
+        ("1.5", "1.25", "6c9798b542f16b6f4b2feb74cfe66d1d2849bf3cfee6afec4fbcc4b0f01c02ff"),
+        ("0.5", "0.75", "f7508743a56376653181d9dbfe92eeec0df2a9d1e87b8b62f3ce1a7a7cf9e875"),
+        ("1.5", "0.5", "1d183f72e54d3bfe889f3877f1ac11f797b0c8f754c8784fffe9d96d372299d3"),
+        ("1.5", "1.5", "20a7128202bc965345df313445c3ec5117c3405d7621a1d863b5cf198ef2885b"),
+        ("0.1", "0.4", "6f0b2636948162ec6fe30cf157589d4411ad2834b55c358ac6df089e1673722a"),
+        ("0.6", "1.2", "748c80a1b891dfef37d36902ad461b38c8fb698b8e98e2e0ff2177d642e5dec7"),
+        ("0.25", "0.5", "5a3ab299a2c704f00a3a7137dc4e86397b9c1736dff6aac85c27a6f969654270"),
+        ("1", "1.2", "a8c68eff077c6e9e67e56eafc8384bf60a8e160795204fbdb8a2da28af0aa87c"),
+    ])
+    def test_classify_each_label(self, capsys, gamma, G, expected):
+        assert digest(capsys, "classify", "--gamma", gamma, "--G", G) == expected
+
+
 class TestSweepCommand:
     def test_determinism_digest(self, tmp_path, capsys):
-        digests = []
-        for name in ("a.csv", "b.csv"):
-            path = tmp_path / name
-            code, _, _ = run(
-                capsys, "sweep", "--gamma-res", "41", "--G-res", "41", "--out", str(path)
-            )
-            assert code == EXIT_OK
-            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-        assert digests[0] == digests[1]
+        path = tmp_path / "a.csv"
+        code, _, _ = run(capsys, *TestGoldenOutputs.SWEEP_41, "--out", str(path))
+        assert code == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e6eff097bec351419f2e5acca2bcf66a47b628b4e9b894c80289cb0ba41ee9c3")
 
     def test_degenerate_row_at_equal_gain(self, capsys):
         code, out, _ = run(
@@ -249,6 +292,18 @@ class TestSteadyCommand:
         n_b = [float(r[2]) for r in stable]
         assert n_b == sorted(n_b)
 
+    @pytest.mark.parametrize("argv", [
+        ("steady", "--gamma", "1.5", "--G", "0.5"),
+        ("steady", "--gamma", "0.6", "--G", "0.798"),
+        ("figure", "6a"),
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "0.5", "0"])
+    def test_bad_tol_rejected(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == f"ptomech: invalid configuration: tol must be in (0, 1e-3], got {float(tol)}\n"
+
     def test_sweep_marks_unstable_points(self, capsys):
         code, out, _ = run(
             capsys, "steady", "--gamma", "0.6",
@@ -406,8 +461,67 @@ class TestOutputFormats:
         code, _, _ = run(capsys, "classify", "--gamma", "0.6", "--G", "1.2", "--seedless")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--gamma", "0.6", "--G", "1.2", "--bogus"),
+        ("sweep", "extra"),
+        ("bogus",),
+        (),
+    ])
+    def test_argparse_errors_exit_2_in_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("ptomech: invalid configuration: ")
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["ptomech", "classify", "--gamma", "0.6", "--G", "1.2"])
+        assert main() == EXIT_OK
+        assert parse_csv(capsys.readouterr().out)[1][0][2] == "4"
+
+    def test_help_still_prints(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ptomech")
+
     def test_precision_flag(self, capsys):
         code, out, _ = run(capsys, "steady", "--gamma", "0.6", "--G", "0.798", "--precision", "6")
         assert code == EXIT_OK
         _, rows, _ = parse_csv(out)
         assert rows[0][2] == "2.59539e+01"
+
+
+class TestWriter:
+    """The column writer on a small table of every cell kind, as literal text."""
+
+    COLUMNS = {"x": np.array([np.nan, -0.0, np.inf, -np.inf, 0.26]),
+               "n": [1, 0, -3, 7, 0],
+               "s": ["EP", "1", "", "a_b", "x"]}
+    FOOTER = {"disc": float("nan"), "t_end": -0.0, "source": "analytic"}
+
+    def write(self, capsys, fmt, precision):
+        config = RunConfig(command="test", params_in_kappa_units={}, init={},
+                           format=fmt, precision=precision)
+        _write_output(self.COLUMNS, self.FOOTER, config)
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("precision,expected", [
+        (1, "x,n,s\nnan,1,EP\n0e+00,0,1\ninf,-3,\n-inf,7,a_b\n3e-01,0,x\n"
+            "# disc=nan\n# t_end=0e+00\n# source=analytic\n"),
+        (17, "x,n,s\nnan,1,EP\n0.0000000000000000e+00,0,1\ninf,-3,\n-inf,7,a_b\n"
+             "2.6000000000000001e-01,0,x\n"
+             "# disc=nan\n# t_end=0.0000000000000000e+00\n# source=analytic\n"),
+    ], ids=["p1", "p17"])
+    def test_csv(self, capsys, precision, expected):
+        assert self.write(capsys, "csv", precision) == expected
+
+    @pytest.mark.parametrize("precision,last", [(1, "0.3"), (17, "0.26")])
+    def test_json(self, capsys, precision, last):
+        text = self.write(capsys, "json", precision)
+        assert text.startswith('{\n  "command": "test",\n  "config": {\n')
+        assert "".join(text.split('"columns": ', 1)[1].split()) == (
+            '["x","n","s"],"rows":[{"x":null,"n":1,"s":"EP"},{"x":0.0,"n":0,"s":"1"},'
+            '{"x":Infinity,"n":-3,"s":""},{"x":-Infinity,"n":7,"s":"a_b"},'
+            f'{{"x":{last},"n":0,"s":"x"}}],'
+            '"summary":{"disc":null,"t_end":0.0,"source":"analytic"}}'
+        )

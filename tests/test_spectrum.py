@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptomech import (
     PTPhase,
@@ -16,6 +18,7 @@ from ptomech import (
     supermode_frequencies,
 )
 from ptomech.model import MARGINAL_STABILITIES
+from ptomech.spectrum import REGIME_LABELS, regime_codes
 
 from conftest import KAPPA, MASS, OMEGA1, TRAJECTORY_SETS, params_at
 
@@ -143,6 +146,20 @@ class TestClassify:
             classify(params_at(0.5, 0.5), tol=0.0)
         with pytest.raises(ValueError):
             classify(params_at(0.5, 0.5), tol=1e-2)
+        with pytest.raises(ValueError):
+            classify(params_at(0.5, 0.5), tol=math.nan)
+        with pytest.raises(ValueError):
+            phase_diagram((0.0, 1.0), (0.0, 1.0), 3, tol=math.nan)
+
+    def test_one_point_per_code(self):
+        # Each code is the index of its label; regions 1..6 have codes 1..6.
+        points = [(1.0, 1.0), (1.5, 0.5), (1.5, 1.5), (0.1, 0.4), (0.6, 1.2), (0.25, 0.5),
+                  (1.0, 1.2), (1.5, 1.25), (0.5, 0.75)]
+        for code, (g, G) in enumerate(points):
+            assert regime_codes(g, G) == code
+            assert classify(make_params(1.0, g, G, 10.0, 1.0)) is REGIME_LABELS[code]
+        assert all(REGIME_LABELS[k].region_id == k for k in range(1, 7))
+        assert len(set(REGIME_LABELS)) == 9
 
     def test_stability_matches_eigenvalue_signs_on_random_points(self):
         # Unstable <=> max Re lambda > tol; asymptotically stable <=> < -tol;
@@ -203,6 +220,16 @@ class TestPhaseDiagram:
         assert [r[0] for r in rows[:5]] == [0.0] * 5
         assert rows[1][1] == pytest.approx(0.5)
 
+    def test_non_square_grid_matches_classify(self):
+        grid = phase_diagram((0.0, 2.0), (0.0, 3.0), (3, 7))
+        assert grid.codes.shape == grid.max_re_lambda.shape == (3, 7)
+        assert grid.codes.dtype == np.int8
+        for i, g in enumerate(grid.gamma_over_kappa):
+            for j, G in enumerate(grid.G_over_kappa):
+                p = make_params(1.0, g, G, 10.0, 1.0)
+                assert grid.labels[i][j] == classify(p)
+                assert grid.max_re_lambda[i, j] == pytest.approx(max_re_lambda(p), abs=1e-15)
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             phase_diagram((1.0, 0.0), (0.0, 1.0), 5)
@@ -210,3 +237,50 @@ class TestPhaseDiagram:
             phase_diagram((0.0, 1.0), (-1.0, 1.0), 5)
         with pytest.raises(ValueError):
             phase_diagram((0.0, 1.0), (0.0, 1.0), 1)
+
+
+TOL = 1e-9
+# Offsets of -/+ tol*(1 -/+ 1e-3) from a line: just inside and just outside its band.
+_OFFSETS = st.sampled_from([0.0] + [s * TOL * (1.0 + e) for s in (-1, 1) for e in (-1e-3, 1e-3)])
+_PLANE = st.floats(0.0, 2.5)
+# Open-plane points mixed with points on (or offset from) gamma = kappa, f = 0
+# (G = sqrt(gamma kappa)) and the transition line G = (gamma+kappa)/2.
+_POINTS = st.tuples(_PLANE, _PLANE) | st.tuples(_PLANE, _OFFSETS).flatmap(
+    lambda go: st.sampled_from([
+        (1.0 + go[1], go[0]),
+        (go[0], math.sqrt(max(go[0] + go[1], 0.0))),
+        (go[0], max(0.5 * (1.0 + go[0]) + go[1], 0.0)),
+    ]))
+
+
+class TestRegimeRuleProperty:
+    """The array rule against quantities it does not compute itself."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(point=_POINTS)
+    def test_stability_and_pt_fields(self, point):
+        g, G = point
+        p = make_params(1.0, g, G, 10.0, 1.0)
+        label = REGIME_LABELS[regime_codes(g, G, TOL)]
+        assert label == classify(p, tol=TOL)
+
+        # Within tol of the transition line |Omega| ~ sqrt(tol (1 + gamma)), so
+        # the rule fixes max Re lambda only to O(sqrt(tol)) there; elsewhere
+        # its sign decides.
+        rmax = float(np.max(drift_eigenvalues_dense(p).real))
+        band = 2.0 * math.sqrt(TOL)
+        if label.stability is Stability.UNSTABLE:
+            assert rmax > -band
+        elif label.stability is Stability.ASYMPTOTICALLY_STABLE:
+            assert rmax < band
+        else:
+            assert label.stability in MARGINAL_STABILITIES
+            assert abs(rmax) <= band
+
+        disc = (1.0 + g) ** 2 - 4.0 * G * G
+        if label.pt is PTPhase.EXCEPTIONAL_POINT:
+            assert abs(G - 0.5 * (1.0 + g)) <= TOL
+        elif label.pt is PTPhase.PT_SYMMETRIC:
+            assert disc < 0.0
+        else:
+            assert disc > 0.0
