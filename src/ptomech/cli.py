@@ -6,7 +6,10 @@ line are in units of 1/kappa; serialized output uses seconds and meters.
 Output is CSV (fixed significant digits, '.' decimal, mandatory header row) or
 a JSON mirror with identical field names. Commands hand the writer named
 columns; each float column is formatted once, and CSV and JSON both take
-their digits from those strings. Every flag that takes a value can be
+their digits from those strings. JSON rows fill one row template with each
+cell's JSON text, which gives the same bytes as ``json.dumps(payload,
+indent=2)`` without its pure-Python encoder running per cell; the head and
+the summary still go through json.dumps. Every flag that takes a value can be
 supplied through an environment variable with the ``PTOM_`` prefix (e.g.
 ``PTOM_GAMMA``); only the chosen subcommand's variables are read, each is
 checked like its flag, and explicit flags win.
@@ -99,13 +102,57 @@ def _json_number(text: str) -> float | None:
     return None if text == "nan" else float(text)
 
 
+# The JSON text of the non-finite floats, keyed by their repr. NaN is null
+# because _json_number reads the cell "nan" as None; a cell such as "2e+308"
+# reads back as inf.
+_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(cells: list[str]) -> list[str]:
+    """JSON text of formatted float cells: each as the float it reads back as,
+    written by ``float.__repr__`` as json.dumps writes it (NaN as null)."""
+    texts = list(map(float.__repr__, map(float, cells)))
+    return list(map(_JSON_NONFINITE.get, texts, texts))
+
+
+def _json_encoded(cells: list) -> list[str]:
+    """JSON text of str/int cells, json.dumps called once per distinct value."""
+    text = {cell: json.dumps(cell) for cell in set(cells)}
+    return list(map(text.__getitem__, cells))
+
+
+def _json_pieces(config: RunConfig, columns: dict, texts: dict, summary: dict):
+    """The JSON document in pieces, the same text as ``json.dumps(payload, indent=2)``
+    for payload = {command, config, columns, rows, summary}.
+
+    The head and the summary go through json.dumps; each row fills one
+    template with its cells' JSON text, ``texts[name]`` per column.
+    """
+    head = {"command": config.command, "config": config.to_dict(), "columns": list(columns)}
+    yield json.dumps(head, indent=2)[:-2]  # without the closing "\n}"
+    keys = [json.dumps(name).replace("%", "%%") for name in columns]
+    # Each row carries its leading separator; the first row drops it.
+    row = ",\n    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+    rows = map(row.__mod__, zip(*texts.values()))
+    first = next(rows, None)
+    if first is None:
+        yield ',\n  "rows": []'
+    else:
+        yield ',\n  "rows": [\n' + first[2:]
+        yield from rows
+        yield "\n  ]"
+    if summary:
+        yield ",\n" + json.dumps({"summary": summary}, indent=2)[2:-2]
+    yield "\n}\n"
+
+
 def _write_output(columns: dict, footer: dict | None, config: RunConfig) -> None:
     """Emit named columns in CSV or JSON.
 
     A column is a float ndarray, formatted once by :func:`_fmt` for both
-    formats, or a list of str/int cells, written as they are. JSON reads the
-    formatted floats back, so it carries the CSV digits (NaN as null). Footer
-    floats are formatted the same way.
+    formats, or a list of str/int cells, written as they are. JSON carries
+    the CSV digits: a formatted float is written as the float it reads back
+    as (NaN as null). Footer floats are formatted the same way.
     """
     p = config.precision
     cells = {name: _fmt(col, p) if isinstance(col, np.ndarray) else col
@@ -113,31 +160,24 @@ def _write_output(columns: dict, footer: dict | None, config: RunConfig) -> None
     footer = footer or {}
     notes = {k: _fmt([v], p)[0] if isinstance(v, float) else v for k, v in footer.items()}
     if config.format == "json":
-        cells = {name: [_json_number(c) for c in cells[name]] if isinstance(col, np.ndarray)
-                 else col for name, col in columns.items()}
-        payload = {
-            "command": config.command,
-            "config": config.to_dict(),
-            "columns": list(columns),
-            "rows": [dict(zip(cells, row)) for row in zip(*cells.values())],
-        }
-        if footer:
-            payload["summary"] = {k: _json_number(notes[k]) if isinstance(v, float) else v
-                                  for k, v in footer.items()}
-        text = json.dumps(payload, indent=2) + "\n"
+        texts = {name: _json_floats(cells[name]) if isinstance(col, np.ndarray)
+                 else _json_encoded(col) for name, col in columns.items()}
+        summary = {k: _json_number(notes[k]) if isinstance(v, float) else v
+                   for k, v in footer.items()}
+        pieces = _json_pieces(config, columns, texts, summary)
     else:
         lines = [",".join(columns)]
         lines += map(",".join, zip(*[map(str, col) for col in cells.values()]))
         lines += [f"# {k}={v}" for k, v in notes.items()]
-        text = "\n".join(lines) + "\n"
+        pieces = ("\n".join(lines) + "\n",)
     if config.output:
         try:
             with open(config.output, "w", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write --out {config.output}: {exc.strerror}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _one_row(record: dict) -> dict:

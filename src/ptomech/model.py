@@ -94,6 +94,18 @@ class SystemParams:
             raise ValueError(f"mass must be > 0, got {self.mass}")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be > 0, got {self.hbar}")
+        # Omega, f and f/kappa^2 square the rates, in rad/s and in kappa units,
+        # and the displacement divides by x_zpf: all must stay in float range.
+        span = self.kappa + self.gamma + 2.0 * self.coupling_G
+        ratio = span / self.kappa
+        zpf_sq = self.hbar / (2.0 * self.mass * self.omega1)
+        if not (span * span < math.inf and ratio * ratio < math.inf
+                and self.kappa * self.kappa > 0.0 and 0.0 < zpf_sq < math.inf):
+            raise ValueError(
+                f"rates out of floating-point range: (kappa + gamma + 2G)^2 with "
+                f"kappa + gamma + 2G = {span:.3e} rad/s = {ratio:.3e} kappa, kappa^2 and "
+                f"hbar/(2 m omega1) = {zpf_sq:.3e} m^2 must be finite and nonzero"
+            )
 
     @property
     def f(self) -> float:
@@ -179,6 +191,9 @@ class CoherentInit:
             z = complex(getattr(self, name))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError(f"{name} must have finite components, got {z!r}")
+            # The second moments start from |alpha|^2, |beta|^2 and alpha* beta.
+            if not abs(z) * abs(z) < math.inf:
+                raise ValueError(f"|{name}|^2 must be finite, got |{name}| = {abs(z):.3e}")
 
     @classmethod
     def from_polar(

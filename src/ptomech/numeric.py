@@ -13,7 +13,11 @@ seconds at the boundary.
 
 For unstable regimes the integration halts with a flagged truncation at the
 first stored sample whose largest moment magnitude exceeds 1e12 or is NaN,
-reporting that sample's time as the blow-up time.
+reporting that sample's time as the blow-up time. The samples are still
+computed one after the other, but the guard is checked once per block of
+``GUARD_BLOCK`` samples, over the whole block at once; the series is cut at
+the first failing sample of the block, so it truncates at the same sample as
+a check after every sample, and a long run stops within one block of it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ import numpy as np
 from .model import CoherentInit, DriveParams, MomentState, NumberSplit, SystemParams
 
 OVERFLOW_GUARD = 1e12
+# Samples between two checks of the overflow guard.
+GUARD_BLOCK = 256
+# Step counts stay exact integers in float arithmetic, and the sample times
+# (step index times step) in int64.
+MAX_STEPS = 2**53
 
 
 class ConvergenceError(RuntimeError):
@@ -164,6 +173,8 @@ def _check_step(params: SystemParams, t_end: float, dt: float | None) -> float:
         raise ValueError(
             f"dt must satisfy 0 < dt <= 0.01*min(1/kappa, 1/omega1) = {limit:.3e} s, got {dt}"
         )
+    if not t_end / dt <= MAX_STEPS:
+        raise ValueError(f"t_end/dt = {t_end / dt:.3e} steps exceeds 2**53 (dt too small)")
     return dt
 
 
@@ -185,7 +196,10 @@ def _propagate(
 
     Works in kappa-normalized time. Returns the sample times, one state per
     row, and whether the run stopped at the overflow guard; a truncated run
-    keeps the first sample that failed the guard as its last row.
+    keeps the first sample that failed the guard as its last row. Each sample
+    is the composed map applied to the one before; the guard is checked after
+    each block of ``GUARD_BLOCK`` samples, which truncates at the same sample
+    as checking after each one.
     """
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
@@ -200,18 +214,23 @@ def _propagate(
     for k in (1.0, 2.0, 3.0, 4.0):
         term = term @ hM / k
         step = step + term
-    per_sample = np.linalg.matrix_power(step, chunk)
-
     xs = np.empty((intervals + 1, n + 1), dtype=A.dtype)
     xs[0, :n] = x0
     xs[0, n] = 1.0
     kept, truncated = intervals + 1, False
-    for i in range(1, intervals + 1):
-        xs[i] = per_sample @ xs[i - 1]
-        # Written so that NaN also stops the run.
-        if not np.max(np.abs(xs[i, :n])) <= OVERFLOW_GUARD:
-            kept, truncated = i + 1, True
-            break
+    # Past the guard the state may overflow to inf or NaN; the guard reports
+    # that, not numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_sample = np.linalg.matrix_power(step, chunk)
+        for start in range(1, intervals + 1, GUARD_BLOCK):
+            stop = min(start + GUARD_BLOCK, intervals + 1)
+            for i in range(start, stop):
+                np.matmul(per_sample, xs[i - 1], out=xs[i])
+            # Written so that NaN also fails the guard.
+            failed = ~np.all(np.abs(xs[start:stop, :n]) <= OVERFLOW_GUARD, axis=1)
+            if failed.any():
+                kept, truncated = start + int(np.argmax(failed)) + 1, True
+                break
     return np.arange(kept) * chunk * h, xs[:kept, :n], truncated
 
 
@@ -286,7 +305,9 @@ def integrate_second_moments(
         t=t,
         n_a=v[:, 0],
         n_b=v[:, 1],
-        ab_corr=v[:, 2] + 1j * v[:, 3],
+        # The (Re, Im) pair read as one complex, without arithmetic: Re + 1j*Im
+        # turns an infinite Im of a truncated run's last row into a NaN Re.
+        ab_corr=np.ascontiguousarray(v[:, 2:]).view(complex)[:, 0],
         truncated=truncated,
         blowup_time=float(t[-1]) if truncated else None,
     )

@@ -75,7 +75,9 @@ def drift_eigenvalues(params: SystemParams, tol: float = DEFAULT_TOL) -> Spectru
     """Closed-form drift eigenvalues lambda_{tau,s} and supermode frequencies.
 
     lambda_{tau,s} = [gamma - kappa + tau*sqrt((gamma+kappa)^2 - 4G^2) + 2i*s*omega1]/2.
+    ``degenerate_drift`` is |Omega|/kappa <= tol; tol must satisfy 0 < tol <= 1e-3.
     """
+    check_tol(tol)
     Om = params.Omega
     gk = params.gamma - params.kappa
     w1 = params.omega1
@@ -189,6 +191,9 @@ def _axis(name: str, lo: float, hi: float, n: int) -> np.ndarray:
         raise ValueError(f"{name} range must be nonnegative, got [{lo}, {hi}]")
     if hi < lo:
         raise ValueError(f"{name} range is inverted: [{lo}, {hi}]")
+    # regime_codes and max_re_lambda square gamma + 1 and 2G.
+    if not (2.0 * hi + 1.0) * (2.0 * hi + 1.0) < math.inf:
+        raise ValueError(f"{name} range is out of floating-point range: [{lo}, {hi}]")
     if n < 2:
         # A degenerate axis (single value) is allowed for line scans.
         if n == 1 and hi == lo:

@@ -1,15 +1,25 @@
+import argparse
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptomech import analytic
 from ptomech.cli import (
-    EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, RunConfig, _write_output, main,
+    EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, RunConfig, _write_output, build_parser,
+    main,
 )
 from ptomech.presets import PRESETS
 
@@ -525,3 +535,136 @@ class TestWriter:
             f'{{"x":{last},"n":0,"s":"x"}}],'
             '"summary":{"disc":null,"t_end":0.0,"source":"analytic"}}'
         )
+
+
+def legacy_json(columns, footer, config):
+    """The JSON document as ``json.dumps(payload, indent=2)`` wrote it before the
+    row template: the reference the writer must match byte for byte."""
+    fmt = f"%.{config.precision - 1}e"
+
+    def number(value):
+        text = fmt % (float(value) + 0.0)
+        return None if text == "nan" else float(text)
+
+    cells = {name: [number(v) for v in col] if isinstance(col, np.ndarray) else col
+             for name, col in columns.items()}
+    payload = {
+        "command": config.command,
+        "config": config.to_dict(),
+        "columns": list(columns),
+        "rows": [dict(zip(cells, row)) for row in zip(*cells.values())],
+    }
+    if footer:
+        payload["summary"] = {k: number(v) if isinstance(v, float) else v
+                              for k, v in footer.items()}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2e-308,
+                                1e-300, -1e300, 1e300, 9.999999999999999e299, 1e12, 1e16, 0.5])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+# Quotes, backslashes, control and non-ASCII characters and '%' (the template's
+# own conversion character).
+_TEXT = st.text(alphabet=st.one_of(st.sampled_from('"\\%\n\t\x00\x1f\u00e9\u2028\U0001f600,'),
+                                   st.characters()), max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.sampled_from([0, 1, draw(st.integers(2, 40))]))
+    names = draw(st.lists(_TEXT, max_size=6, unique=True))
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(["float", "int", "str"]))
+        if kind == "float":
+            columns[name] = np.array(draw(st.lists(_FLOATS, min_size=n_rows, max_size=n_rows)),
+                                     dtype=float)
+        else:
+            cell = st.integers(-2**70, 2**70) if kind == "int" else _TEXT
+            columns[name] = draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+    footer = draw(st.dictionaries(_TEXT, st.one_of(_FLOATS, _TEXT), max_size=4))
+    return columns, footer
+
+
+class TestWriterMatchesJsonDumps:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(table=_tables(), precision=st.integers(1, 17), command=_TEXT)
+    def test_row_template_gives_json_dumps_bytes(self, table, precision, command):
+        columns, footer = table
+        config = RunConfig(command=command, params_in_kappa_units={"gamma": 0.6}, init={},
+                           format="json", precision=precision)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            _write_output(columns, footer, config)
+        assert stdout.getvalue() == legacy_json(columns, footer, config)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = dataclasses.replace(config, output=os.path.join(tmp, "out.json"))
+            _write_output(columns, footer, config)
+            with open(config.output, newline="") as fh:
+                assert fh.read() == legacy_json(columns, footer, config)
+
+
+def _subcommand_flags() -> dict:
+    """Each subcommand's optional arguments, read from the parser itself."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.option_strings and a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+_FLAGS = _subcommand_flags()
+_JUNK = ["nan", "inf", "-inf", "-1", "0", "", "abc", "1e-300"]
+# Flags that size an allocation or a loop take only small values, so that no
+# example allocates much memory.
+_BOUNDED = {"samples": ["2", "3", "200", "2000"], "t_end": ["1e-3", "0.5", "2", "50"],
+            "gamma_res": ["1", "2", "50"], "G_res": ["1", "2", "50"],
+            "sweep_points": ["1", "2", "50"]}
+_OUT = ["", os.devnull, "/nonexistent-ptomech-dir/out.csv"]
+
+
+def _values(action):
+    if action.dest in _BOUNDED:
+        return st.sampled_from(_BOUNDED[action.dest] + _JUNK)
+    if action.dest == "out":
+        return st.sampled_from(_OUT)
+    if action.choices:
+        return st.sampled_from([*action.choices, "abc", ""])
+    return st.sampled_from(_JUNK + ["0.5", "0.6", "1", "1.2", "1.8", "2.5", "1e-9", "1e300", "17"])
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command == "figure":
+        argv.append(draw(st.sampled_from(["3a", "3e", "3f", "4top", "5c", "6a", "6b", "zz", ""])))
+    for action in draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=6, unique_by=id)):
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            argv.append(flag)
+        else:
+            argv += [flag, draw(_values(action))]
+    every = {a.dest: a for actions in _FLAGS.values() for a in actions
+             if a.nargs != 0 and a.dest != "out"}
+    env = {f"PTOM_{dest.upper()}": draw(_values(every[dest]))
+           for dest in draw(st.lists(st.sampled_from(sorted(every)), max_size=3, unique=True))}
+    return argv, env
+
+
+class TestFuzzedContract:
+    """Any argv and PTOM_* environment: no traceback, a documented exit code,
+    and one line on stderr for a failure."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(invocation=_invocations())
+    def test_exit_codes_and_one_line(self, invocation):
+        argv, env = invocation
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_UNSTABLE, EXIT_DISCREPANCY)
+        if code == EXIT_OK:
+            assert err.getvalue() == ""
+        else:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("ptomech: ")

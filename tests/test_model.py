@@ -27,6 +27,11 @@ class TestSystemParams:
             dict(mass=0.0),
             dict(kappa=math.inf),
             dict(gamma=math.nan),
+            # Finite, but a square, a square in kappa units or x_zpf leaves float range.
+            dict(G=1e300),
+            dict(kappa=1e-300),
+            dict(gamma=1e-150 * KAPPA, kappa=1e-150),
+            dict(mass=1e300),
         ],
     )
     def test_rejects_invalid_fields(self, kwargs):
@@ -93,6 +98,8 @@ class TestCoherentInit:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             CoherentInit(alpha=complex(math.inf, 0.0))
+        with pytest.raises(ValueError, match=r"\|beta\|\^2 must be finite"):
+            CoherentInit.from_polar(1.0, 0.0, 1e300, 0.0)
 
 
 class TestLabelsAndRecords:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from ptomech import (
     steady_numbers,
     stimulated_spontaneous_split,
 )
-from ptomech.numeric import OVERFLOW_GUARD, _plan_grid, default_dt, moment_state
+from ptomech.numeric import (
+    GUARD_BLOCK, OVERFLOW_GUARD, _plan_grid, _propagate, default_dt, moment_state,
+)
 
 from conftest import KAPPA, MASS, OMEGA1, params_at
 
@@ -57,50 +60,141 @@ def stepwise_rk4(A, b, x0, t_end_k, dt_k, n_samples):
         for _ in range(chunk):
             x = R @ x + r
         out.append(x)
-        if np.max(np.abs(x)) > OVERFLOW_GUARD:
+        if not np.max(np.abs(x)) <= OVERFLOW_GUARD:
             break
     return np.array(out)
 
 
+def composed_loop(A, b, x0, t_end_k, dt_k, n_samples):
+    """Reference for the arithmetic of ``_propagate``: the same composed per-sample
+    map, applied one sample at a time with the guard checked after each sample."""
+    chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
+    h = t_end_k / (chunk * intervals)
+    n = len(x0)
+    hM = np.zeros((n + 1, n + 1), dtype=A.dtype)
+    hM[:n, :n] = h * A
+    hM[:n, n] = h * b
+    term = step = np.eye(n + 1, dtype=A.dtype)
+    for k in (1.0, 2.0, 3.0, 4.0):
+        term = term @ hM / k
+        step = step + term
+    per_sample = np.linalg.matrix_power(step, chunk)
+    xs = [np.append(x0, 1.0).astype(A.dtype)]
+    truncated = False
+    for _ in range(intervals):
+        xs.append(per_sample @ xs[-1])
+        if not np.max(np.abs(xs[-1][:n])) <= OVERFLOW_GUARD:
+            truncated = True
+            break
+    return np.arange(len(xs)) * chunk * h, np.array(xs)[:, :n], truncated
+
+
+# (gamma, G) in kappa units, omega1 in kappa units, t_end in 1/kappa, n_samples.
+# A small omega1 keeps the reference loop short at the largest allowed step.
+PROPAGATOR_CASES = {
+    "chunk1": (0.6, 1.2, 2.0, 1.0, None),
+    "chunked": (1.0, 0.8, 2.0, 6.0, 20),
+    "truncating": (1.8, 1.2, 2.0, 15.0, 50),
+    # One sample interval of 400/kappa: the last row is inf - inf = NaN; of
+    # 316/kappa: the last row has infinite and finite entries.
+    "nan": (1.8, 1.2, 2.0, 400.0, 2),
+    "inf": (1.8, 1.2, 2.0, 316.0, 2),
+    # The second moments fail the guard at sample GUARD_BLOCK (the last sample
+    # of the first guard block) and GUARD_BLOCK + 1 (the first of the next).
+    "block_end": (1.8, 1.2, 2.0, 22.0, 513),
+    "block_start": (1.8, 1.2, 2.0, 25.75, 601),
+}
+
+
+def moment_systems(g, G, w1, init):
+    """(A, b, x0) of the first- and second-moment systems in kappa units."""
+    alpha, beta = init.alpha, init.beta
+    A1 = np.array([[-1j * w1 - 1.0, 1j * G], [1j * G, -1j * w1 + g]])
+    c0 = alpha.conjugate() * beta
+    x0 = np.array([abs(alpha) ** 2, abs(beta) ** 2, c0.real, c0.imag])
+    return ((A1, np.zeros(2, dtype=complex), np.array([alpha, beta])),
+            (second_moment_matrix(g, G), np.array([0.0, 2.0 * g, 0.0, 0.0]), x0))
+
+
+def integrate_both(case, init):
+    g, G, w1, t_end, n_samples = PROPAGATOR_CASES[case]
+    p = make_params(KAPPA, g * KAPPA, G * KAPPA, w1 * KAPPA, MASS)
+    dt = 0.005 / KAPPA
+    # Past the guard nothing may warn: the truncation flag reports it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        first = integrate_first_moments(p, init, t_end / KAPPA, dt=dt, n_samples=n_samples)
+        second = integrate_second_moments(p, init, t_end / KAPPA, dt=dt, n_samples=n_samples)
+    got1 = np.column_stack([first.a_mean, first.b_mean])
+    got2 = np.column_stack([second.n_a, second.n_b, second.ab_corr.real, second.ab_corr.imag])
+    return (first, got1), (second, got2)
+
+
 class TestPropagatorAgainstStepwiseLoop:
-    # (gamma, G) in kappa units, omega1 in kappa units, t_end in 1/kappa, n_samples.
-    # A small omega1 keeps the reference loop short at the largest allowed step.
-    CASES = {
-        "chunk1": (0.6, 1.2, 2.0, 1.0, None),
-        "chunked": (1.0, 0.8, 2.0, 6.0, 20),
-        "truncating": (1.8, 1.2, 2.0, 15.0, 50),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case", sorted(PROPAGATOR_CASES))
     def test_both_series_match_reference(self, case, coherent_init):
-        g, G, w1, t_end, n_samples = self.CASES[case]
-        p = make_params(KAPPA, g * KAPPA, G * KAPPA, w1 * KAPPA, MASS)
-        dt = 0.005 / KAPPA
-        first = integrate_first_moments(p, coherent_init, t_end / KAPPA, dt=dt, n_samples=n_samples)
-        second = integrate_second_moments(p, coherent_init, t_end / KAPPA, dt=dt, n_samples=n_samples)
-
-        alpha, beta = coherent_init.alpha, coherent_init.beta
-        A1 = np.array([[-1j * w1 - 1.0, 1j * G], [1j * G, -1j * w1 + g]])
-        ref1 = stepwise_rk4(A1, np.zeros(2, dtype=complex), np.array([alpha, beta]),
-                            t_end, 0.005, n_samples)
-        c0 = alpha.conjugate() * beta
-        x0 = np.array([abs(alpha) ** 2, abs(beta) ** 2, c0.real, c0.imag])
-        ref2 = stepwise_rk4(second_moment_matrix(g, G), np.array([0.0, 2.0 * g, 0.0, 0.0]),
-                            x0, t_end, 0.005, n_samples)
-
-        got1 = np.column_stack([first.a_mean, first.b_mean])
-        got2 = np.column_stack([second.n_a, second.n_b, second.ab_corr.real, second.ab_corr.imag])
-        for got, ref, series in ((got1, ref1, first), (got2, ref2, second)):
+        g, G, w1, t_end, n_samples = PROPAGATOR_CASES[case]
+        (first, got1), (second, got2) = integrate_both(case, coherent_init)
+        with np.errstate(over="ignore", invalid="ignore"):
+            refs = [stepwise_rk4(A, b, x0, t_end, 0.005, n_samples)
+                    for A, b, x0 in moment_systems(g, G, w1, coherent_init)]
+        for got, ref, series in ((got1, refs[0], first), (got2, refs[1], second)):
             assert got.shape == ref.shape
-            assert series.truncated == (np.max(np.abs(ref[-1])) > OVERFLOW_GUARD)
-            scale = np.max(np.abs(ref), axis=1, keepdims=True)
-            assert np.max(np.abs(got - ref) / scale) <= 1e-9
+            assert series.truncated == (not np.max(np.abs(ref[-1])) <= OVERFLOW_GUARD)
+            # Only a truncated run's last row can be past float range.
+            finite = np.all(np.isfinite(ref), axis=1)
+            assert np.all(finite[:-1]) and np.all(np.isfinite(got[finite]))
+            scale = np.max(np.abs(ref[finite]), axis=1, keepdims=True)
+            assert np.max(np.abs(got[finite] - ref[finite]) / scale) <= 1e-9
         if case == "chunk1":
             assert len(first.t) == math.ceil(t_end / 0.005) + 1
         if case == "truncating":
             # The second moments grow twice as fast and reach the guard first.
             assert second.truncated and not first.truncated
             assert 2 < len(second.t) < len(first.t)
+        if case == "nan":
+            assert first.truncated and second.truncated
+            assert np.isnan(second.n_b[-1]) and len(second.t) == 2
+        if case == "inf":
+            assert np.isinf(second.n_b[-1]) and np.isinf(second.ab_corr[-1].imag)
+            assert np.isfinite(second.ab_corr[-1].real)
+        if case.startswith("block"):
+            assert len(second.t) - 1 == GUARD_BLOCK + (case == "block_start")
+
+    @pytest.mark.parametrize("case", sorted(PROPAGATOR_CASES))
+    def test_same_arithmetic_as_a_per_sample_loop(self, case, coherent_init):
+        g, G, w1, t_end, n_samples = PROPAGATOR_CASES[case]
+        for A, b, x0 in moment_systems(g, G, w1, coherent_init):
+            t, xs, truncated = _propagate(A, b, x0, t_end, 0.005, n_samples)
+            with np.errstate(over="ignore", invalid="ignore"):
+                t_ref, xs_ref, truncated_ref = composed_loop(A, b, x0, t_end, 0.005, n_samples)
+            assert truncated == truncated_ref
+            assert np.array_equal(t, t_ref)
+            assert np.array_equal(xs, xs_ref, equal_nan=True)
+
+    @pytest.mark.parametrize("k", [1, GUARD_BLOCK - 1, GUARD_BLOCK, GUARD_BLOCK + 1,
+                                   2 * GUARD_BLOCK, 2 * GUARD_BLOCK + 1])
+    def test_truncates_at_the_first_failing_sample(self, k):
+        # x' = x from x0 = guard / R^(k - 1/2): sample k - 1 is below the guard
+        # by a factor R^(1/2), sample k above it, wherever k falls in a block.
+        h = 0.01
+        R = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
+        x0 = np.array([OVERFLOW_GUARD * R ** -(k - 0.5)])
+        t, xs, truncated = _propagate(np.array([[1.0]]), np.zeros(1), x0, 4 * GUARD_BLOCK * h,
+                                      h, None)
+        assert truncated and len(t) == len(xs) == k + 1
+        assert xs[-2, 0] <= OVERFLOW_GUARD < xs[-1, 0]
+
+    def test_zero_state_in_unstable_regime_stays_zero(self):
+        # gamma = 1.8, G = 1.2 is region 1; with no initial amplitude and no
+        # drive term the first moments stay exactly zero to the end.
+        p = make_params(KAPPA, 1.8 * KAPPA, 1.2 * KAPPA, 2.0 * KAPPA, MASS)
+        zero = CoherentInit(alpha=0j, beta=0j)
+        series = integrate_first_moments(p, zero, 400.0 / KAPPA, dt=0.005 / KAPPA,
+                                         n_samples=2000)
+        assert not series.truncated and series.blowup_time is None
+        assert len(series.t) == 2000
+        assert not np.any(series.a_mean) and not np.any(series.b_mean)
 
 
 class TestWorkingPoint:
@@ -223,6 +317,8 @@ class TestFirstMoments:
             integrate_first_moments(p, coherent_init, 1.0 / KAPPA, dt=0.5 / OMEGA1)
         with pytest.raises(ValueError):
             integrate_first_moments(p, coherent_init, -1.0)
+        with pytest.raises(ValueError, match="exceeds 2"):
+            integrate_first_moments(p, coherent_init, 1.0 / KAPPA, dt=1e-300)
 
 
 class TestSecondMoments:

@@ -114,6 +114,11 @@ class TestDriftEigenvalues:
         assert drift_eigenvalues(params_at(0.6, 0.8)).degenerate_drift
         assert not drift_eigenvalues(params_at(0.6, 1.2)).degenerate_drift
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, 1e-2])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be in"):
+            drift_eigenvalues(params_at(1.0, 1.0), tol=tol)
+
 
 class TestClassify:
     @pytest.mark.parametrize("name,g,G,region", TRAJECTORY_SETS)
@@ -237,6 +242,9 @@ class TestPhaseDiagram:
             phase_diagram((0.0, 1.0), (-1.0, 1.0), 5)
         with pytest.raises(ValueError):
             phase_diagram((0.0, 1.0), (0.0, 1.0), 1)
+        # The squares of the axis values would overflow.
+        with pytest.raises(ValueError, match="floating-point range"):
+            phase_diagram((0.0, 1.0), (0.0, 1e300), 5)
 
 
 TOL = 1e-9
