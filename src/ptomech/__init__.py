@@ -3,8 +3,6 @@
 from .model import (
     HBAR,
     CoherentInit,
-    DriveParams,
-    MomentState,
     NumberSplit,
     PTPhase,
     RegimeLabel,
@@ -32,13 +30,10 @@ from .analytic import (
     steady_numbers,
 )
 from .numeric import (
-    ConvergenceError,
     FirstMomentSeries,
     SecondMomentSeries,
-    WorkingPoint,
     integrate_first_moments,
     integrate_second_moments,
-    solve_working_point,
     stimulated_spontaneous_split,
 )
 
@@ -48,10 +43,7 @@ __all__ = [
     "HBAR",
     "ClosedFormError",
     "CoherentInit",
-    "ConvergenceError",
-    "DriveParams",
     "FirstMomentSeries",
-    "MomentState",
     "NumberSplit",
     "PTPhase",
     "PhaseDiagramGrid",
@@ -60,7 +52,6 @@ __all__ = [
     "Spectrum",
     "Stability",
     "SystemParams",
-    "WorkingPoint",
     "classify",
     "displacement",
     "drift_eigenvalues",
@@ -74,7 +65,6 @@ __all__ = [
     "max_re_lambda",
     "numbers",
     "phase_diagram",
-    "solve_working_point",
     "steady_numbers",
     "stimulated_spontaneous_split",
     "supermode_frequencies",

@@ -58,6 +58,7 @@ __all__ = [
     "first_moments_closed_form",
     "numbers",
     "steady_numbers",
+    "steady_state",
 ]
 
 _IMAG_RESIDUE_TOL = 1e-10
@@ -281,25 +282,45 @@ def numbers(params: SystemParams, init: CoherentInit, t) -> NumberSplit:
 numbers_equal_gain = numbers_unequal_gain = numbers
 
 
-def steady_numbers(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """Equilibrium particle numbers (n_a_s, n_b_s) in the asymptotically stable regime.
+def steady_state(kappa, gamma, G, tol: float = DEFAULT_TOL):
+    """Equilibrium particle numbers over arrays of rates, rad/s (``kappa`` a scalar).
 
-    n_a_s = G^2 gamma / ((kappa-gamma) f) and n_b_s = n_a_s + kappa*gamma/f,
-    independent of the initial state. Requires f > 0 and gamma < kappa; no
-    finite steady state exists elsewhere.
+    n_a_s = G^2 gamma / ((kappa-gamma) f) and n_b_s = n_a_s + kappa*gamma/f
+    with f = G^2 - gamma*kappa, independent of the initial state. A finite
+    steady state exists only where f/kappa^2 > tol and gamma/kappa < 1 - tol.
+    Returns (n_a_s, n_b_s, missing): ``missing`` is 0 where the steady state
+    exists, 1 where f/kappa^2 <= tol and else 2 where gamma/kappa >= 1 - tol;
+    the numbers are NaN where it is not 0.
     """
     check_tol(tol)
+    gamma, G = np.asarray(gamma, dtype=float), np.asarray(G, dtype=float)
+    G2 = G * G
+    f = G2 - gamma * kappa
+    missing = np.select([f / kappa**2 <= tol, gamma / kappa >= 1.0 - tol], [1, 2], 0)
+    # Points without a steady state may divide by zero (masked below); rates
+    # near float range overflow to inf, as in scalar arithmetic.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        n_a_s = G2 * gamma / ((kappa - gamma) * f)
+        n_b_s = n_a_s + kappa * gamma / f
+    exists = missing == 0
+    return np.where(exists, n_a_s, np.nan), np.where(exists, n_b_s, np.nan), missing
+
+
+def steady_numbers(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """Equilibrium particle numbers (n_a_s, n_b_s): the one-point case of :func:`steady_state`.
+
+    Raises ValueError, naming the failed condition, where no finite steady
+    state exists (f <= 0 or gamma >= kappa, within ``tol``).
+    """
     k, g = params.kappa, params.gamma
-    f = params.f
-    if f / k**2 <= tol:
+    n_a_s, n_b_s, missing = steady_state(k, g, params.coupling_G, tol)
+    if missing == 1:
         raise ValueError(
             f"no finite steady state: requires f = G^2 - gamma*kappa > 0 "
-            f"(got f/kappa^2 = {f / k**2:.3e})"
+            f"(got f/kappa^2 = {params.f / k**2:.3e})"
         )
-    if g / k >= 1.0 - tol:
+    if missing == 2:
         raise ValueError(
             f"no finite steady state: requires gamma < kappa (got gamma/kappa = {g / k})"
         )
-    n_a_s = params.coupling_G**2 * g / ((k - g) * f)
-    n_b_s = n_a_s + k * g / f
-    return n_a_s, n_b_s
+    return float(n_a_s), float(n_b_s)

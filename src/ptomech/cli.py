@@ -15,10 +15,15 @@ supplied through an environment variable with the ``PTOM_`` prefix (e.g.
 checked like its flag, and explicit flags win.
 
 ``evolve`` (and every trajectory figure) tabulates the closed forms next to the
-RK4 oracle and reports, in its footer, the largest relative discrepancy of the
-displacement and of the particle numbers, ``numbers_source`` (always
-``analytic``: one closed form covers the whole (gamma, G) plane) and, when
-the oracle reached its overflow guard, ``truncated_at_t``.
+RK4 oracle and reports, in its footer, ``max_rel_discrepancy_x``: the largest
+|x_analytic - x_numeric| relative to the oracle's local amplitude
+2 x_zpf |<b>| (x itself crosses zero); ``max_rel_discrepancy_numbers``: the
+largest relative discrepancy of n_a, n_b and of the stimulated parts n_a_st,
+n_b_st (the oracle's from ``numeric.stimulated_spontaneous_split``);
+``numbers_source`` (always ``analytic``: one closed form covers the whole
+(gamma, G) plane) and, when the oracle reached its overflow guard,
+``truncated_at_t``. Both relative errors are floored at 1e-12 in the
+denominator, and either above ``--max-discrepancy`` (default 1e-6) exits 4.
 
 Exit codes: 0 ok; 2 invalid configuration (a bad flag or ``PTOM_*`` value
 included); 3 steady-state query at an unstable point; 4 analytic/numeric
@@ -78,17 +83,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
 
 
 def _fmt(values, precision: int) -> list[str]:
@@ -236,7 +230,7 @@ def cmd_classify(args) -> int:
     params = _build_params(args)
     config = _config_from_args(args, "classify")
     code = spectrum.REGIME_LABELS.index(spectrum.classify(params, tol=args.tol))
-    spec = spectrum.drift_eigenvalues(params, tol=args.tol)
+    spec = spectrum.drift_eigenvalues(params)
     k = params.kappa
     record = {"gamma_over_kappa": args.gamma, "G_over_kappa": args.G,
               **_label_columns(code),
@@ -264,8 +258,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _relmax(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> float:
-    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), floor)))
+def _relmax(a: np.ndarray, b: np.ndarray, scale: np.ndarray, floor: float = 1e-12) -> float:
+    """Largest |a - b| relative to ``scale`` (floored); NaN if any difference is NaN."""
+    return float(np.max(np.abs(a - b) / np.maximum(scale, floor)))
+
+
+def _head(series, n: int):
+    """The first ``n`` samples of a moment series."""
+    if len(series.t) == n:
+        return series
+    return dataclasses.replace(series, **{name: value[:n] for name, value in vars(series).items()
+                                          if isinstance(value, np.ndarray)})
 
 
 def _evolve_tables(args):
@@ -286,21 +289,27 @@ def _evolve_tables(args):
     second = numeric.integrate_second_moments(params, init, t_end_s, dt=dt_s, n_samples=args.samples)
     # Each series stops at its own overflow sample; keep the rows both reached.
     n = min(len(first.t), len(second.t))
-    t = first.t[:n]
-    x_numeric = params.x_zpf * 2.0 * first.b_mean[:n].real
-    n_numeric = np.stack([second.n_a[:n], second.n_b[:n]])
+    first, second = _head(first, n), _head(second, n)
+    t = first.t
+    x_numeric = params.x_zpf * 2.0 * first.b_mean.real
+    split = numeric.stimulated_spontaneous_split(first, second)
+    n_numeric = np.stack([second.n_a, second.n_b, split.n_a_st, split.n_b_st])
     # Only the last row of a truncated run can lie past float range. The closed
     # forms are evaluated on the rows where the oracle is finite; the rest read
     # nan, so the discrepancy gate fails there.
-    m = n if np.all(np.isfinite([x_numeric[-1], *n_numeric[:, -1]])) else n - 1
+    m = n if np.all(np.isfinite([x_numeric[-1], *n_numeric[:2, -1]])) else n - 1
     numbers = analytic.numbers(params, init, t[:m])
     closed = np.full((7, n), np.nan)
     closed[:, :m] = [analytic.displacement(params, init, t[:m]),
                      numbers.n_a, numbers.n_b, numbers.n_a_st, numbers.n_b_st,
                      numbers.n_a_sp, numbers.n_b_sp]
 
-    disc_x = _relmax(closed[0] / params.x_zpf, x_numeric / params.x_zpf)
-    disc_n = _relmax(closed[1:3], n_numeric)
+    # x crosses zero, so its error is taken relative to the local amplitude
+    # 2|<b>| (in units of x_zpf); the numbers are nonnegative and taken
+    # relative to themselves.
+    disc_x = _relmax(closed[0] / params.x_zpf, x_numeric / params.x_zpf,
+                     2.0 * np.abs(first.b_mean))
+    disc_n = _relmax(closed[1:5], n_numeric, np.abs(n_numeric))
 
     names = ["t", "x_analytic", "x_numeric", "n_a", "n_b", "n_a_st", "n_b_st", "n_a_sp", "n_b_sp"]
     columns = dict(zip(names, [t, closed[0], x_numeric, *closed[1:]]))
@@ -331,16 +340,19 @@ def cmd_evolve(args) -> int:
 
 def _steady_sweep_columns(args, axis: str) -> dict:
     values = np.linspace(args.sweep_min, args.sweep_max, args.sweep_points)
-    n_s = np.full((2, len(values)), np.nan)
-    stable = [0] * len(values)
-    for i, v in enumerate(values):
-        params = _build_params(argparse.Namespace(**{**vars(args), args.sweep: v}))
-        try:
-            n_s[:, i] = analytic.steady_numbers(params, tol=args.tol)
-            stable[i] = 1
-        except ValueError:
-            pass
-    return {axis: values, "n_a_s": n_s[0], "n_b_s": n_s[1], "stable": stable}
+    k = args.kappa_hz
+    # Rates out of float range are reported by make_params below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = values * k if args.sweep == "gamma" else np.full_like(values, args.gamma * k)
+        G = values * k if args.sweep == "G" else np.full_like(values, args.G * k)
+    if values.size:
+        # What SystemParams checks (signs, float range) is monotone along a
+        # linspace: where both ends pass, every point does.
+        make_params(k, gamma[0], G[0], args.omega1 * k, args.mass)
+        make_params(k, gamma[-1], G[-1], args.omega1 * k, args.mass)
+    n_a_s, n_b_s, missing = analytic.steady_state(k, gamma, G, args.tol)
+    return {axis: values, "n_a_s": n_a_s, "n_b_s": n_b_s,
+            "stable": (missing == 0).astype(int).tolist()}
 
 
 def cmd_steady(args) -> int:
@@ -551,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DiscrepancyExceeded, analytic.ClosedFormError) as exc:
         print(f"ptomech: {exc}", file=sys.stderr)
         return EXIT_DISCREPANCY
-    except (ValueError, numeric.ConvergenceError) as exc:
+    except ValueError as exc:
         print(f"ptomech: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

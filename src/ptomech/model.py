@@ -147,39 +147,6 @@ def make_params(
 
 
 @dataclass(frozen=True)
-class DriveParams:
-    """Drive and bare-mode data for the working-point solver.
-
-    omega_c, omega_L, omega_m : float
-        Cavity resonance, control-field frequency and bare mechanical
-        frequency, rad/s.
-    g_single : float
-        Single-photon optomechanical coupling, rad/s. Must be >= 0.
-    drive_amp : float
-        Control-field amplitude, rad/s * sqrt(photon flux). Must be >= 0.
-    """
-
-    omega_c: float
-    omega_L: float
-    omega_m: float
-    g_single: float
-    drive_amp: float
-
-    def __post_init__(self):
-        for name in ("omega_c", "omega_L", "omega_m", "g_single", "drive_amp"):
-            _require_finite(name, getattr(self, name))
-        if self.g_single < 0:
-            raise ValueError(f"g_single must be >= 0, got {self.g_single}")
-        if self.drive_amp < 0:
-            raise ValueError(f"drive_amp must be >= 0, got {self.drive_amp}")
-
-    @property
-    def detuning(self) -> float:
-        """Bare cavity-drive detuning Delta_c = omega_c - omega_L, rad/s."""
-        return self.omega_c - self.omega_L
-
-
-@dataclass(frozen=True)
 class CoherentInit:
     """Initial coherent amplitudes of the cavity (alpha) and mechanics (beta)."""
 
@@ -227,18 +194,6 @@ class RegimeLabel:
                 raise ValueError(f"region_id must be in 1..6 or 'EP', got {self.region_id}")
         elif self.region_id != "EP":
             raise ValueError(f"region_id must be in 1..6 or 'EP', got {self.region_id!r}")
-
-
-@dataclass(frozen=True)
-class MomentState:
-    """First and second moments of the two modes at one time (t in seconds)."""
-
-    t: float
-    a_mean: complex
-    b_mean: complex
-    n_a: float
-    n_b: float
-    ab_corr: complex
 
 
 @dataclass(frozen=True)

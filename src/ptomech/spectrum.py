@@ -10,8 +10,10 @@ f = G^2 - gamma*kappa, gamma vs kappa and G vs (kappa+gamma)/2 in
 kappa-normalized units with an absolute tolerance (default 1e-9), because the
 case analysis uses exact equalities that never hold in floating point, and
 returns an int8 code per point that indexes the nine labels of
-:data:`REGIME_LABELS`. :func:`classify` is its 1x1 case and
-:func:`phase_diagram` applies it to a whole grid at once.
+:data:`REGIME_LABELS`. On the transition line the stability class is the
+sign of the largest eigenvalue real part, within the same tolerance.
+:func:`classify` is its 1x1 case and :func:`phase_diagram` applies it to a
+whole grid at once.
 """
 
 from __future__ import annotations
@@ -32,15 +34,11 @@ class Spectrum:
     """Supermode frequencies and the four drift eigenvalues of one parameter point.
 
     ``lambdas`` is ordered (tau, s) = (+1,+1), (+1,-1), (-1,+1), (-1,-1).
-    ``degenerate_drift`` is True when the drift matrix has fewer than four
-    linearly independent eigenvectors, i.e. on the symmetry-transition line
-    G = (kappa+gamma)/2 where the eigenvalues coalesce pairwise.
     """
 
     omega_plus: complex
     omega_minus: complex
     lambdas: tuple[complex, complex, complex, complex]
-    degenerate_drift: bool
 
 
 def supermode_frequencies(params: SystemParams) -> tuple[complex, complex]:
@@ -71,23 +69,19 @@ def drift_matrix(params: SystemParams) -> np.ndarray:
     )
 
 
-def drift_eigenvalues(params: SystemParams, tol: float = DEFAULT_TOL) -> Spectrum:
+def drift_eigenvalues(params: SystemParams) -> Spectrum:
     """Closed-form drift eigenvalues lambda_{tau,s} and supermode frequencies.
 
     lambda_{tau,s} = [gamma - kappa + tau*sqrt((gamma+kappa)^2 - 4G^2) + 2i*s*omega1]/2.
-    ``degenerate_drift`` is |Omega|/kappa <= tol; tol must satisfy 0 < tol <= 1e-3.
     """
-    check_tol(tol)
     Om = params.Omega
     gk = params.gamma - params.kappa
     w1 = params.omega1
     lambdas = tuple(
         0.5 * (gk + tau * Om + 2j * s * w1) for tau in (1.0, -1.0) for s in (1.0, -1.0)
     )
-    # Eigenvectors coalesce exactly when the square root vanishes.
-    degenerate = abs(Om) / params.kappa <= tol
     op, om = supermode_frequencies(params)
-    return Spectrum(omega_plus=op, omega_minus=om, lambdas=lambdas, degenerate_drift=degenerate)
+    return Spectrum(omega_plus=op, omega_minus=om, lambdas=lambdas)
 
 
 def drift_eigenvalues_dense(params: SystemParams) -> np.ndarray:
@@ -110,7 +104,8 @@ def max_re_lambda(params: SystemParams) -> float:
 # number: (1) f < 0, or gamma > kappa below the transition line G = (kappa+gamma)/2;
 # (2) gamma > kappa above it; (3)/(4) f > 0, gamma < kappa below/above it;
 # (5) f = 0, gamma < kappa; (6) f > 0, gamma = kappa. Codes 0, 7, 8 lie on the line:
-# f = 0 = gamma - kappa (two eigenvectors left, secular growth), gamma > or < kappa.
+# f = 0 = gamma - kappa (two eigenvectors left, secular growth), or max Re lambda
+# within tol of 0; max Re lambda > 0; max Re lambda < 0.
 REGIME_LABELS = (
     RegimeLabel(PTPhase.EXCEPTIONAL_POINT, Stability.UNSTABLE_DEGENERATE, "EP"),
     RegimeLabel(PTPhase.BROKEN_PT, Stability.UNSTABLE, 1),
@@ -130,12 +125,21 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
 
 
+def _max_re_lambda(g, G):
+    """Largest drift-eigenvalue real part in kappa units at gamma/kappa = g, G/kappa = G."""
+    return 0.5 * (g - 1.0 + np.sqrt(np.maximum((g + 1.0) * (g + 1.0) - 4.0 * G * G, 0.0)))
+
+
 def regime_codes(g, G, tol: float = DEFAULT_TOL) -> np.ndarray:
     """int8 regime code of each (gamma/kappa, G/kappa) pair; ``g`` and ``G`` broadcast.
 
     The first case that holds decides: f = 0 and gamma = kappa; the transition
     line; gamma = kappa; f = 0; gamma > kappa; f < 0; above or below the line.
     "=" means within the absolute ``tol``, and so does "f > 0" for gamma = kappa.
+    On the transition line the stability comes from max Re lambda (kappa
+    units): above tol unstable, below -tol asymptotically stable, in between
+    degenerate. Within tol of the line |Omega| is O(sqrt(tol)), so near
+    gamma = kappa the sign of gamma - kappa alone can disagree with it.
     """
     check_tol(tol)
     f = G * G - g
@@ -143,10 +147,11 @@ def regime_codes(g, G, tol: float = DEFAULT_TOL) -> np.ndarray:
     dep = G - 0.5 * (1.0 + g)
     on_f = abs(f) <= tol
     on_gk = abs(dgam) <= tol
+    rmax = _max_re_lambda(g, G)
     return np.select(
         [on_f & on_gk, abs(dep) <= tol, on_gk, on_f, dgam > 0, f < 0],
-        [0, np.where(dgam > 0, 7, 8), np.where(f > tol, 6, 1), np.where(dgam < 0, 5, 1),
-         np.where(dep > 0, 2, 1), 1],
+        [0, np.where(rmax > tol, 7, np.where(rmax < -tol, 8, 0)), np.where(f > tol, 6, 1),
+         np.where(dgam < 0, 5, 1), np.where(dep > 0, 2, 1), 1],
         np.where(dep > 0, 4, 3),
     ).astype(np.int8)
 
@@ -170,18 +175,6 @@ class PhaseDiagramGrid:
     G_over_kappa: np.ndarray
     codes: np.ndarray
     max_re_lambda: np.ndarray
-
-    @property
-    def labels(self) -> tuple[tuple[RegimeLabel, ...], ...]:
-        """``labels[i][j]``: the codes as :class:`RegimeLabel` objects, built on each access."""
-        return tuple(tuple(REGIME_LABELS[c] for c in row) for row in self.codes.tolist())
-
-    def rows(self):
-        """Yield (gamma/kappa, G/kappa, label, max_re_lambda) row-major."""
-        for i, g in enumerate(self.gamma_over_kappa):
-            for j, G in enumerate(self.G_over_kappa):
-                label = REGIME_LABELS[self.codes[i, j]]
-                yield float(g), float(G), label, float(self.max_re_lambda[i, j])
 
 
 def _axis(name: str, lo: float, hi: float, n: int) -> np.ndarray:
@@ -222,11 +215,9 @@ def phase_diagram(
     gammas = _axis("gamma", gamma_range[0], gamma_range[1], n_gamma)
     Gs = _axis("G", G_range[0], G_range[1], n_G)
     g, G = gammas[:, None], Gs[None, :]
-    codes = regime_codes(g, G, tol)
-    re_root = np.sqrt(np.maximum((g + 1.0) ** 2 - 4.0 * G * G, 0.0))
     return PhaseDiagramGrid(
         gamma_over_kappa=gammas,
         G_over_kappa=Gs,
-        codes=codes,
-        max_re_lambda=0.5 * (g - 1.0 + re_root),
+        codes=regime_codes(g, G, tol),
+        max_re_lambda=_max_re_lambda(g, G),
     )

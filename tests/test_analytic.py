@@ -20,6 +20,7 @@ from ptomech import (
     steady_numbers,
     stimulated_spontaneous_split,
 )
+from ptomech.analytic import steady_state
 from ptomech import presets
 from ptomech.presets import PRESETS
 
@@ -204,7 +205,34 @@ class TestNumbersUnequalGain:
             assert np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(a))) < 1e-6
 
 
+def steady_loop(kappa, gammas, Gs, tol=1e-9):
+    """Reference: the steady numbers point by point in Python float arithmetic."""
+    out = []
+    for g, G in zip(gammas.tolist(), Gs.tolist()):
+        f = G * G - g * kappa
+        if f / kappa**2 <= tol:
+            out.append((math.nan, math.nan, 1))
+        elif g / kappa >= 1.0 - tol:
+            out.append((math.nan, math.nan, 2))
+        else:
+            n_a_s = G * G * g / ((kappa - g) * f)
+            out.append((n_a_s, n_a_s + kappa * g / f, 0))
+    return [np.array(column) for column in zip(*out)]
+
+
 class TestSteadyNumbers:
+    @pytest.mark.parametrize("sweep,fixed,missing", [("G", 0.6, {0, 1}), ("gamma", 1.5, {0, 1, 2})])
+    def test_array_rule_matches_a_point_loop(self, sweep, fixed, missing):
+        # Across f = 0 and gamma = kappa, exactly on both, and through the tol bands.
+        values = np.concatenate([np.linspace(0.0, 3.0, 301), [math.sqrt(0.6), 1.0, 1.0 - 1e-9]])
+        other = np.full_like(values, fixed)
+        gammas, Gs = (other, values) if sweep == "G" else (values, other)
+        got = steady_state(KAPPA, gammas * KAPPA, Gs * KAPPA)
+        ref = steady_loop(KAPPA, gammas * KAPPA, Gs * KAPPA)
+        for x, y in zip(got, ref):
+            assert np.array_equal(x, y, equal_nan=True)
+        assert set(got[2].tolist()) == missing
+
     @pytest.mark.parametrize("tol", [math.nan, 0.5, 0.0])
     def test_rejects_bad_tol(self, tol):
         # NaN would otherwise pass both "no steady state" comparisons.
@@ -238,6 +266,14 @@ class TestSteadyNumbers:
             steady_numbers(params_at(1.0, 1.5))  # finite-time stable boundary
         with pytest.raises(ValueError):
             steady_numbers(params_at(0.6, math.sqrt(0.6)))  # f = 0 curve
+
+
+_PLANE = st.floats(0.0, 2.5)
+# Points of the open plane mixed with points hit exactly on gamma = kappa, on
+# f = 0 (G = sqrt(gamma kappa)) and on the transition line G = (gamma+kappa)/2.
+_POINTS = st.tuples(_PLANE, _PLANE) | _PLANE.flatmap(
+    lambda g: st.sampled_from([(1.0, g), (g, math.sqrt(g)), (g, 0.5 * (1.0 + g))]))
+_AMPLITUDES = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
 
 class TestDecompositionProperties:
@@ -275,23 +311,16 @@ class TestDecompositionProperties:
         assert np.all(eq.n_a_sp >= -1e-9 * np.maximum(1.0, eq.n_a))
         assert np.all(eq.n_b_sp >= -1e-9 * np.maximum(1.0, eq.n_b))
 
-    def test_spontaneous_part_independent_of_initial_state(self):
-        t = np.linspace(0.0, 6.0 / KAPPA, 101)
-        rng = np.random.default_rng(5)
-        for params in (params_at(0.6, 1.2), params_at(1.0, 1.5)):
-            reference = None
-            for _ in range(5):
-                init = CoherentInit(
-                    alpha=complex(rng.normal(), rng.normal()),
-                    beta=complex(rng.normal(), rng.normal()),
-                )
-                split = numbers(params, init, t)
-                pair = (np.asarray(split.n_a_sp), np.asarray(split.n_b_sp))
-                if reference is None:
-                    reference = pair
-                else:
-                    assert np.allclose(pair[0], reference[0], rtol=1e-10, atol=1e-12)
-                    assert np.allclose(pair[1], reference[1], rtol=1e-10, atol=1e-12)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(point=_POINTS, alpha=_AMPLITUDES, beta=_AMPLITUDES)
+    def test_spontaneous_part_independent_of_initial_state(self, point, alpha, beta):
+        # The spontaneous parts are the vacuum response: the same bits for any (alpha, beta).
+        p = params_at(*point)
+        t = np.linspace(0.0, 6.0 / KAPPA, 13)
+        got = numbers(p, CoherentInit(alpha=alpha, beta=beta), t)
+        vacuum = numbers(p, CoherentInit(), t)
+        assert np.array_equal(got.n_a_sp, vacuum.n_a_sp)
+        assert np.array_equal(got.n_b_sp, vacuum.n_b_sp)
 
 
 def mp_reference(params, init, t_kappa):
@@ -376,13 +405,6 @@ class TestNumbersAgainstMpmath:
         got = numbers(p, init, MP_GRID / KAPPA)
         for i, field in enumerate(("n_a_st", "n_b_st", "n_a_sp", "n_b_sp")):
             assert _pointwise_rel(getattr(got, field), ref[i]) <= 1e-10, field
-
-
-_PLANE = st.floats(0.0, 2.5)
-# Points of the open plane mixed with points hit exactly on gamma = kappa, on
-# f = 0 (G = sqrt(gamma kappa)) and on the transition line G = (gamma+kappa)/2.
-_POINTS = st.tuples(_PLANE, _PLANE) | _PLANE.flatmap(
-    lambda g: st.sampled_from([(1.0, g), (g, math.sqrt(g)), (g, 0.5 * (1.0 + g))]))
 
 
 class TestNumbersAgainstOracleProperty:

@@ -259,6 +259,65 @@ class TestEvolveCommand:
         assert err == "ptomech: n_b_sp is not finite from t = 1.0e-05 s on\n"
 
 
+TRAJECTORY_PRESETS = sorted(name for name, preset in PRESETS.items() if preset.kind == "evolve")
+
+
+def perturbed_closed_form(perturb):
+    """first_moments_closed_form with ``perturb(a, b, i)`` applied to copies of its
+    result, i the row where <b> is closest to real: x = 2 x_zpf Re<b> is then
+    near its local amplitude, far from a zero crossing."""
+    original = analytic.first_moments_closed_form
+
+    def perturbed(params, init, t):
+        a, b = (np.array(z) for z in original(params, init, t))
+        i = int(np.argmax(np.abs(b.real) / np.abs(b)))
+        perturb(a, b, i)
+        return a, b
+
+    return perturbed
+
+
+class TestDiscrepancyGate:
+    """The footers gate quantities that do not cross zero, and still catch an
+    error of twice the threshold in one row."""
+
+    def test_zero_crossing_of_x_passes(self, capsys):
+        # The last sample lands next to a zero of x(t); relative to |x| there the
+        # displacement error read 3.8e-4 although the moments agree to ~1e-12.
+        code, out, err = run(capsys, "evolve", "--gamma", "0.6", "--G", "1.2",
+                             "--t-end", "1.1006699318", "--samples", "2")
+        assert (code, err) == (EXIT_OK, "")
+        _, _, footer = parse_csv(out)
+        assert float(footer["max_rel_discrepancy_x"]) <= 1e-10
+        assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-10
+
+    def test_regression_point(self, capsys):
+        # Relative to |x| a row near a zero of x read 5.9e-9 here.
+        code, out, _ = run(capsys, "evolve", "--gamma", "1.937", "--G", "2.841")
+        assert code == EXIT_OK
+        _, _, footer = parse_csv(out)
+        assert float(footer["max_rel_discrepancy_x"]) <= 1e-10
+        assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-9
+
+    @pytest.mark.parametrize("name", TRAJECTORY_PRESETS)
+    def test_displacement_error_fails(self, capsys, monkeypatch, name):
+        def shift(a, b, i):
+            b[i] += 2e-6 * abs(b[i])
+
+        monkeypatch.setattr(analytic, "first_moments_closed_form", perturbed_closed_form(shift))
+        code, _, err = run(capsys, "figure", name)
+        assert code == EXIT_DISCREPANCY and "discrepancy" in err
+
+    @pytest.mark.parametrize("name", TRAJECTORY_PRESETS)
+    def test_stimulated_number_error_fails(self, capsys, monkeypatch, name):
+        def scale(a, b, i):
+            a[i] *= 1.0 + 2e-6
+
+        monkeypatch.setattr(analytic, "first_moments_closed_form", perturbed_closed_form(scale))
+        code, _, err = run(capsys, "figure", name)
+        assert code == EXIT_DISCREPANCY and "discrepancy" in err
+
+
 class TestSteadyCommand:
     def test_single_point_record(self, capsys):
         code, out, _ = run(capsys, "steady", "--gamma", "0.6", "--G", "0.798")
@@ -313,6 +372,23 @@ class TestSteadyCommand:
         assert code == EXIT_INVALID
         assert out == ""
         assert err == f"ptomech: invalid configuration: tol must be in (0, 1e-3], got {float(tol)}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--gamma", "0.6", "--sweep", "G", "--sweep-min", "-1", "--sweep-max", "1"),
+         "coupling_G must be >= 0"),
+        (("--G", "0.6", "--sweep", "gamma", "--sweep-min", "1", "--sweep-max", "-1"),
+         "gamma must be >= 0"),
+        (("--gamma", "0.6", "--sweep", "G", "--sweep-min", "0", "--sweep-max", "1e300"),
+         "floating-point range"),
+        (("--G", "-1", "--sweep", "gamma", "--sweep-min", "0", "--sweep-max", "1"),
+         "coupling_G must be >= 0"),
+        (("--G", "1", "--kappa-hz", "inf", "--sweep", "gamma", "--sweep-min", "0",
+          "--sweep-max", "1"), "kappa must be finite"),
+    ])
+    def test_sweep_rejects_invalid_points(self, capsys, argv, message):
+        code, out, err = run(capsys, "steady", *argv, "--sweep-points", "5")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.count("\n") == 1 and message in err
 
     def test_sweep_marks_unstable_points(self, capsys):
         code, out, _ = run(
@@ -407,18 +483,6 @@ class TestOutputFormats:
         _, rows, _ = parse_csv(out_csv)
         payload = json.loads(out_json)
         assert float(rows[0][2]) == payload["rows"][0]["n_a_s"]
-
-    def test_config_round_trip(self):
-        cfg = RunConfig(
-            command="evolve",
-            params_in_kappa_units={"gamma": 0.6, "G": 1.2, "omega1": 22.794811812093382},
-            init={"alpha_mag": 2.0, "alpha_phase": math.pi / 6,
-                  "beta_mag": 2.0, "beta_phase": math.pi / 3},
-            t_end=10.0,
-            dt=None,
-            samples=200,
-        )
-        assert RunConfig.from_json(cfg.to_json()) == cfg
 
     def test_env_variable_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PTOM_GAMMA", "0.6")

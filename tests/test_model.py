@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ptomech import CoherentInit, DriveParams, NumberSplit, PTPhase, RegimeLabel, Stability, make_params
+from ptomech import CoherentInit, NumberSplit, PTPhase, RegimeLabel, Stability, make_params
 
 from conftest import KAPPA, MASS, OMEGA1, params_at
 
@@ -70,19 +70,6 @@ class TestSystemParams:
         p = params_at(0.6, 1.2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.kappa = 2.0
-
-
-class TestDriveParams:
-    def test_detuning_accessor(self):
-        d = DriveParams(omega_c=10.0, omega_L=7.0, omega_m=2.0, g_single=0.1, drive_amp=1.0)
-        assert d.detuning == 3.0
-
-    @pytest.mark.parametrize("kwargs", [dict(g_single=-1.0), dict(drive_amp=-2.0), dict(omega_c=math.inf)])
-    def test_rejects_invalid(self, kwargs):
-        base = dict(omega_c=10.0, omega_L=7.0, omega_m=2.0, g_single=0.1, drive_amp=1.0)
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            DriveParams(**base)
 
 
 class TestCoherentInit:

@@ -7,20 +7,15 @@ import pytest
 
 from ptomech import (
     CoherentInit,
-    ConvergenceError,
-    DriveParams,
     displacement,
     drift_eigenvalues,
     integrate_first_moments,
     integrate_second_moments,
     make_params,
-    solve_working_point,
     steady_numbers,
     stimulated_spontaneous_split,
 )
-from ptomech.numeric import (
-    GUARD_BLOCK, OVERFLOW_GUARD, _plan_grid, _propagate, default_dt, moment_state,
-)
+from ptomech.numeric import GUARD_BLOCK, OVERFLOW_GUARD, _plan_grid, _propagate, default_dt
 
 from conftest import KAPPA, MASS, OMEGA1, params_at
 
@@ -195,58 +190,6 @@ class TestPropagatorAgainstStepwiseLoop:
         assert not series.truncated and series.blowup_time is None
         assert len(series.t) == 2000
         assert not np.any(series.a_mean) and not np.any(series.b_mean)
-
-
-class TestWorkingPoint:
-    def drive(self, **kwargs):
-        base = dict(
-            omega_c=2.0 * math.pi * 200e12,
-            omega_L=2.0 * math.pi * 200e12 - OMEGA1,
-            omega_m=OMEGA1,
-            g_single=2.0 * math.pi * 100.0,
-            drive_amp=1e9,
-        )
-        base.update(kwargs)
-        return DriveParams(**base)
-
-    def test_decoupled_fixed_point(self):
-        d = self.drive(g_single=0.0)
-        wp = solve_working_point(d, KAPPA, 0.3 * KAPPA)
-        assert wp.alpha_s == pytest.approx(d.drive_amp / (1j * d.detuning + KAPPA), rel=1e-14)
-        assert wp.beta_s == 0.0
-        assert wp.delta_eff == d.detuning
-        assert wp.iterations <= 1
-
-    def test_no_drive_gives_vacuum(self):
-        wp = solve_working_point(self.drive(drive_amp=0.0), KAPPA, 0.3 * KAPPA)
-        assert wp.alpha_s == 0.0
-        assert wp.beta_s == 0.0
-
-    def test_weak_drive_defect_below_tolerance(self):
-        d = self.drive()
-        wp = solve_working_point(d, KAPPA, 0.3 * KAPPA)
-        # Direct substitution of the converged point into the steady equations.
-        delta = d.detuning - d.g_single * (2.0 * wp.beta_s.real)
-        assert abs(wp.alpha_s - d.drive_amp / (1j * delta + KAPPA)) <= 1e-12 * max(1.0, abs(wp.alpha_s))
-        beta_rhs = 1j * d.g_single * abs(wp.alpha_s) ** 2 / (1j * d.omega_m - 0.3 * KAPPA)
-        assert abs(wp.beta_s - beta_rhs) <= 1e-12 * max(1.0, abs(wp.beta_s))
-        assert wp.residual <= 1e-12
-        assert wp.G_eff == d.g_single * wp.alpha_s
-
-    def test_nonconvergence_raises(self):
-        # Strong single-photon coupling and drive push the iteration out of the
-        # contraction basin.
-        d = self.drive(g_single=0.4 * OMEGA1, drive_amp=1e12)
-        with pytest.raises(ConvergenceError):
-            solve_working_point(d, KAPPA, 0.3 * KAPPA, max_iter=60)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            solve_working_point(self.drive(), -1.0, 0.0)
-        with pytest.raises(ValueError):
-            solve_working_point(self.drive(), KAPPA, 0.0, max_iter=0)
-        with pytest.raises(ValueError):
-            solve_working_point(self.drive(omega_m=0.0), KAPPA, 0.0)
 
 
 class TestFirstMoments:
@@ -428,19 +371,19 @@ class TestSplit:
             stimulated_spontaneous_split(first, second)
 
     def test_moment_state_accessor(self, coherent_init):
+        # The moments of one sample, read from the two series: coherent at t = 0.
         p = params_at(0.6, 1.2)
         first = integrate_first_moments(p, coherent_init, 1.0 / KAPPA, n_samples=10)
         second = integrate_second_moments(p, coherent_init, 1.0 / KAPPA, n_samples=10)
-        state = moment_state(first, second, 0)
-        assert state.t == 0.0
-        assert state.a_mean == coherent_init.alpha
-        assert state.n_a == abs(coherent_init.alpha) ** 2
-        assert state.ab_corr == coherent_init.alpha.conjugate() * coherent_init.beta
+        assert first.t[0] == second.t[0] == 0.0
+        assert first.a_mean[0] == coherent_init.alpha
+        assert first.b_mean[0] == coherent_init.beta
+        assert second.n_a[0] == abs(coherent_init.alpha) ** 2
+        assert second.n_b[0] == abs(coherent_init.beta) ** 2
+        assert second.ab_corr[0] == coherent_init.alpha.conjugate() * coherent_init.beta
         # Total number dominates the stimulated part along the trajectory.
-        for i in range(10):
-            s = moment_state(first, second, i)
-            assert s.n_a >= abs(s.a_mean) ** 2 - 1e-9
-            assert s.n_b >= abs(s.b_mean) ** 2 - 1e-9
+        assert np.all(second.n_a >= np.abs(first.a_mean) ** 2 - 1e-9)
+        assert np.all(second.n_b >= np.abs(first.b_mean) ** 2 - 1e-9)
 
     def test_default_dt_resolves_fast_scale(self):
         p = params_at(0.6, 1.2)

@@ -81,7 +81,6 @@ class TestDriftEigenvalues:
             assert abs(lam.imag) == pytest.approx(abs(p.omega1 + root), rel=1e-12) or abs(
                 lam.imag
             ) == pytest.approx(abs(p.omega1 - root), rel=1e-12)
-        assert not spec.degenerate_drift
 
     def test_region4_all_decaying_and_dense_crosscheck(self):
         p = params_at(0.6, 1.2)
@@ -109,16 +108,6 @@ class TestDriftEigenvalues:
             assert total.imag == pytest.approx(0.0, abs=1e-12)
             assert np.trace(drift_matrix(p)) == pytest.approx(total, abs=1e-9)
 
-    def test_degenerate_flag_on_transition_line(self):
-        assert drift_eigenvalues(params_at(1.0, 1.0)).degenerate_drift
-        assert drift_eigenvalues(params_at(0.6, 0.8)).degenerate_drift
-        assert not drift_eigenvalues(params_at(0.6, 1.2)).degenerate_drift
-
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, 1e-2])
-    def test_bad_tol_rejected(self, tol):
-        with pytest.raises(ValueError, match="tol must be in"):
-            drift_eigenvalues(params_at(1.0, 1.0), tol=tol)
-
 
 class TestClassify:
     @pytest.mark.parametrize("name,g,G,region", TRAJECTORY_SETS)
@@ -138,6 +127,18 @@ class TestClassify:
         assert lo.stability is Stability.ASYMPTOTICALLY_STABLE
         assert hi.stability is Stability.UNSTABLE
         assert lo.region_id == hi.region_id == "EP"
+
+    def test_transition_band_stability_from_eigenvalues(self):
+        # Within tol of the line at gamma = kappa (f = -2e-9 is off the f = 0
+        # band): max Re lambda = +4.47e-5 kappa, so the point is unstable,
+        # whatever the sign of gamma - kappa says.
+        p = params_at(1.0, 0.999999999001)
+        label = classify(p)
+        assert label.region_id == "EP"
+        assert max_re_lambda(p) / KAPPA == pytest.approx(4.47e-5, rel=1e-3)
+        assert label.stability is Stability.UNSTABLE
+        # Past G = kappa Omega is imaginary and max Re lambda is 0: degenerate.
+        assert classify(params_at(1.0, 1.0 + 0.999e-9)).stability is Stability.UNSTABLE_DEGENERATE
 
     def test_pt_flip_exactly_at_discriminant_sign_change(self):
         g = 0.4
@@ -193,37 +194,39 @@ class TestClassify:
 class TestPhaseDiagram:
     def test_two_by_two_grid(self):
         grid = phase_diagram((0.5, 1.5), (0.5, 1.5), 2)
-        regions = [[lbl.region_id for lbl in row] for row in grid.labels]
+        regions = [[REGIME_LABELS[c].region_id for c in row] for row in grid.codes]
         assert regions == [[1, 4], [1, 2]]
         # Cross-check each cell against the eigenvalue real parts.
-        for g, G, label, rmax in grid.rows():
-            p = make_params(1.0, g, G, 10.0, 1.0)
-            dense = drift_eigenvalues_dense(p)
-            assert rmax == pytest.approx(float(np.max(dense.real)), abs=1e-10)
-            if label.stability is Stability.UNSTABLE:
-                assert rmax > 0
-            else:
-                assert rmax < 0
+        for i, g in enumerate(grid.gamma_over_kappa):
+            for j, G in enumerate(grid.G_over_kappa):
+                rmax = grid.max_re_lambda[i, j]
+                dense = drift_eigenvalues_dense(make_params(1.0, g, G, 10.0, 1.0))
+                assert rmax == pytest.approx(float(np.max(dense.real)), abs=1e-10)
+                if REGIME_LABELS[grid.codes[i, j]].stability is Stability.UNSTABLE:
+                    assert rmax > 0
+                else:
+                    assert rmax < 0
 
     def test_far_pt_stable_corner(self):
         grid = phase_diagram((0.0, 0.5), (10.0, 20.0), 3)
-        for _, _, label, _ in grid.rows():
-            assert label.region_id == 4
+        assert np.all(grid.codes == 4)
 
     def test_gamma_equals_kappa_row_splits_at_G_equals_kappa(self):
         grid = phase_diagram((1.0, 1.0), (0.0, 2.0), (1, 21))
-        ids = [label.region_id for _, _, label, _ in grid.rows()]
+        ids = [REGIME_LABELS[c].region_id for c in grid.codes.ravel()]
         assert set(ids) == {1, 6, "EP"}
         assert ids[10] == "EP"  # G = kappa cell
         assert all(r == 1 for r in ids[:10])
         assert all(r == 6 for r in ids[11:])
 
     def test_row_major_ordering(self):
+        # codes[i, j] belongs to gamma_over_kappa[i] and G_over_kappa[j].
         grid = phase_diagram((0.0, 1.0), (0.0, 2.0), (3, 5))
-        rows = list(grid.rows())
-        assert len(rows) == 15
-        assert [r[0] for r in rows[:5]] == [0.0] * 5
-        assert rows[1][1] == pytest.approx(0.5)
+        assert grid.codes.shape == grid.max_re_lambda.shape == (3, 5)
+        assert list(grid.gamma_over_kappa) == [0.0, 0.5, 1.0]
+        assert grid.G_over_kappa[1] == pytest.approx(0.5)
+        assert grid.codes[2, 0] == regime_codes(1.0, 0.0) == 1
+        assert grid.codes[0, 4] == regime_codes(0.0, 2.0) == 4
 
     def test_non_square_grid_matches_classify(self):
         grid = phase_diagram((0.0, 2.0), (0.0, 3.0), (3, 7))
@@ -232,7 +235,7 @@ class TestPhaseDiagram:
         for i, g in enumerate(grid.gamma_over_kappa):
             for j, G in enumerate(grid.G_over_kappa):
                 p = make_params(1.0, g, G, 10.0, 1.0)
-                assert grid.labels[i][j] == classify(p)
+                assert REGIME_LABELS[grid.codes[i, j]] == classify(p)
                 assert grid.max_re_lambda[i, j] == pytest.approx(max_re_lambda(p), abs=1e-15)
 
     def test_rejects_bad_ranges(self):
@@ -272,15 +275,15 @@ class TestRegimeRuleProperty:
         label = REGIME_LABELS[regime_codes(g, G, TOL)]
         assert label == classify(p, tol=TOL)
 
-        # Within tol of the transition line |Omega| ~ sqrt(tol (1 + gamma)), so
-        # the rule fixes max Re lambda only to O(sqrt(tol)) there; elsewhere
-        # its sign decides.
+        # The strict labels follow the sign of max Re lambda. The marginal ones
+        # fix it only to O(sqrt(tol)): within tol of the transition line
+        # |Omega| ~ sqrt(tol (1 + gamma)).
         rmax = float(np.max(drift_eigenvalues_dense(p).real))
         band = 2.0 * math.sqrt(TOL)
         if label.stability is Stability.UNSTABLE:
-            assert rmax > -band
+            assert rmax > -TOL
         elif label.stability is Stability.ASYMPTOTICALLY_STABLE:
-            assert rmax < band
+            assert rmax < TOL
         else:
             assert label.stability in MARGINAL_STABILITIES
             assert abs(rmax) <= band
