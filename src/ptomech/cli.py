@@ -4,12 +4,16 @@ Rates are accepted in units of kappa (matching how the parameter points are
 usually quoted); ``--kappa-hz`` sets the absolute scale. Times on the command
 line are in units of 1/kappa; serialized output uses seconds and meters.
 Output is CSV (fixed significant digits, '.' decimal, mandatory header row) or
-a JSON mirror with identical field names. Commands hand the writer named
-columns; each float column is formatted once, and CSV and JSON both take
-their digits from those strings. JSON rows fill one row template with each
-cell's JSON text, which gives the same bytes as ``json.dumps(payload,
-indent=2)`` without its pure-Python encoder running per cell; the head and
-the summary still go through json.dumps. Every flag that takes a value can be
+a JSON mirror with identical field names. Commands hand the writer
+(:mod:`.tables`) named columns. It computes each float's digits once, in one
+numpy pass for ``--precision`` <= 12, and lays out CSV and JSON text from
+them as bytes, in blocks of rows; JSON has the bytes of ``json.dumps(payload,
+indent=2)`` and carries the float each CSV cell reads back as. Only non-finite
+values, |v| outside [1e-290, 1e290], mantissas near a rounding tie, short
+tables and precisions above 12 take the per-cell '%' rule. A value whose
+rounded decimal lies past float range prints differently in the two
+formats: 1.5e308 at ``--precision 1`` is ``2e+308`` in CSV and ``Infinity``
+in JSON. Every flag that takes a value can be
 supplied through an environment variable with the ``PTOM_`` prefix (e.g.
 ``PTOM_GAMMA``); only the chosen subcommand's variables are read, each is
 checked like its flag, and explicit flags win.
@@ -36,15 +40,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, numeric, presets, spectrum
+from . import analytic, numeric, presets, spectrum, tables
 from .model import CoherentInit, make_params
 from .presets import PRESETS
 
@@ -85,85 +87,14 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def _fmt(values, precision: int) -> list[str]:
-    """Each float as '%.{precision-1}e'; -0.0 prints as 0 and NaN as 'nan'."""
-    fmt = f"%.{precision - 1}e"
-    # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
-    return [fmt % v for v in (np.asarray(values, dtype=float) + 0.0).tolist()]
-
-
-def _json_number(text: str) -> float | None:
-    return None if text == "nan" else float(text)
-
-
-# The JSON text of the non-finite floats, keyed by their repr. NaN is null
-# because _json_number reads the cell "nan" as None; a cell such as "2e+308"
-# reads back as inf.
-_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(cells: list[str]) -> list[str]:
-    """JSON text of formatted float cells: each as the float it reads back as,
-    written by ``float.__repr__`` as json.dumps writes it (NaN as null)."""
-    texts = list(map(float.__repr__, map(float, cells)))
-    return list(map(_JSON_NONFINITE.get, texts, texts))
-
-
-def _json_encoded(cells: list) -> list[str]:
-    """JSON text of str/int cells, json.dumps called once per distinct value."""
-    text = {cell: json.dumps(cell) for cell in set(cells)}
-    return list(map(text.__getitem__, cells))
-
-
-def _json_pieces(config: RunConfig, columns: dict, texts: dict, summary: dict):
-    """The JSON document in pieces, the same text as ``json.dumps(payload, indent=2)``
-    for payload = {command, config, columns, rows, summary}.
-
-    The head and the summary go through json.dumps; each row fills one
-    template with its cells' JSON text, ``texts[name]`` per column.
-    """
-    head = {"command": config.command, "config": config.to_dict(), "columns": list(columns)}
-    yield json.dumps(head, indent=2)[:-2]  # without the closing "\n}"
-    keys = [json.dumps(name).replace("%", "%%") for name in columns]
-    # Each row carries its leading separator; the first row drops it.
-    row = ",\n    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
-    rows = map(row.__mod__, zip(*texts.values()))
-    first = next(rows, None)
-    if first is None:
-        yield ',\n  "rows": []'
-    else:
-        yield ',\n  "rows": [\n' + first[2:]
-        yield from rows
-        yield "\n  ]"
-    if summary:
-        yield ",\n" + json.dumps({"summary": summary}, indent=2)[2:-2]
-    yield "\n}\n"
-
-
 def _write_output(columns: dict, footer: dict | None, config: RunConfig) -> None:
-    """Emit named columns in CSV or JSON.
-
-    A column is a float ndarray, formatted once by :func:`_fmt` for both
-    formats, or a list of str/int cells, written as they are. JSON carries
-    the CSV digits: a formatted float is written as the float it reads back
-    as (NaN as null). Footer floats are formatted the same way.
-    """
-    p = config.precision
-    cells = {name: _fmt(col, p) if isinstance(col, np.ndarray) else col
-             for name, col in columns.items()}
+    """Emit named columns (see :mod:`.tables`) in CSV or JSON, to ``--out`` or stdout."""
     footer = footer or {}
-    notes = {k: _fmt([v], p)[0] if isinstance(v, float) else v for k, v in footer.items()}
     if config.format == "json":
-        texts = {name: _json_floats(cells[name]) if isinstance(col, np.ndarray)
-                 else _json_encoded(col) for name, col in columns.items()}
-        summary = {k: _json_number(notes[k]) if isinstance(v, float) else v
-                   for k, v in footer.items()}
-        pieces = _json_pieces(config, columns, texts, summary)
+        head = {"command": config.command, "config": config.to_dict(), "columns": list(columns)}
+        pieces = tables.json_pieces(head, columns, footer, config.precision)
     else:
-        lines = [",".join(columns)]
-        lines += map(",".join, zip(*[map(str, col) for col in cells.values()]))
-        lines += [f"# {k}={v}" for k, v in notes.items()]
-        pieces = ("\n".join(lines) + "\n",)
+        pieces = tables.csv_pieces(columns, footer, config.precision)
     if config.output:
         try:
             with open(config.output, "w", newline="") as fh:
@@ -172,11 +103,6 @@ def _write_output(columns: dict, footer: dict | None, config: RunConfig) -> None
             raise ValueError(f"cannot write --out {config.output}: {exc.strerror}")
     else:
         sys.stdout.writelines(pieces)
-
-
-def _one_row(record: dict) -> dict:
-    """The columns of a one-row table: floats as float arrays, other cells as they are."""
-    return {name: np.array([v]) if isinstance(v, float) else [v] for name, v in record.items()}
 
 
 def _build_params(args):
@@ -188,15 +114,15 @@ def _build_init(args) -> CoherentInit:
     return CoherentInit.from_polar(args.alpha_mag, args.alpha_phase, args.beta_mag, args.beta_phase)
 
 
-# Row k: the strings of regime code k. dtype=object, so the cells of a column
-# share nine string objects instead of one per cell.
-_LABEL_STRINGS = np.array([(str(label.region_id), label.pt.value, label.stability.value)
-                           for label in spectrum.REGIME_LABELS], dtype=object)
+# Per label column, the string of each regime code.
+_LABEL_STRINGS = dict(zip(("region_id", "pt", "stability"),
+                          zip(*[(str(label.region_id), label.pt.value, label.stability.value)
+                                for label in spectrum.REGIME_LABELS])))
 
 
-def _label_columns(codes) -> dict:
-    """region_id, pt and stability: a list per column for an array of codes, a string for one."""
-    return dict(zip(("region_id", "pt", "stability"), _LABEL_STRINGS[codes].T.tolist()))
+def _label_columns(codes: np.ndarray) -> dict:
+    """region_id, pt and stability of an array of regime codes, as coded columns."""
+    return {name: tables.Coded(strings, codes) for name, strings in _LABEL_STRINGS.items()}
 
 
 def _config_from_args(args, command: str, sweep: dict | None = None) -> RunConfig:
@@ -233,12 +159,12 @@ def cmd_classify(args) -> int:
     spec = spectrum.drift_eigenvalues(params)
     k = params.kappa
     record = {"gamma_over_kappa": args.gamma, "G_over_kappa": args.G,
-              **_label_columns(code),
+              **{name: strings[code] for name, strings in _LABEL_STRINGS.items()},
               "max_re_lambda": spectrum.max_re_lambda(params) / k}
     names = ("omega_plus", "omega_minus", "lambda_pp", "lambda_pm", "lambda_mp", "lambda_mm")
     for name, z in zip(names, (spec.omega_plus, spec.omega_minus, *spec.lambdas)):
         record[f"{name}_re"], record[f"{name}_im"] = z.real / k, z.imag / k
-    _write_output(_one_row(record), None, config)
+    _write_output(tables.one_row(record), None, config)
     return EXIT_OK
 
 
@@ -380,7 +306,7 @@ def cmd_steady(args) -> int:
         n_a_s, n_b_s = analytic.steady_numbers(params, tol=args.tol)
     except ValueError as exc:
         raise UnstableSteadyQuery(f"no finite steady state at this point: {exc}")
-    _write_output(_one_row({"gamma_over_kappa": args.gamma, "G_over_kappa": args.G,
+    _write_output(tables.one_row({"gamma_over_kappa": args.gamma, "G_over_kappa": args.G,
                             "n_a_s": n_a_s, "n_b_s": n_b_s}), None, config)
     return EXIT_OK
 
@@ -396,9 +322,9 @@ def cmd_figure(args) -> int:
                             ("sweep_param", preset.sweep_param), ("sweep_min", preset.sweep_min),
                             ("sweep_max", preset.sweep_max), ("sweep_points", preset.sweep_points)):
             # Strings and ints as they are, floats at --precision, None as "".
-            record[name] = (_fmt([value], args.precision)[0] if isinstance(value, float)
+            record[name] = (tables.float_text(value, args.precision) if isinstance(value, float)
                             else "" if value is None else value)
-        _write_output(_one_row(record), None, config)
+        _write_output(tables.one_row(record), None, config)
         return EXIT_OK
     # Presets fill in whatever the user did not override explicitly.
     if preset.gamma is not None and args.gamma is None:

@@ -2,14 +2,14 @@
 
 The integrators are classical fixed-step RK4. The moment systems are linear,
 autonomous and at most affine, x' = Ax + b, so a single RK4 step reduces to
-multiplication by one constant matrix: R = I + hM + (hM)^2/2 + (hM)^3/6 +
-(hM)^4/24 for the augmented matrix M = [[A, b], [0, 0]] acting on (x, 1).
-Both moment systems share one propagator. The map between stored samples is
-R^chunk, built once per run by repeated squaring (``np.linalg.matrix_power``)
-and applied once per sample. It is still the discrete RK4 map, not the exact
-exponential, so the oracle stays independent of the closed forms. All
-integration runs in kappa-normalized time internally; times are converted to
-seconds at the boundary.
+multiplication by one constant matrix: R = I + D with D = hM + (hM)^2/2 +
+(hM)^3/6 + (hM)^4/24 for the augmented matrix M = [[A, b], [0, 0]] acting on
+(x, 1). Both moment systems share one propagator. The map between stored
+samples is R^chunk = I + D_chunk, built once per run by repeated squaring on
+the small part D alone and applied once per sample. It is still the discrete
+RK4 map, not the exact exponential, so the oracle stays independent of the
+closed forms. All integration runs in kappa-normalized time internally;
+times are converted to seconds at the boundary.
 
 For unstable regimes the integration halts with a flagged truncation at the
 first stored sample whose largest moment magnitude exceeds 1e12 or is NaN,
@@ -100,6 +100,23 @@ def _plan_grid(t_end_k: float, dt_k: float, n_samples: int | None) -> tuple[int,
     return chunk, intervals
 
 
+def _compose(delta: np.ndarray, power: int) -> np.ndarray:
+    """D with I + D = (I + delta)^power, by repeated squaring on the small part:
+    (I + a)(I + b) = I + (a + b + ab), so squaring takes delta to 2 delta + delta^2.
+
+    Products of I + O(h) matrices rounded as such lose the O(h) part's low
+    digits at every step; these sums keep them.
+    """
+    result = None
+    while True:
+        if power & 1:
+            result = delta if result is None else result + delta + result @ delta
+        power >>= 1
+        if not power:
+            return result
+        delta = 2.0 * delta + delta @ delta
+
+
 def _propagate(
     A: np.ndarray, b: np.ndarray, x0: np.ndarray, t_end_k: float, dt_k: float,
     n_samples: int | None,
@@ -108,10 +125,12 @@ def _propagate(
 
     Works in kappa-normalized time. Returns the sample times, one state per
     row, and whether the run stopped at the overflow guard; a truncated run
-    keeps the first sample that failed the guard as its last row. Each sample
-    is the composed map applied to the one before; the guard is checked after
-    each block of ``GUARD_BLOCK`` samples, which truncates at the same sample
-    as checking after each one.
+    keeps the first sample that failed the guard as its last row. The RK4 step
+    I + delta is composed over ``chunk`` steps as I + D by :func:`_compose`,
+    which works on delta alone; I + D is formed once, and each sample is it
+    applied to the one before. The guard is checked after each block of
+    ``GUARD_BLOCK`` samples, which truncates at the same sample as checking
+    after each one.
     """
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
@@ -121,11 +140,10 @@ def _propagate(
     hM = np.zeros((n + 1, n + 1), dtype=A.dtype)
     hM[:n, :n] = h * A
     hM[:n, n] = h * b
-    term = np.eye(n + 1, dtype=A.dtype)
-    step = term.copy()
-    for k in (1.0, 2.0, 3.0, 4.0):
+    term = delta = hM
+    for k in (2.0, 3.0, 4.0):
         term = term @ hM / k
-        step = step + term
+        delta = delta + term
     xs = np.empty((intervals + 1, n + 1), dtype=A.dtype)
     xs[0, :n] = x0
     xs[0, n] = 1.0
@@ -133,7 +151,7 @@ def _propagate(
     # Past the guard the state may overflow to inf or NaN; the guard reports
     # that, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        per_sample = np.linalg.matrix_power(step, chunk)
+        per_sample = np.eye(n + 1, dtype=A.dtype) + _compose(delta, chunk)
         for start in range(1, intervals + 1, GUARD_BLOCK):
             stop = min(start + GUARD_BLOCK, intervals + 1)
             for i in range(start, stop):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import struct
 import sys
 import tempfile
 import warnings
@@ -16,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptomech import analytic
+from ptomech import analytic, tables
 from ptomech.cli import (
     EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, RunConfig, _write_output, build_parser,
     main,
 )
 from ptomech.presets import PRESETS
+from ptomech.tables import _float_cells, float_text
 
 
 def run(capsys, *argv):
@@ -287,6 +289,17 @@ class TestDiscrepancyGate:
         code, out, err = run(capsys, "evolve", "--gamma", "0.6", "--G", "1.2",
                              "--t-end", "1.1006699318", "--samples", "2")
         assert (code, err) == (EXIT_OK, "")
+        _, _, footer = parse_csv(out)
+        assert float(footer["max_rel_discrepancy_x"]) <= 1e-10
+        assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-10
+
+    def test_strongly_unstable_point(self, capsys):
+        # n grows to ~1e9 in 10/kappa here. The oracle composes its RK4 step
+        # I + delta on delta alone; composing I + delta itself lost delta's low
+        # digits and read 5.25e-8 (numbers) at this point.
+        code, out, _ = run(capsys, "evolve", "--gamma", "2.66518627895003",
+                           "--G", "1.8628063956001486", "--t-end", "10")
+        assert code == EXIT_OK
         _, _, footer = parse_csv(out)
         assert float(footer["max_rel_discrepancy_x"]) <= 1e-10
         assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-10
@@ -573,10 +586,10 @@ class TestWriter:
                "s": ["EP", "1", "", "a_b", "x"]}
     FOOTER = {"disc": float("nan"), "t_end": -0.0, "source": "analytic"}
 
-    def write(self, capsys, fmt, precision):
+    def write(self, capsys, fmt, precision, columns=COLUMNS, footer=FOOTER):
         config = RunConfig(command="test", params_in_kappa_units={}, init={},
                            format=fmt, precision=precision)
-        _write_output(self.COLUMNS, self.FOOTER, config)
+        _write_output(columns, footer, config)
         return capsys.readouterr().out
 
     @pytest.mark.parametrize("precision,expected", [
@@ -600,6 +613,13 @@ class TestWriter:
             '"summary":{"disc":null,"t_end":0.0,"source":"analytic"}}'
         )
 
+    def test_value_that_rounds_past_float_range(self, capsys):
+        # At one digit 1.5e308 rounds to 2e+308, past float range: CSV prints
+        # those digits and JSON the float they read back as.
+        columns = {"x": np.array([1.5e308])}
+        assert self.write(capsys, "csv", 1, columns, None) == "x\n2e+308\n"
+        assert '"x": Infinity' in self.write(capsys, "json", 1, columns, None)
+
 
 def legacy_json(columns, footer, config):
     """The JSON document as ``json.dumps(payload, indent=2)`` wrote it before the
@@ -622,6 +642,19 @@ def legacy_json(columns, footer, config):
         payload["summary"] = {k: number(v) if isinstance(v, float) else v
                               for k, v in footer.items()}
     return json.dumps(payload, indent=2) + "\n"
+
+
+def legacy_csv(columns, footer, config):
+    """The CSV text as the writer wrote it before the numpy digit pass: each
+    float cell by '%', rows by ",".join and one '# key=value' line per footer
+    entry. The reference the writer must match byte for byte."""
+    fmt = f"%.{config.precision - 1}e"
+    cells = {name: [fmt % (float(v) + 0.0) for v in col] if isinstance(col, np.ndarray) else col
+             for name, col in columns.items()}
+    lines = [",".join(columns)]
+    lines += map(",".join, zip(*[map(str, col) for col in cells.values()]))
+    lines += [f"# {k}={fmt % (v + 0.0) if isinstance(v, float) else v}" for k, v in footer.items()]
+    return "\n".join(lines) + "\n"
 
 
 _EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2e-308,
@@ -666,6 +699,99 @@ class TestWriterMatchesJsonDumps:
             _write_output(columns, footer, config)
             with open(config.output, newline="") as fh:
                 assert fh.read() == legacy_json(columns, footer, config)
+
+
+class TestWriterMatchesLegacyCsv:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(table=_tables(), precision=st.integers(1, 17))
+    def test_rows_and_footer_give_legacy_bytes(self, table, precision):
+        columns, footer = table
+        config = RunConfig(command="test", params_in_kappa_units={}, init={}, precision=precision)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            _write_output(columns, footer, config)
+        assert stdout.getvalue() == legacy_csv(columns, footer, config)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = dataclasses.replace(config, output=os.path.join(tmp, "out.csv"))
+            _write_output(columns, footer, config)
+            with open(config.output, newline="") as fh:
+                assert fh.read() == legacy_csv(columns, footer, config)
+
+
+def cell_texts(chars, keep):
+    """The text of each cell of :func:`_float_cells`: its kept bytes."""
+    return [c.view(np.uint8)[k.view(bool)].tobytes().decode() for c, k in zip(chars, keep)]
+
+
+def reference_cells(value, precision):
+    """The CSV cell by '%' and the JSON cell by json.dumps of the float the CSV
+    cell reads back as (NaN as null)."""
+    text = f"%.{precision - 1}e" % (value + 0.0)
+    return text, json.dumps(None if text == "nan" else float(text))
+
+
+def _neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def _edge_values():
+    values = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1.5e308, math.nan, math.inf,
+              0.125, 0.375, 2.5, 0.5, 1.5, 1.0, 9.5, 1.25e-7, 9.9999999999995e15,
+              9.99999999999995e-5, 1.234e-150, 9.87e200, 4.56e-105, 3.21e123]
+    values += [float(f"1e{k}") for k in range(-323, 309)]
+    values += [float(f"{m}5e{k}") for m in (0, 1, 12, 123456, 99999999999, 12345678901234567)
+               for k in range(-320, 300, 7)]
+    values = [y for x in values for y in _neighbours(x)]
+    return np.array(values + [-x for x in values])
+
+
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+# A decimal tie at len(str(m)) + 1 digits, read as the nearest float.
+_NEAR_TIES = st.builds(lambda m, k: float(f"{m}5e{k}"), st.integers(0, 10**16),
+                       st.integers(-330, 300))
+
+
+class TestFloatCells:
+    """Each cell of the float formatter against '%' (CSV) and json.dumps (JSON),
+    at every precision; an array of at least 64 values takes the digit pass."""
+
+    @staticmethod
+    def check(values):
+        for precision in range(1, 18):
+            expected = [reference_cells(v, precision) for v in values.tolist()]
+            for fmt, json_text in ((0, False), (1, True)):
+                got = cell_texts(*_float_cells(values, precision, json_text))
+                assert got == [cells[fmt] for cells in expected], (precision, json_text)
+
+    def test_edge_values(self):
+        self.check(_edge_values())
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.one_of(_BITS, _NEAR_TIES, st.floats()), min_size=64, max_size=200))
+    def test_random_values(self, values):
+        self.check(np.array(values))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.nan, -math.inf, 0.26, -1.5e-300, 1.5e308,
+                                       9.99999999999995e-5])
+    def test_one_value(self, value):
+        for precision in (1, 6, 12, 13, 17):
+            assert float_text(value, precision) == reference_cells(value, precision)[0]
+
+    def test_digit_pass_places_most_cells(self, monkeypatch):
+        # Only ties, values out of its range and non-finite values take the
+        # per-cell rule at precision <= 12.
+        values = np.random.default_rng(7).standard_normal(10_000) * 1e-9
+        exact = []
+
+        def recording(values, precision, json_text):
+            exact.append(len(values))
+            return original(values, precision, json_text)
+
+        original = tables._exact_texts
+        monkeypatch.setattr(tables, "_exact_texts", recording)
+        for json_text in (False, True):
+            cell_texts(*_float_cells(values, 12, json_text))
+        assert sum(exact) < 0.01 * 2 * len(values)
 
 
 def _subcommand_flags() -> dict:

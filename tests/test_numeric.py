@@ -62,18 +62,29 @@ def stepwise_rk4(A, b, x0, t_end_k, dt_k, n_samples):
 
 def composed_loop(A, b, x0, t_end_k, dt_k, n_samples):
     """Reference for the arithmetic of ``_propagate``: the same composed per-sample
-    map, applied one sample at a time with the guard checked after each sample."""
+    map, applied one sample at a time with the guard checked after each sample.
+
+    The step is I + delta; (I + delta)^chunk = I + D is composed bit by bit of
+    chunk, least significant first, on the small parts alone:
+    (I + a)(I + b) = I + (a + b + ab)."""
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
     n = len(x0)
     hM = np.zeros((n + 1, n + 1), dtype=A.dtype)
     hM[:n, :n] = h * A
     hM[:n, n] = h * b
-    term = step = np.eye(n + 1, dtype=A.dtype)
-    for k in (1.0, 2.0, 3.0, 4.0):
+    term = delta = hM
+    for k in (2.0, 3.0, 4.0):
         term = term @ hM / k
-        step = step + term
-    per_sample = np.linalg.matrix_power(step, chunk)
+        delta = delta + term
+    powers = [delta]  # small parts of the 2^i-th powers
+    while 2 ** len(powers) <= chunk:
+        powers.append(2.0 * powers[-1] + powers[-1] @ powers[-1])
+    D = None
+    for i, small in enumerate(powers):
+        if chunk >> i & 1:
+            D = small if D is None else D + small + D @ small
+    per_sample = np.eye(n + 1, dtype=A.dtype) + D
     xs = [np.append(x0, 1.0).astype(A.dtype)]
     truncated = False
     for _ in range(intervals):
