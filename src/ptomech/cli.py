@@ -205,6 +205,9 @@ def _evolve_tables(args):
         raise ValueError("evolve requires --t-end > 0 (units of 1/kappa)")
     if args.samples < 2:
         raise ValueError("--samples must be >= 2")
+    # Written so that NaN fails too: no discrepancy passes a NaN threshold.
+    if not args.max_discrepancy >= 0:
+        raise ValueError(f"--max-discrepancy must be >= 0, got {args.max_discrepancy}")
     params = _build_params(args)
     init = _build_init(args)
     k = params.kappa

@@ -6,18 +6,30 @@ multiplication by one constant matrix: R = I + D with D = hM + (hM)^2/2 +
 (hM)^3/6 + (hM)^4/24 for the augmented matrix M = [[A, b], [0, 0]] acting on
 (x, 1). Both moment systems share one propagator. The map between stored
 samples is R^chunk = I + D_chunk, built once per run by repeated squaring on
-the small part D alone and applied once per sample. It is still the discrete
-RK4 map, not the exact exponential, so the oracle stays independent of the
-closed forms. All integration runs in kappa-normalized time internally;
-times are converted to seconds at the boundary.
+the small part D alone. From it, the small parts D_1..D_32 of its first 32
+powers are built once per run by the same rule, and the samples are filled in
+runs of 32: each sample of a run is x + D_i x of the sample x before the run,
+all of them from one matrix-vector product with the stack. It is still the
+discrete RK4 map, not the exact exponential, so the oracle stays independent
+of the closed forms. All integration runs in kappa-normalized time
+internally; times are converted to seconds at the boundary.
+
+A run of 32 samples costs one numpy call where one product per sample cost
+32, and rounds no worse. Over 150 seeded points (gamma, G) in [0, 3]^2 kappa
+with t_end = 10/kappa, the largest discrepancy footer against the closed forms
+is 8.6e-12, at the strongly unstable point (2.665, 1.863) kappa, where one
+product per sample gave 9.1e-12; runs of 16 give 8.2e-12. Longer runs round
+worse, 6.7e-11 with runs of 64 and 6.2e-11 with 256, both at that point: the
+rounding error of x + D_i x scales with the size of D_i, which grows with i
+at an unstable point.
 
 For unstable regimes the integration halts with a flagged truncation at the
 first stored sample whose largest moment magnitude exceeds 1e12 or is NaN,
-reporting that sample's time as the blow-up time. The samples are still
-computed one after the other, but the guard is checked once per block of
-``GUARD_BLOCK`` samples, over the whole block at once; the series is cut at
-the first failing sample of the block, so it truncates at the same sample as
-a check after every sample, and a long run stops within one block of it.
+reporting that sample's time as the blow-up time. The guard is checked once
+per block of ``GUARD_BLOCK`` samples, over the whole block at once (runs end
+at block ends); the series is cut at the first failing sample of the block,
+so it truncates at the same sample as a check after every sample, and a long
+run stops within one block of it.
 
 The CLI checks the closed forms against these series on the rows both
 reached: x = 2 x_zpf Re<b> relative to the local amplitude 2 x_zpf |<b>|
@@ -37,6 +49,8 @@ from .model import CoherentInit, NumberSplit, SystemParams
 OVERFLOW_GUARD = 1e12
 # Samples between two checks of the overflow guard.
 GUARD_BLOCK = 256
+# Samples filled from one sample by one product with a stack of map powers.
+POWER_RUN = 32
 # Step counts stay exact integers in float arithmetic, and the sample times
 # (step index times step) in int64.
 MAX_STEPS = 2**53
@@ -81,7 +95,8 @@ def _check_step(params: SystemParams, t_end: float, dt: float | None) -> float:
     if t_end <= 0 or not math.isfinite(t_end):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     limit = 0.01 * min(1.0 / params.kappa, 1.0 / params.omega1)
-    if dt <= 0 or dt > limit:
+    # Written so that a NaN dt fails too.
+    if not 0 < dt <= limit:
         raise ValueError(
             f"dt must satisfy 0 < dt <= 0.01*min(1/kappa, 1/omega1) = {limit:.3e} s, got {dt}"
         )
@@ -117,6 +132,19 @@ def _compose(delta: np.ndarray, power: int) -> np.ndarray:
         delta = 2.0 * delta + delta @ delta
 
 
+def _power_stack(D: np.ndarray, count: int) -> np.ndarray:
+    """Small parts D_1..D_count of the powers (I + D)^i, i = 1..count, as one stack.
+
+    Doubles a stack by the rule of :func:`_compose`: (I + D)^(m + j) =
+    (I + D_j)(I + D_m), so D_(m + j) = D_j + D_m + D_j D_m for j = 1..m.
+    """
+    stack = D[np.newaxis]
+    while len(stack) < count:
+        last = stack[-1]
+        stack = np.concatenate([stack, stack + last + stack @ last])
+    return stack[:count]
+
+
 def _propagate(
     A: np.ndarray, b: np.ndarray, x0: np.ndarray, t_end_k: float, dt_k: float,
     n_samples: int | None,
@@ -127,9 +155,15 @@ def _propagate(
     row, and whether the run stopped at the overflow guard; a truncated run
     keeps the first sample that failed the guard as its last row. The RK4 step
     I + delta is composed over ``chunk`` steps as I + D by :func:`_compose`,
-    which works on delta alone; I + D is formed once, and each sample is it
-    applied to the one before. The guard is checked after each block of
-    ``GUARD_BLOCK`` samples, which truncates at the same sample as checking
+    which works on delta alone. The small parts D_1..D_S of the powers
+    (I + D)^i, i = 1..S = ``POWER_RUN``, are built once by
+    :func:`_power_stack`. Each run of up to S samples is filled from the
+    sample x before it as x + D_i x, i = 1..S, by one matrix-vector product
+    with the stack seen as one (S (n+1), n+1) matrix. A run uses only the
+    leading finite powers (at least one), so a state that the per-sample map
+    keeps finite, such as zero, is not turned into inf * 0 = NaN. Runs end at
+    the end of each block of ``GUARD_BLOCK`` samples, where the guard is
+    checked over the block; that truncates at the same sample as checking
     after each one.
     """
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
@@ -144,18 +178,29 @@ def _propagate(
     for k in (2.0, 3.0, 4.0):
         term = term @ hM / k
         delta = delta + term
-    xs = np.empty((intervals + 1, n + 1), dtype=A.dtype)
+    try:
+        xs = np.empty((intervals + 1, n + 1), dtype=A.dtype)
+    except MemoryError:
+        size = (intervals + 1) * (n + 1) * np.dtype(A.dtype).itemsize
+        raise ValueError(
+            f"cannot allocate {intervals + 1} oracle samples ({size:.3g} bytes)"
+        ) from None
     xs[0, :n] = x0
     xs[0, n] = 1.0
     kept, truncated = intervals + 1, False
     # Past the guard the state may overflow to inf or NaN; the guard reports
     # that, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        per_sample = np.eye(n + 1, dtype=A.dtype) + _compose(delta, chunk)
+        stack = _power_stack(_compose(delta, chunk), min(POWER_RUN, intervals))
+        run = max(1, int(np.cumprod(np.isfinite(stack).all(axis=(1, 2))).sum()))
+        flat = stack[:run].reshape(run * (n + 1), n + 1)
         for start in range(1, intervals + 1, GUARD_BLOCK):
             stop = min(start + GUARD_BLOCK, intervals + 1)
-            for i in range(start, stop):
-                np.matmul(per_sample, xs[i - 1], out=xs[i])
+            for i in range(start, stop, run):
+                r = min(run, stop - i)
+                out = xs[i:i + r]
+                np.matmul(flat[:r * (n + 1)], xs[i - 1], out=out.reshape(-1))
+                out += xs[i - 1]
             # Written so that NaN also fails the guard.
             failed = ~np.all(np.abs(xs[start:stop, :n]) <= OVERFLOW_GUARD, axis=1)
             if failed.any():

@@ -260,6 +260,33 @@ class TestEvolveCommand:
         assert out == ""
         assert err == "ptomech: n_b_sp is not finite from t = 1.0e-05 s on\n"
 
+    def test_nan_step_reports_the_step_bound(self, capsys):
+        code, out, err = run(capsys, "evolve", "--gamma", "0.5", "--G", "0.5", "--t-end", "1",
+                             "--dt", "nan")
+        assert code == EXIT_INVALID and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("ptomech: invalid configuration: dt must satisfy 0 < dt <= ")
+        assert err.endswith(", got nan\n")
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1e-6", "-inf"])
+    def test_invalid_threshold_rejected(self, capsys, threshold):
+        evolve = ["evolve", "--gamma", "0.5", "--G", "0.5", "--t-end", "1"]
+        for command in (evolve, ["figure", "3a"]):
+            code, out, err = run(capsys, *command, f"--max-discrepancy={threshold}")
+            assert code == EXIT_INVALID and out == ""
+            assert err == ("ptomech: invalid configuration: --max-discrepancy must be >= 0, "
+                           f"got {float(threshold)}\n")
+
+    def test_sample_buffer_past_address_space(self, capsys):
+        # ~3e17 bytes: more than any 64-bit address space maps, so the
+        # allocation fails at once.
+        code, out, err = run(capsys, "evolve", "--gamma", "0.5", "--G", "0.5", "--t-end", "3e11",
+                             "--samples", "9000000000000000")
+        assert code == EXIT_INVALID and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("ptomech: invalid configuration: cannot allocate ")
+        assert " oracle samples (" in err
+
 
 TRAJECTORY_PRESETS = sorted(name for name, preset in PRESETS.items() if preset.kind == "evolve")
 
