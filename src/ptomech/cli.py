@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -295,6 +296,9 @@ def cmd_steady(args) -> int:
     if args.sweep:
         if args.sweep_min is None or args.sweep_max is None:
             raise ValueError("steady sweep requires --sweep-min and --sweep-max")
+        if not np.isfinite([args.sweep_min, args.sweep_max]).all():
+            raise ValueError(f"steady sweep range must be finite, got "
+                             f"[{args.sweep_min}, {args.sweep_max}]")
         if args.sweep == "gamma" and args.G is None:
             raise ValueError("steady sweep over gamma requires --G")
         if args.sweep == "G" and args.gamma is None:
@@ -352,7 +356,17 @@ class _Parser(argparse.ArgumentParser):
     coming later, wins. Errors raise argparse.ArgumentError, which main()
     reports in one line: argparse calls ``error()`` for an unrecognized flag
     or a missing subcommand even with ``exit_on_error=False``.
+
+    A negative number is a value, not a flag, also with an exponent or as
+    ``-inf``/``-nan`` (argparse's own pattern takes only -1 and -1.5 forms).
     """
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                                  re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)

@@ -131,7 +131,12 @@ def _max_re_lambda(g, G):
 
 
 def regime_codes(g, G, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """int8 regime code of each (gamma/kappa, G/kappa) pair; ``g`` and ``G`` broadcast.
+    """int8 regime code of each (gamma/kappa, G/kappa) pair; ``g`` and ``G`` broadcast."""
+    return _codes_and_rmax(g, G, tol)[0]
+
+
+def _codes_and_rmax(g, G, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The regime codes of :func:`regime_codes` and the max Re lambda they use.
 
     The first case that holds decides: f = 0 and gamma = kappa; the transition
     line; gamma = kappa; f = 0; gamma > kappa; f < 0; above or below the line.
@@ -148,12 +153,13 @@ def regime_codes(g, G, tol: float = DEFAULT_TOL) -> np.ndarray:
     on_f = abs(f) <= tol
     on_gk = abs(dgam) <= tol
     rmax = _max_re_lambda(g, G)
-    return np.select(
+    codes = np.select(
         [on_f & on_gk, abs(dep) <= tol, on_gk, on_f, dgam > 0, f < 0],
         [0, np.where(rmax > tol, 7, np.where(rmax < -tol, 8, 0)), np.where(f > tol, 6, 1),
          np.where(dgam < 0, 5, 1), np.where(dep > 0, 2, 1), 1],
         np.where(dep > 0, 4, 3),
     ).astype(np.int8)
+    return codes, rmax
 
 
 def classify(params: SystemParams, tol: float = DEFAULT_TOL) -> RegimeLabel:
@@ -214,10 +220,6 @@ def phase_diagram(
         n_gamma, n_G = resolution
     gammas = _axis("gamma", gamma_range[0], gamma_range[1], n_gamma)
     Gs = _axis("G", G_range[0], G_range[1], n_G)
-    g, G = gammas[:, None], Gs[None, :]
-    return PhaseDiagramGrid(
-        gamma_over_kappa=gammas,
-        G_over_kappa=Gs,
-        codes=regime_codes(g, G, tol),
-        max_re_lambda=_max_re_lambda(g, G),
-    )
+    codes, rmax = _codes_and_rmax(gammas[:, None], Gs[None, :], tol)
+    return PhaseDiagramGrid(gamma_over_kappa=gammas, G_over_kappa=Gs, codes=codes,
+                            max_re_lambda=rmax)

@@ -23,8 +23,8 @@ the numpy calls.
 
 Rows go out in blocks of ``_BLOCK_ROWS``: the float columns of a block in one
 call, each distinct str/int cell encoded once and gathered, all laid out at
-fixed positions on a canvas of 4-byte words with a keep mask, compacted once
-per block by ``np.compress`` and decoded to one string.
+fixed positions on one canvas of 4-byte words. Bytes between texts are 0xFF,
+which no UTF-8 (or surrogatepass) encoding has: dropping them compacts a block.
 """
 
 from __future__ import annotations
@@ -47,40 +47,49 @@ _FAST_MIN, _FAST_MAX = 1e-290, 1e290
 # The JSON text of the non-finite floats, keyed by their repr. A CSV cell such
 # as "2e+308" reads back as inf.
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-# Text is laid out in 4-byte words, byte 0 first; a keep word holds 0 or 1 per byte.
+# Text is laid out in 4-byte words, byte 0 first; 0xFF pads the bytes between texts.
 _WORD = np.dtype("<u4")
-_KEEP_ALL = 0x01010101
-# Words per float cell: [-] d . 11 digits e +/- 3 digits in CSV, and
-# [-] 16 integer digits . 16 fraction digits e +/- 3 digits in JSON. An exact
-# text (at most 24 characters) fits either.
-_CSV_WORDS, _JSON_WORDS = 7, 12
+_PAD = b"\xff"
+# Words per float cell. CSV: [-]d, '.' and p-1 digits right-aligned in 12
+# places, e+/- and 2-3 exponent digits; an exact text of p <= 17 (at most 24
+# characters) fits too. JSON: _JSON_WORDS for [-] (or -0), '.' (or '.0'), 16
+# fraction digits and the exponent, plus 1-4 for the integer part (see
+# _cell_words); an exact text (at most 24 characters) fits any.
+_CSV_WORDS, _JSON_WORDS = 6, 8
+# The exponent table has a row for each of -_EXP..+_EXP, then an empty row.
+_EXP = 330
 
 
 def _word(text: str) -> int:
-    """The 4 bytes of ``text`` as a word."""
-    return int.from_bytes(text.encode(), "little")
+    """The bytes of ``text`` (at most 4), padded, as a word."""
+    return int.from_bytes(text.encode().ljust(4, _PAD), "little")
 
 
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, ...]:
-    """For each q in 0..9999: its 4 ASCII digits as a word, and the keep words
-    that drop its leading and its trailing zeros; then 10.0**k for k in
-    0..301, correctly rounded, and 10**k as int64 for k in 0..18."""
+    """For each q in 0..9999: its 4 ASCII digits as a word, and that word with
+    its leading and with its trailing zeros as pads; a JSON cell's first word
+    by negative | (zero integer part) << 1; the exponent table, 2 words of
+    'e%+03d' per row; 10.0**k for k in 0..301, correctly rounded; and 10**k as
+    int64 for k in 0..18."""
     q = np.arange(10000, dtype=_WORD)
     digits = lead = trail = 0
     for byte, power in enumerate((1000, 100, 10, 1)):
-        # The digit of ``power``; any nonzero digit at or before it (lead)
-        # or at or after it (trail).
-        digits = digits | (q // power % 10 + ord("0")) << 8 * byte
-        lead = lead | (q >= power).astype(_WORD) << 8 * byte
-        trail = trail | (q % (10 * power) != 0).astype(_WORD) << 8 * byte
+        # The digit of ``power``, kept in lead where a nonzero digit is at or
+        # before it and in trail where one is at or after it.
+        digit, pad = (q // power % 10 + ord("0")) << 8 * byte, 0xFF << 8 * byte
+        digits = digits | digit
+        lead = lead | np.where(q >= power, digit, pad)
+        trail = trail | np.where(q % (10 * power) != 0, digit, pad)
+    signs = np.array([_word(t) for t in ("", "-", "0", "-0")], _WORD)
+    exponents = _word_table([f"e{k:+03d}" for k in range(-_EXP, _EXP + 1)] + [""], 2)
     pow10 = np.array([f"1e{k}" for k in range(302)]).astype(float)
-    return digits, lead, trail, pow10, 10 ** np.arange(19, dtype=np.int64)
+    return digits, lead, trail, signs, exponents, pow10, 10 ** np.arange(19, dtype=np.int64)
 
 
-def _put_digits(n: np.ndarray, chars: np.ndarray, keep: np.ndarray | None, drop: str = "") -> None:
+def _put_digits(n: np.ndarray, chars: np.ndarray, drop: str = "") -> None:
     """Write the ASCII digits of int64s 0 <= n < 10**(4 G), zero-padded, into
-    the G word columns of ``chars``; ``keep`` drops the leading or trailing zeros."""
+    the G word columns of ``chars``; ``drop`` pads the leading or trailing zeros."""
     digit_words, lead, trail = _digit_tables()[:3]
     nonzero_below = False
     for g in reversed(range(chars.shape[1])):
@@ -88,12 +97,14 @@ def _put_digits(n: np.ndarray, chars: np.ndarray, keep: np.ndarray | None, drop:
         q = n
         n = n // 10000
         q = q - n * 10000
-        chars[:, g] = digit_words[q]
         if drop == "leading":
-            keep[:, g] = np.where(n != 0, _KEEP_ALL, lead[q])
+            # Nothing lies above the first word.
+            chars[:, g] = np.where(n != 0, digit_words[q], lead[q]) if g else lead[q]
         elif drop == "trailing":
-            keep[:, g] = np.where(nonzero_below, _KEEP_ALL, trail[q])
+            chars[:, g] = np.where(nonzero_below, digit_words[q], trail[q])
             nonzero_below = nonzero_below | (q != 0)
+        else:
+            chars[:, g] = digit_words[q]
 
 
 def _exact_texts(values: list, p: int, json_text: bool) -> list[str]:
@@ -107,15 +118,14 @@ def _exact_texts(values: list, p: int, json_text: bool) -> list[str]:
     return texts
 
 
-def _fast_cells(v: np.ndarray, p: int, json_text: bool, chars: np.ndarray,
-                keep: np.ndarray) -> np.ndarray:
+def _fast_cells(v: np.ndarray, p: int, json_text: bool, chars: np.ndarray) -> np.ndarray:
     """Lay out the cells of :func:`_float_cells` from one numpy digit pass.
 
-    Fills ``chars`` and ``keep`` for every value and returns where the pass is
-    exact: zeros, and |v| in [1e-290, 1e290] whose scaled mantissa is not
-    within the tie margin (p <= 12).
+    Fills ``chars`` for every value and returns where the pass is exact:
+    zeros, and |v| in [1e-290, 1e290] whose scaled mantissa is not within the
+    tie margin (p <= 12).
     """
-    digit_words, _, _, pow10, ipow10 = _digit_tables()
+    digit_words, _, _, signs, exponents, pow10, ipow10 = _digit_tables()
     a = np.abs(v)
     zero = a == 0
     fast = zero | ((a >= _FAST_MIN) & (a <= _FAST_MAX))
@@ -133,9 +143,7 @@ def _fast_cells(v: np.ndarray, p: int, json_text: bool, chars: np.ndarray,
     e += carry
     m[carry] = ipow10[p - 1]
     m[zero] = e[zero] = 0
-    neg = (v < 0).view(np.uint8).astype(_WORD)
-    exponent = np.abs(e)
-    big = (exponent >= 100).view(np.uint8).astype(_WORD) << 8  # a third exponent digit
+    neg = v < 0
     if json_text:
         # repr's positional form (-4 <= e <= 15) splits m 10**(e-p+1) into its
         # integer part and fraction; the exponent form splits d.ddd, the same
@@ -145,68 +153,73 @@ def _fast_cells(v: np.ndarray, p: int, json_text: bool, chars: np.ndarray,
         up = np.maximum(shift, 0)
         n_int = m // ipow10[up] * ipow10[np.maximum(-shift, 0)]
         n_frac = m % ipow10[up] * ipow10[p + 3 - up]
-        chars[:, 0] = _word("   -")
-        keep[:, 0] = neg << 24
-        _put_digits(n_int, chars[:, 1:5], keep[:, 1:5], "leading")
-        keep[:, 4] |= 1 << 24  # the units digit
-        chars[:, 5] = _word("   .")
-        keep[:, 5] = (pos | (n_frac != 0)).view(np.uint8).astype(_WORD) << 24
+        point = len(chars[0]) - 7
+        # The sign, and the 0 of a zero integer part, whose words are all pads.
+        chars[:, 0] = signs[neg | (n_int == 0) << 1]
+        _put_digits(n_int, chars[:, 1:point], "leading")
+        # One fraction digit in positional form: '.0' where the fraction is 0.
+        chars[:, point] = np.where(n_frac != 0, _word("."), np.where(pos, _word(".0"), _word("")))
         # The fraction's p+3 digits, left-aligned in 16.
-        _put_digits(n_frac * ipow10[13 - p], chars[:, 6:10], keep[:, 6:10], "trailing")
-        keep[:, 6] |= pos  # one fraction digit in positional form
-        shown = (~pos).view(np.uint8).astype(_WORD)
-        chars[:, 10] = np.where(e < 0, _word("  e-"), _word("  e+"))
-        keep[:, 10] = shown * 0x01010000
-        chars[:, 11] = digit_words[exponent]
-        keep[:, 11] = shown * (0x01010000 | big)
+        _put_digits(n_frac * ipow10[13 - p], chars[:, point + 1:point + 5], "trailing")
+        chars[:, point + 5:] = exponents[np.where(pos, -1, e + _EXP)]
     else:
+        # '-' (0x2D) or a pad in byte 0, the first digit in byte 3; then the
+        # other p-1 digits, zero-padded to 12 places, with pads and '.' over the zeros.
         top = ipow10[p - 1]
-        chars[:, 0] = digit_words[m // top] & 0xFF000000 | ord("-") << 16
-        keep[:, 0] = 0x01000000 | neg << 16
-        chars[:, 1] = _word("   .")
-        keep[:, 1] = (p > 1) << 24
-        _put_digits(m % top, chars[:, 2:5], None)
-        keep[:, 2:5] = (np.arange(12) >= 13 - p).astype(np.uint8).view(_WORD)
-        chars[:, 5] = np.where(e < 0, _word("  e-"), _word("  e+"))
-        keep[:, 5] = 0x01010000
-        chars[:, 6] = digit_words[exponent]
-        keep[:, 6] = 0x01010000 | big
+        chars[:, 0] = digit_words[m // top] & 0xFF000000 | np.where(neg, 0xFFFF2D, 0xFFFFFF)
+        _put_digits(m % top, chars[:, 1:4])
+        fill = _PAD * (12 - p) + b"." if p > 1 else _PAD * 12
+        chars.view(np.uint8)[:, 4:17 - p] = np.frombuffer(fill, np.uint8)
+        chars[:, 4:] = exponents[e + _EXP]
     return fast
 
 
-def _float_cells(values: np.ndarray, p: int, json_text: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each float of a 1-d array at p significant digits, as fixed-width cells.
+def _cell_words(floats: list[np.ndarray], p: int, json_text: bool) -> int:
+    """Words per float cell for the values of ``floats`` at p.
 
-    Returns (chars, keep), word arrays with one row per value; the text of
-    value i is the bytes of ``chars[i]`` where ``keep[i]`` has a 1. A CSV cell
-    is '%.{p-1}e' of the value; a JSON cell is the text json.dumps writes for
-    the float that reads back from it. -0.0 prints as 0. For p <= 12 one
-    numpy digit pass lays out the cells; the values it cannot place exactly,
-    every value of a short array and every value for p > 12 take the
+    A CSV cell needs more than _CSV_WORDS only for an exact text longer than 24
+    characters (p > 17). A JSON cell's integer part takes a word per 4 digits of
+    the largest positional |v| (below 1e16) and one more digit, for a rounding
+    carry such as 999.6 -> 1000.
+    """
+    if not json_text:
+        return max(_CSV_WORDS, -(-(p + 7) // 4))
+    top = max([np.max(a, where=a < 1e16, initial=0.0) for a in map(np.abs, floats)], default=0)
+    return _JSON_WORDS + 1 + (top >= 1e3) + (top >= 1e7) + (top >= 1e11)
+
+
+def _float_cells(values: np.ndarray, p: int, json_text: bool,
+                 width: int | None = None) -> np.ndarray:
+    """Each float of a 1-d array at p significant digits, as a row of ``width``
+    words (by default :func:`_cell_words` of the values), pads as 0xFF.
+
+    A CSV cell is '%.{p-1}e' of the value; a JSON cell is the text json.dumps
+    writes for the float that reads back from it. -0.0 prints as 0. For p <= 12
+    one numpy digit pass lays out the cells; the values it cannot place
+    exactly, every value of a short array and every value for p > 12 take the
     per-cell '%' rule of :func:`_exact_texts`.
     """
     v = values + 0.0  # -0.0 becomes 0.0; every other value stays as it is
-    width = _JSON_WORDS if json_text else _CSV_WORDS
+    width = width or _cell_words([v], p, json_text)
     chars = np.empty((len(v), width), _WORD)
-    keep = np.empty((len(v), width), _WORD)
     if p <= _FAST_PRECISION and len(v) >= _FAST_MIN_CELLS:
-        slow = np.flatnonzero(~_fast_cells(v, p, json_text, chars, keep))
+        slow = np.flatnonzero(~_fast_cells(v, p, json_text, chars))
     else:
         slow = np.arange(len(v))
     if slow.size:
-        chars[slow], keep[slow] = _word_table(_exact_texts(v[slow].tolist(), p, json_text), width)
-    return chars, keep
+        chars[slow] = _word_table(_exact_texts(v[slow].tolist(), p, json_text), width)
+    return chars
 
 
-def _text(chars: np.ndarray, keep: np.ndarray) -> str:
-    """The kept bytes of word arrays, in order, as text."""
-    kept = np.compress(keep.view(bool).ravel(), chars.view(np.uint8).ravel())
-    return kept.tobytes().decode("utf-8", "surrogatepass")
+def _text(chars: np.ndarray) -> str:
+    """The bytes of word arrays, in order and without pads, as text."""
+    data = chars.view(np.uint8).ravel()
+    return data[data != 0xFF].tobytes().decode("utf-8", "surrogatepass")
 
 
 def float_text(value: float, p: int) -> str:
     """The CSV text of one float at p significant digits."""
-    return _text(*_float_cells(np.array([value]), p, json_text=False))
+    return _text(_float_cells(np.array([value]), p, json_text=False))
 
 
 class Coded:
@@ -225,16 +238,13 @@ def _coded(cells: list) -> Coded:
     return Coded(tuple(index), codes)
 
 
-def _word_table(texts: list[str], width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Texts as rows of ``width`` words (by default the fewest that hold each):
-    (chars, keep)."""
+def _word_table(texts: list[str], width: int | None = None) -> np.ndarray:
+    """Texts as rows of ``width`` words (by default the fewest that hold each), padded."""
     data = [text.encode("utf-8", "surrogatepass") for text in texts]
     if width is None:
         width = -(-max(map(len, data), default=0) // 4)
-    chars = np.frombuffer(b"".join([d.ljust(4 * width) for d in data]), _WORD)
-    lengths = np.array(list(map(len, data)), dtype=np.intp)
-    keep = (np.arange(4 * width) < lengths[:, None]).view(_WORD)
-    return chars.reshape(len(data), width), keep.reshape(len(data), width)
+    chars = np.frombuffer(b"".join([d.ljust(4 * width, _PAD) for d in data]), _WORD)
+    return chars.reshape(len(data), width)
 
 
 def _pieces(first: str, between: str, labels: list[str], last: str) -> list[str]:
@@ -251,20 +261,19 @@ def _row_blocks(columns: dict, pieces: list[str], p: int, json_text: bool):
     columns of a block in one call; a str/int column (a list or a
     :class:`Coded`) is encoded once per distinct cell (``str`` for CSV,
     json.dumps for JSON) and gathered. Each block is laid out on a canvas of
-    words at fixed positions and compacted once by its keep words.
+    words at fixed positions and compacted once by dropping its pads.
     """
     n_rows = min(map(len, columns.values()), default=0)
-    cell_width = _JSON_WORDS if json_text else _CSV_WORDS
+    float_columns = [col for col in columns.values() if isinstance(col, np.ndarray)]
+    cell_width = _cell_words(float_columns, p, json_text)
     # The row template holds the pieces, each padded to whole words, and
     # after each piece its column's slot: floats (offset, column) and str/int
-    # columns (offset, codes, chars, keep).
-    template, template_keep = bytearray(), bytearray()
+    # columns (offset, codes, table).
+    template = bytearray()
 
     def add_piece(piece: str) -> None:
         data = piece.encode("utf-8", "surrogatepass")
-        pad = bytes(-len(data) % 4)
-        template.extend(data + pad)
-        template_keep.extend(b"\x01" * len(data) + pad)
+        template.extend(data + _PAD * (-len(data) % 4))
 
     floats, slots = [], []
     for piece, col in zip(pieces, columns.values()):
@@ -276,33 +285,24 @@ def _row_blocks(columns: dict, pieces: list[str], p: int, json_text: bool):
         else:
             coded = col if isinstance(col, Coded) else _coded(col)
             table = _word_table([json.dumps(c) if json_text else str(c) for c in coded.values])
-            slots.append((offset, coded.codes, *table))
-            width = table[0].shape[1]
-        template.extend(bytes(4 * width))
-        template_keep.extend(bytes(4 * width))
+            slots.append((offset, coded.codes, table))
+            width = table.shape[1]
+        template.extend(_PAD * (4 * width))
     add_piece(pieces[-1])
     template = np.frombuffer(template, _WORD)
-    template_keep = np.frombuffer(template_keep, _WORD)
     for start in range(0, n_rows, _BLOCK_ROWS):
         rows = slice(start, min(start + _BLOCK_ROWS, n_rows))
         n = rows.stop - rows.start
         chars = np.empty((n, len(template)), _WORD)
-        keep = np.empty((n, len(template)), _WORD)
         chars[:] = template
-        keep[:] = template_keep
         if floats:
             block = np.stack([col[rows] for _, col in floats], axis=1).ravel()
-            cells, cells_keep = _float_cells(block, p, json_text)
-            cells = cells.reshape(n, len(floats), cell_width)
-            cells_keep = cells_keep.reshape(n, len(floats), cell_width)
+            cells = _float_cells(block, p, json_text, cell_width).reshape(n, -1, cell_width)
             for k, (at, _) in enumerate(floats):
                 chars[:, at:at + cell_width] = cells[:, k]
-                keep[:, at:at + cell_width] = cells_keep[:, k]
-        for at, codes, table, table_keep in slots:
-            width = table.shape[1]
-            chars[:, at:at + width] = table[codes[rows]]
-            keep[:, at:at + width] = table_keep[codes[rows]]
-        yield _text(chars, keep)
+        for at, codes, table in slots:
+            chars[:, at:at + table.shape[1]] = table[codes[rows]]
+        yield _text(chars)
 
 
 def one_row(record: dict) -> dict:

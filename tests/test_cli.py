@@ -424,6 +424,10 @@ class TestSteadyCommand:
          "coupling_G must be >= 0"),
         (("--G", "1", "--kappa-hz", "inf", "--sweep", "gamma", "--sweep-min", "0",
           "--sweep-max", "1"), "kappa must be finite"),
+        (("--gamma", "0.6", "--sweep", "G", "--sweep-min=-inf", "--sweep-max", "1"),
+         "steady sweep range must be finite, got [-inf, 1.0]"),
+        (("--gamma", "0.6", "--sweep", "G", "--sweep-min", "0", "--sweep-max", "nan"),
+         "steady sweep range must be finite, got [0.0, nan]"),
     ])
     def test_sweep_rejects_invalid_points(self, capsys, argv, message):
         code, out, err = run(capsys, "steady", *argv, "--sweep-points", "5")
@@ -587,6 +591,31 @@ class TestOutputFormats:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("ptomech: invalid configuration: ")
 
+    _EVOLVE = ("evolve", "--gamma", "0.5", "--G", "0.5", "--t-end", "1", "--samples", "5")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (_EVOLVE, "--alpha-phase"),
+        (_EVOLVE, "--beta-phase"),
+        (("sweep", "--gamma-res", "3", "--G-res", "3"), "--gamma-min"),
+        (("sweep", "--gamma-res", "3", "--G-res", "3"), "--G-min"),
+        (("steady", "--gamma", "0.6", "--sweep", "G", "--sweep-max", "0.7", "--sweep-points", "3"),
+         "--sweep-min"),
+    ])
+    def test_negative_value_with_exponent(self, capsys, argv, flag):
+        # A value such as -1e-3 is a value, not a flag: the same run as --flag=-1e-3.
+        for value in ("-1e-3", "-2.5E+0", "-inf"):
+            apart = run(capsys, *argv, flag, value)
+            assert apart == run(capsys, *argv, f"{flag}={value}")
+            assert "expected one argument" not in apart[2]
+
+    @pytest.mark.parametrize("threshold", ["-1e-6", "-inf"])
+    def test_negative_threshold_as_separate_value(self, capsys, threshold):
+        code, out, err = run(capsys, "evolve", "--gamma", "0.5", "--G", "0.5", "--t-end", "1",
+                             "--max-discrepancy", threshold)
+        assert code == EXIT_INVALID and out == ""
+        assert err == ("ptomech: invalid configuration: --max-discrepancy must be >= 0, "
+                       f"got {float(threshold)}\n")
+
     def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["ptomech", "classify", "--gamma", "0.6", "--G", "1.2"])
         assert main() == EXIT_OK
@@ -646,6 +675,72 @@ class TestWriter:
         columns = {"x": np.array([1.5e308])}
         assert self.write(capsys, "csv", 1, columns, None) == "x\n2e+308\n"
         assert '"x": Infinity' in self.write(capsys, "json", 1, columns, None)
+
+
+class TestWriterLayout:
+    """Pads and cell widths of the writer's canvas, against the legacy writers."""
+
+    @staticmethod
+    def write(columns, footer, fmt, precision, out=None):
+        """The writer's text (on stdout, or in the file ``out``) and the legacy writer's."""
+        config = RunConfig(command="test", params_in_kappa_units={}, init={}, format=fmt,
+                           precision=precision, output=out)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            _write_output(columns, footer, config)
+        if out:
+            with open(out, newline="") as fh:
+                stdout = io.StringIO(fh.read())
+        legacy = legacy_json if fmt == "json" else legacy_csv
+        return stdout.getvalue(), legacy(columns, footer, config)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pads_cannot_eat_text(self, fmt, tmp_path):
+        # No encoded text byte is 0xFF, the pad byte: U+00FF encodes as C3 BF.
+        # The lone surrogate goes through CSV only: a strict UTF-8 file cannot hold it.
+        cells = ["\u00ff", "\x00", "\U0010ffff"] + (["\ud800"] if fmt == "csv" else [])
+        n = 70
+        columns = {c + "x": [cells[i % len(cells)] * (i % 5) for i in range(n)] for c in cells}
+        columns["\u00ff\u00ff"] = np.linspace(-2.0, 3.0, n)
+        footer = {c: c for c in cells}
+        for precision in (1, 12, 17):
+            got, expected = self.write(columns, footer, fmt, precision)
+            assert got == expected
+        if fmt == "json":
+            got, expected = self.write(columns, footer, fmt, 12, str(tmp_path / "out.json"))
+            assert got == expected
+
+    def test_integer_words_follow_the_largest_positional_value(self):
+        small = np.random.default_rng(3).standard_normal(100)
+        assert tables._cell_words([small * 100], 12, True) == 9
+        # 999.6 rounds to 1000 at p = 3: four digits, still one word.
+        assert tables._cell_words([small, np.array([999.6])], 3, True) == 9
+        assert tables._cell_words([small, np.array([9999.6])], 4, True) == 10
+        assert tables._cell_words([small, np.array([-9.999999999999e15])], 12, True) == 12
+        # Values past the positional range (and non-finite ones) are written with an exponent.
+        assert tables._cell_words([np.array([1e16, -1e300, np.inf, np.nan])], 12, True) == 9
+        assert tables._cell_words([small], 12, False) == 6
+        assert tables._cell_words([small], 30, False) == 10
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_integer_part_sizing(self, fmt):
+        # A 16-digit integer part and small values in one call; a rounding carry
+        # across a 4-digit word boundary (9999.6 -> 10000.0 at p = 4).
+        small = np.random.default_rng(5).standard_normal(100) * 1e-2
+        for big, precision in ((9.999999999999e15, 12), (9999.6, 4), (-9999.6, 4), (999.96, 4),
+                               (99999999.6, 9), (1234.5678, 12)):
+            columns = {"a": small, "b": np.concatenate([small[:50], [big], small[50:99]])}
+            got, expected = self.write(columns, {"big": big}, fmt, precision)
+            assert got == expected, (big, precision)
+        if fmt == "json":
+            assert '"b": 10000.0' in self.write({"b": np.full(70, 9999.6)}, {}, fmt, 4)[0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_precision_past_the_cell_width(self, fmt):
+        # '%.29e' is 37 characters, longer than a cell of the digit pass.
+        columns = {"x": np.array([-1.5e-300, 0.6, 1e16, np.nan]), "s": ["a", "b", "c", "d"]}
+        got, expected = self.write(columns, {"disc": 0.1}, fmt, 30)
+        assert got == expected
 
 
 def legacy_json(columns, footer, config):
@@ -745,9 +840,9 @@ class TestWriterMatchesLegacyCsv:
                 assert fh.read() == legacy_csv(columns, footer, config)
 
 
-def cell_texts(chars, keep):
-    """The text of each cell of :func:`_float_cells`: its kept bytes."""
-    return [c.view(np.uint8)[k.view(bool)].tobytes().decode() for c, k in zip(chars, keep)]
+def cell_texts(chars):
+    """The text of each cell of :func:`_float_cells`: its bytes other than the 0xFF pads."""
+    return [c.view(np.uint8)[c.view(np.uint8) != 0xFF].tobytes().decode() for c in chars]
 
 
 def reference_cells(value, precision):
@@ -787,7 +882,7 @@ class TestFloatCells:
         for precision in range(1, 18):
             expected = [reference_cells(v, precision) for v in values.tolist()]
             for fmt, json_text in ((0, False), (1, True)):
-                got = cell_texts(*_float_cells(values, precision, json_text))
+                got = cell_texts(_float_cells(values, precision, json_text))
                 assert got == [cells[fmt] for cells in expected], (precision, json_text)
 
     def test_edge_values(self):
@@ -817,7 +912,7 @@ class TestFloatCells:
         original = tables._exact_texts
         monkeypatch.setattr(tables, "_exact_texts", recording)
         for json_text in (False, True):
-            cell_texts(*_float_cells(values, 12, json_text))
+            cell_texts(_float_cells(values, 12, json_text))
         assert sum(exact) < 0.01 * 2 * len(values)
 
 
