@@ -23,6 +23,7 @@ from .spectrum import (
 )
 from .analytic import (
     ClosedFormError,
+    NoSteadyState,
     displacement,
     finite_time_amplitude,
     first_moments_closed_form,
@@ -44,6 +45,7 @@ __all__ = [
     "ClosedFormError",
     "CoherentInit",
     "FirstMomentSeries",
+    "NoSteadyState",
     "NumberSplit",
     "PTPhase",
     "PhaseDiagramGrid",

@@ -52,6 +52,7 @@ from .spectrum import DEFAULT_TOL, check_tol
 
 __all__ = [
     "ClosedFormError",
+    "NoSteadyState",
     "NumberSplit",
     "displacement",
     "finite_time_amplitude",
@@ -73,6 +74,10 @@ _QUAD_MAX_U = 10.0
 
 class ClosedFormError(ValueError):
     """A closed form produced a non-finite value (overflow) or an inconsistent one."""
+
+
+class NoSteadyState(ValueError):
+    """No finite steady state exists at the point (f <= 0 or gamma >= kappa, within tol)."""
 
 
 def _as_real(value, what: str, t=None) -> np.ndarray | float:
@@ -309,18 +314,18 @@ def steady_state(kappa, gamma, G, tol: float = DEFAULT_TOL):
 def steady_numbers(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Equilibrium particle numbers (n_a_s, n_b_s): the one-point case of :func:`steady_state`.
 
-    Raises ValueError, naming the failed condition, where no finite steady
-    state exists (f <= 0 or gamma >= kappa, within ``tol``).
+    Raises :class:`NoSteadyState`, naming the failed condition, where no
+    finite steady state exists (f <= 0 or gamma >= kappa, within ``tol``).
     """
     k, g = params.kappa, params.gamma
     n_a_s, n_b_s, missing = steady_state(k, g, params.coupling_G, tol)
     if missing == 1:
-        raise ValueError(
+        raise NoSteadyState(
             f"no finite steady state: requires f = G^2 - gamma*kappa > 0 "
             f"(got f/kappa^2 = {params.f / k**2:.3e})"
         )
     if missing == 2:
-        raise ValueError(
+        raise NoSteadyState(
             f"no finite steady state: requires gamma < kappa (got gamma/kappa = {g / k})"
         )
     return float(n_a_s), float(n_b_s)

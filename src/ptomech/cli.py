@@ -4,19 +4,12 @@ Rates are accepted in units of kappa (matching how the parameter points are
 usually quoted); ``--kappa-hz`` sets the absolute scale. Times on the command
 line are in units of 1/kappa; serialized output uses seconds and meters.
 Output is CSV (fixed significant digits, '.' decimal, mandatory header row) or
-a JSON mirror with identical field names. Commands hand the writer
-(:mod:`.tables`) named columns. It computes each float's digits once, in one
-numpy pass for ``--precision`` <= 12, and lays out CSV and JSON text from
-them as bytes, in blocks of rows; JSON has the bytes of ``json.dumps(payload,
-indent=2)`` and carries the float each CSV cell reads back as. Only non-finite
-values, |v| outside [1e-290, 1e290], mantissas near a rounding tie, short
-tables and precisions above 12 take the per-cell '%' rule. A value whose
-rounded decimal lies past float range prints differently in the two
-formats: 1.5e308 at ``--precision 1`` is ``2e+308`` in CSV and ``Infinity``
-in JSON. Every flag that takes a value can be
-supplied through an environment variable with the ``PTOM_`` prefix (e.g.
-``PTOM_GAMMA``); only the chosen subcommand's variables are read, each is
-checked like its flag, and explicit flags win.
+a JSON mirror with identical field names. Commands hand named columns to
+:mod:`.tables`, which documents how each format is written and where the two
+differ. Every flag that takes a value can be supplied through an environment
+variable with the ``PTOM_`` prefix (e.g. ``PTOM_GAMMA``); only the chosen
+subcommand's variables are read, each is checked like its flag, and explicit
+flags win.
 
 ``evolve`` (and every trajectory figure) tabulates the closed forms next to the
 RK4 oracle and reports, in its footer, ``max_rel_discrepancy_x``: the largest
@@ -29,17 +22,20 @@ n_b_st (the oracle's from ``numeric.stimulated_spontaneous_split``);
 ``truncated_at_t``. Both relative errors are floored at 1e-12 in the
 denominator, and either above ``--max-discrepancy`` (default 1e-6) exits 4.
 
-Exit codes: 0 ok; 2 invalid configuration (a bad flag or ``PTOM_*`` value
-included); 3 steady-state query at an unstable point; 4 analytic/numeric
-discrepancy above threshold, or a closed form that is not finite at a
-requested time (``analytic.ClosedFormError``). Each failure prints one line
-on stderr.
+Exit codes: 0 ok; 2 invalid configuration: a bad flag or ``PTOM_*`` value,
+an unwritable ``--out`` or stdout, or a request that cannot be allocated; 3 no
+finite steady state at a ``steady`` point (``analytic.NoSteadyState``); 4
+analytic/numeric discrepancy above threshold, or a closed form that is not
+finite at a requested time (``analytic.ClosedFormError``). :func:`main` alone
+maps errors to exit codes, and each failure prints one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import os
 import re
 import sys
@@ -55,10 +51,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_UNSTABLE = 3
 EXIT_DISCREPANCY = 4
-
-
-class UnstableSteadyQuery(Exception):
-    """Steady-state query at a point with no finite steady state."""
 
 
 class DiscrepancyExceeded(Exception):
@@ -96,14 +88,24 @@ def _write_output(columns: dict, footer: dict | None, config: RunConfig) -> None
         pieces = tables.json_pieces(head, columns, footer, config.precision)
     else:
         pieces = tables.csv_pieces(columns, footer, config.precision)
-    if config.output:
-        try:
+    try:
+        if config.output:
             with open(config.output, "w", newline="") as fh:
                 fh.writelines(pieces)
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {config.output}: {exc.strerror}")
-    else:
-        sys.stdout.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not config.output:
+            # The interpreter flushes stdout again at exit: point its
+            # descriptor, if it has one, at os.devnull so that flush succeeds.
+            with contextlib.suppress(io.UnsupportedOperation):
+                stdout_fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stdout_fd)
+                os.close(devnull)
+        target = f"--out {config.output}" if config.output else "stdout"
+        raise ValueError(f"cannot write {target}: {exc.strerror or exc}")
 
 
 def _build_params(args):
@@ -291,14 +293,14 @@ def cmd_steady(args) -> int:
         sweep_cfg = {"param": args.sweep, "min": args.sweep_min, "max": args.sweep_max,
                      "points": args.sweep_points}
     config = _config_from_args(args, "steady", sweep=sweep_cfg)
-    # Checked here: steady_numbers' ValueError means "no steady state" below.
-    spectrum.check_tol(args.tol)
     if args.sweep:
         if args.sweep_min is None or args.sweep_max is None:
             raise ValueError("steady sweep requires --sweep-min and --sweep-max")
         if not np.isfinite([args.sweep_min, args.sweep_max]).all():
             raise ValueError(f"steady sweep range must be finite, got "
                              f"[{args.sweep_min}, {args.sweep_max}]")
+        if args.sweep_points < 0:
+            raise ValueError(f"--sweep-points must be >= 0, got {args.sweep_points}")
         if args.sweep == "gamma" and args.G is None:
             raise ValueError("steady sweep over gamma requires --G")
         if args.sweep == "G" and args.gamma is None:
@@ -308,11 +310,7 @@ def cmd_steady(args) -> int:
         return EXIT_OK
     if args.gamma is None or args.G is None:
         raise ValueError("steady requires --gamma and --G (in units of kappa)")
-    params = _build_params(args)
-    try:
-        n_a_s, n_b_s = analytic.steady_numbers(params, tol=args.tol)
-    except ValueError as exc:
-        raise UnstableSteadyQuery(f"no finite steady state at this point: {exc}")
+    n_a_s, n_b_s = analytic.steady_numbers(_build_params(args), tol=args.tol)
     _write_output(tables.one_row({"gamma_over_kappa": args.gamma, "G_over_kappa": args.G,
                             "n_a_s": n_a_s, "n_b_s": n_b_s}), None, config)
     return EXIT_OK
@@ -500,12 +498,16 @@ def main(argv: list[str] | None = None) -> int:
     except argparse.ArgumentError as exc:
         print(f"ptomech: invalid configuration: {_argument_error(exc)}", file=sys.stderr)
         return EXIT_INVALID
-    except UnstableSteadyQuery as exc:
+    except analytic.NoSteadyState as exc:
         print(f"ptomech: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except (DiscrepancyExceeded, analytic.ClosedFormError) as exc:
         print(f"ptomech: {exc}", file=sys.stderr)
         return EXIT_DISCREPANCY
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"ptomech: invalid configuration: cannot allocate memory{detail}", file=sys.stderr)
+        return EXIT_INVALID
     except ValueError as exc:
         print(f"ptomech: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID

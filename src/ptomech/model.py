@@ -68,8 +68,6 @@ class SystemParams:
         Must be > 0.
     mass : float
         Mechanical effective mass, kg. Only used for displacement scaling.
-    hbar : float
-        Reduced Planck constant, J*s.
     """
 
     kappa: float
@@ -77,10 +75,9 @@ class SystemParams:
     coupling_G: float
     omega1: float
     mass: float
-    hbar: float = HBAR
 
     def __post_init__(self):
-        for name in ("kappa", "gamma", "coupling_G", "omega1", "mass", "hbar"):
+        for name in ("kappa", "gamma", "coupling_G", "omega1", "mass"):
             _require_finite(name, getattr(self, name))
         if self.kappa <= 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
@@ -92,13 +89,11 @@ class SystemParams:
             raise ValueError(f"omega1 must be > 0, got {self.omega1}")
         if self.mass <= 0:
             raise ValueError(f"mass must be > 0, got {self.mass}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be > 0, got {self.hbar}")
         # Omega, f and f/kappa^2 square the rates, in rad/s and in kappa units,
         # and the displacement divides by x_zpf: all must stay in float range.
         span = self.kappa + self.gamma + 2.0 * self.coupling_G
         ratio = span / self.kappa
-        zpf_sq = self.hbar / (2.0 * self.mass * self.omega1)
+        zpf_sq = HBAR / (2.0 * self.mass * self.omega1)
         if not (span * span < math.inf and ratio * ratio < math.inf
                 and self.kappa * self.kappa > 0.0 and 0.0 < zpf_sq < math.inf):
             raise ValueError(
@@ -124,26 +119,13 @@ class SystemParams:
     @property
     def x_zpf(self) -> float:
         """Zero-point displacement sqrt(hbar/(2 m omega1)), meters."""
-        return math.sqrt(self.hbar / (2.0 * self.mass * self.omega1))
+        return math.sqrt(HBAR / (2.0 * self.mass * self.omega1))
 
 
-def make_params(
-    kappa: float,
-    gamma: float,
-    G: float,
-    omega1: float,
-    mass: float,
-    hbar: float = HBAR,
-) -> SystemParams:
+def make_params(kappa: float, gamma: float, G: float, omega1: float, mass: float) -> SystemParams:
     """Validated constructor for :class:`SystemParams` (all rates rad/s, mass kg)."""
-    return SystemParams(
-        kappa=float(kappa),
-        gamma=float(gamma),
-        coupling_G=float(G),
-        omega1=float(omega1),
-        mass=float(mass),
-        hbar=float(hbar),
-    )
+    return SystemParams(kappa=float(kappa), gamma=float(gamma), coupling_G=float(G),
+                        omega1=float(omega1), mass=float(mass))
 
 
 @dataclass(frozen=True)

@@ -178,13 +178,7 @@ def _propagate(
     for k in (2.0, 3.0, 4.0):
         term = term @ hM / k
         delta = delta + term
-    try:
-        xs = np.empty((intervals + 1, n + 1), dtype=A.dtype)
-    except MemoryError:
-        size = (intervals + 1) * (n + 1) * np.dtype(A.dtype).itemsize
-        raise ValueError(
-            f"cannot allocate {intervals + 1} oracle samples ({size:.3g} bytes)"
-        ) from None
+    xs = np.empty((intervals + 1, n + 1), dtype=A.dtype)
     xs[0, :n] = x0
     xs[0, n] = 1.0
     kept, truncated = intervals + 1, False

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ptomech import (
     ClosedFormError,
     CoherentInit,
+    NoSteadyState,
     displacement,
     finite_time_amplitude,
     first_moments_closed_form,
@@ -258,6 +259,15 @@ class TestSteadyNumbers:
         assert n_a == sorted(n_a, reverse=True)
         assert n_b == sorted(n_b, reverse=True)
         assert n_a[-1] == pytest.approx(1.5, rel=1e-4)
+
+    def test_no_steady_state_is_typed(self):
+        for point in ((1.8, 1.2), (1.0, 1.5), (0.6, math.sqrt(0.6))):
+            with pytest.raises(NoSteadyState, match="no finite steady state"):
+                steady_numbers(params_at(*point))
+        # A bad tolerance is not a missing steady state.
+        with pytest.raises(ValueError, match="tol must be in") as info:
+            steady_numbers(params_at(1.8, 1.2), tol=0.0)
+        assert not isinstance(info.value, NoSteadyState)
 
     def test_rejects_points_without_steady_state(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ import io
 import json
 import math
 import os
+import pathlib
 import struct
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptomech import analytic, tables
+from ptomech import analytic, spectrum, tables
 from ptomech.cli import (
     EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, RunConfig, _write_output, build_parser,
     main,
@@ -285,7 +287,7 @@ class TestEvolveCommand:
         assert code == EXIT_INVALID and out == ""
         assert err.count("\n") == 1
         assert err.startswith("ptomech: invalid configuration: cannot allocate ")
-        assert " oracle samples (" in err
+        assert " for an array with shape (" in err
 
 
 TRAJECTORY_PRESETS = sorted(name for name, preset in PRESETS.items() if preset.kind == "evolve")
@@ -372,6 +374,20 @@ class TestSteadyCommand:
         assert code == EXIT_UNSTABLE
         assert "no finite steady state" in err
 
+    def test_unstable_point_names_the_cause_once(self, capsys):
+        code, out, err = run(capsys, "steady", "--gamma", "1.8", "--G", "1.2")
+        assert (code, out) == (EXIT_UNSTABLE, "")
+        assert err.count("\n") == 1 and err.startswith("ptomech: ")
+        assert err.count("no finite steady state") == 1
+
+    def test_sweep_points_sign(self, capsys):
+        sweep = ("steady", "--gamma", "0.6", "--sweep", "G", "--sweep-min", "1", "--sweep-max", "2")
+        code, out, err = run(capsys, *sweep, "--sweep-points", "-3")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == "ptomech: invalid configuration: --sweep-points must be >= 0, got -3\n"
+        assert run(capsys, *sweep, "--sweep-points", "0") == (
+            EXIT_OK, "G_over_kappa,n_a_s,n_b_s,stable\n", "")
+
     def test_zero_gain(self, capsys):
         code, out, _ = run(capsys, "steady", "--gamma", "0", "--G", "0.798")
         assert code == EXIT_OK
@@ -405,6 +421,8 @@ class TestSteadyCommand:
         ("steady", "--gamma", "1.5", "--G", "0.5"),
         ("steady", "--gamma", "0.6", "--G", "0.798"),
         ("figure", "6a"),
+        # A bad tolerance is a configuration error, also where no steady state exists.
+        ("steady", "--gamma", "1.8", "--G", "1.2"),
     ])
     @pytest.mark.parametrize("tol", ["nan", "0.5", "0"])
     def test_bad_tol_rejected(self, capsys, argv, tol):
@@ -444,6 +462,52 @@ class TestSteadyCommand:
         flags = {r[3] for r in rows}
         assert flags == {"0", "1"}
         assert all(r[1] == "nan" for r in rows if r[3] == "0")
+
+
+class TestRequestsThatCannotRun:
+    """Output that cannot be written and arrays that cannot be allocated exit 2
+    with one line on stderr."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_pipe(self, unbuffered):
+        # Buffered, stdout keeps the unwritten text and the interpreter's exit
+        # flush tries it again; that attempt must not add a line either.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ptomech.cli", "sweep"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_INVALID
+        assert err.count("\n") == 1
+        assert err.startswith("ptomech: invalid configuration: cannot write stdout: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--gamma-res", str(2**59), "--G-res", "2"),
+        ("steady", "--gamma", "0.6", "--sweep", "G", "--sweep-min", "1", "--sweep-max", "2",
+         "--sweep-points", str(2**59)),
+    ])
+    def test_array_past_address_space(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.count("\n") == 1
+        assert err.startswith("ptomech: invalid configuration: cannot allocate memory: ")
+
+    def test_memory_error_without_message(self, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(spectrum, "phase_diagram", no_memory)
+        assert run(capsys, "sweep") == (
+            EXIT_INVALID, "", "ptomech: invalid configuration: cannot allocate memory\n")
 
 
 class TestFigureCommand:
@@ -927,10 +991,14 @@ def _subcommand_flags() -> dict:
 _FLAGS = _subcommand_flags()
 _JUNK = ["nan", "inf", "-inf", "-1", "0", "", "abc", "1e-300"]
 # Flags that size an allocation or a loop take only small values, so that no
-# example allocates much memory.
+# example allocates much memory, or 2**59: an array of 2**59 floats (4 EiB) is
+# larger than any 64-bit user address space, so allocating it fails at once.
+# ``samples`` gets no such value: it is capped by the step count, so a huge
+# value there allocates and fills a real buffer.
+_EIB4 = str(2**59)
 _BOUNDED = {"samples": ["2", "3", "200", "2000"], "t_end": ["1e-3", "0.5", "2", "50"],
-            "gamma_res": ["1", "2", "50"], "G_res": ["1", "2", "50"],
-            "sweep_points": ["1", "2", "50"]}
+            "gamma_res": ["1", "2", "50", _EIB4], "G_res": ["1", "2", "50", _EIB4],
+            "sweep_points": ["1", "2", "50", _EIB4]}
 _OUT = ["", os.devnull, "/nonexistent-ptomech-dir/out.csv"]
 
 
