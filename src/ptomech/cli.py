@@ -80,6 +80,24 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+@contextlib.contextmanager
+def _output_errors(output: str | None):
+    """Turn an OSError writing ``--out`` (stdout if None) into one ValueError line."""
+    try:
+        yield
+    except OSError as exc:
+        if not output:
+            # The interpreter flushes stdout again at exit: point its
+            # descriptor, if it has one, at os.devnull so that flush succeeds.
+            with contextlib.suppress(io.UnsupportedOperation):
+                stdout_fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stdout_fd)
+                os.close(devnull)
+        target = f"--out {output}" if output else "stdout"
+        raise ValueError(f"cannot write {target}: {exc.strerror or exc}")
+
+
 def _write_output(columns: dict, footer: dict | None, config: RunConfig) -> None:
     """Emit named columns (see :mod:`.tables`) in CSV or JSON, to ``--out`` or stdout."""
     footer = footer or {}
@@ -88,24 +106,13 @@ def _write_output(columns: dict, footer: dict | None, config: RunConfig) -> None
         pieces = tables.json_pieces(head, columns, footer, config.precision)
     else:
         pieces = tables.csv_pieces(columns, footer, config.precision)
-    try:
+    with _output_errors(config.output):
         if config.output:
             with open(config.output, "w", newline="") as fh:
                 fh.writelines(pieces)
         else:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
-    except OSError as exc:
-        if not config.output:
-            # The interpreter flushes stdout again at exit: point its
-            # descriptor, if it has one, at os.devnull so that flush succeeds.
-            with contextlib.suppress(io.UnsupportedOperation):
-                stdout_fd = sys.stdout.fileno()
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, stdout_fd)
-                os.close(devnull)
-        target = f"--out {config.output}" if config.output else "stdout"
-        raise ValueError(f"cannot write {target}: {exc.strerror or exc}")
 
 
 def _build_params(args):
@@ -348,7 +355,8 @@ def cmd_figure(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Each flag that takes a value may also come from ``PTOM_<FLAG>``.
 
-    Only the chosen subcommand's parser runs, so only its variables are read.
+    A call builds only the parser of the command it names (see
+    :func:`build_parser`), so only that command's variables are read.
     A set variable is parsed as if its flag came first on the command line:
     argparse converts and checks it (type, choices), and an explicit flag,
     coming later, wins. Errors raise argparse.ArgumentError, which main()
@@ -368,6 +376,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
+
+    def _print_message(self, message, file=None):
+        # Only help and usage are left to print once error() raises, both to
+        # stdout; a failed write is reported like any other output's.
+        with _output_errors(None):
+            sys.stdout.write(message)
+            sys.stdout.flush()
 
     def parse_known_args(self, args=None, namespace=None):
         from_env = []
@@ -426,58 +441,66 @@ def _add_evolution(parser: argparse.ArgumentParser) -> None:
                         help="largest allowed analytic/numeric relative discrepancy (default 1e-6)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--gamma-min", type=float, default=0.0)
+    parser.add_argument("--gamma-max", type=float, default=2.0)
+    parser.add_argument("--gamma-res", type=int, default=201)
+    parser.add_argument("--G-min", type=float, default=0.0)
+    parser.add_argument("--G-max", type=float, default=2.0)
+    parser.add_argument("--G-res", type=int, default=201)
+
+
+def _add_steady(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--sweep", choices=("G", "gamma"), help="sweep variable for curve output")
+    parser.add_argument("--sweep-min", type=float)
+    parser.add_argument("--sweep-max", type=float)
+    parser.add_argument("--sweep-points", type=int, default=101)
+
+
+def _add_figure(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("name", help="preset name, e.g. 3a..3f, 4top, 4bot, 5a..5i, 6a, 6b")
+    parser.add_argument("--show-preset", action="store_true",
+                        help="print the preset parameter record instead of running it")
+
+
+# Per command: its help line, what adds its own arguments, in order, and its handler.
+_COMMANDS = {
+    "classify": ("regime label and spectrum of one parameter point", (_add_point,), cmd_classify),
+    "sweep": ("phase-diagram grid over (gamma, G)", (_add_sweep,), cmd_sweep),
+    "evolve": ("time evolution: displacement and particle numbers",
+               (_add_point, _add_evolution), cmd_evolve),
+    "steady": ("steady-state particle numbers (single point or sweep)",
+               (_add_point, _add_steady), cmd_steady),
+    "figure": ("run a named parameter preset",
+               (_add_figure, _add_point, _add_evolution), cmd_figure),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """Add ``command``'s own arguments, then the common ones, and its handler."""
+    _, adders, handler = _COMMANDS[command]
+    for add_arguments in (*adders, _add_common):
+        add_arguments(parser)
+    parser.set_defaults(func=handler, command=command)
+    return parser
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone if it names one, else the full parser
+    (for ``ptomech --help`` and a missing or unknown command). Adding every
+    command's arguments costs several times what parsing one call does."""
     # exit_on_error=False: a bad value raises argparse.ArgumentError, which
     # main() reports in one line.
+    if command in _COMMANDS:
+        return _fill(_Parser(prog=f"ptomech {command}", exit_on_error=False), command)
     parser = _Parser(
         prog="ptomech",
         description="Two-mode gain/loss optomechanical dynamics: regimes, spectra, trajectories.",
         exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, exit_on_error=False)
-
-    p = command("classify", "regime label and spectrum of one parameter point")
-    _add_point(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = command("sweep", "phase-diagram grid over (gamma, G)")
-    p.add_argument("--gamma-min", type=float, default=0.0)
-    p.add_argument("--gamma-max", type=float, default=2.0)
-    p.add_argument("--gamma-res", type=int, default=201)
-    p.add_argument("--G-min", type=float, default=0.0)
-    p.add_argument("--G-max", type=float, default=2.0)
-    p.add_argument("--G-res", type=int, default=201)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = command("evolve", "time evolution: displacement and particle numbers")
-    _add_point(p)
-    _add_evolution(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_evolve)
-
-    p = command("steady", "steady-state particle numbers (single point or sweep)")
-    _add_point(p)
-    p.add_argument("--sweep", choices=("G", "gamma"), help="sweep variable for curve output")
-    p.add_argument("--sweep-min", type=float)
-    p.add_argument("--sweep-max", type=float)
-    p.add_argument("--sweep-points", type=int, default=101)
-    _add_common(p)
-    p.set_defaults(func=cmd_steady)
-
-    p = command("figure", "run a named parameter preset")
-    p.add_argument("name", help="preset name, e.g. 3a..3f, 4top, 4bot, 5a..5i, 6a, 6b")
-    p.add_argument("--show-preset", action="store_true",
-                   help="print the preset parameter record instead of running it")
-    _add_point(p)
-    _add_evolution(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_figure)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_line, exit_on_error=False), name)
     return parser
 
 
@@ -492,8 +515,10 @@ def _argument_error(exc: argparse.ArgumentError) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv[1:] if command else argv)
         return args.func(args)
     except argparse.ArgumentError as exc:
         print(f"ptomech: invalid configuration: {_argument_error(exc)}", file=sys.stderr)

@@ -40,12 +40,6 @@ class Stability(Enum):
     UNSTABLE_DEGENERATE = "UnstableDegenerate"
 
 
-# Labels whose defining property is a vanishing maximal eigenvalue real part.
-MARGINAL_STABILITIES = frozenset(
-    {Stability.FINITE_TIME_STABLE, Stability.STABLE_BOUNDARY, Stability.UNSTABLE_DEGENERATE}
-)
-
-
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")

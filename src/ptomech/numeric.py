@@ -5,31 +5,33 @@ autonomous and at most affine, x' = Ax + b, so a single RK4 step reduces to
 multiplication by one constant matrix: R = I + D with D = hM + (hM)^2/2 +
 (hM)^3/6 + (hM)^4/24 for the augmented matrix M = [[A, b], [0, 0]] acting on
 (x, 1). Both moment systems share one propagator. The map between stored
-samples is R^chunk = I + D_chunk, built once per run by repeated squaring on
-the small part D alone. From it, the small parts D_1..D_32 of its first 32
-powers are built once per run by the same rule, and the samples are filled in
-runs of 32: each sample of a run is x + D_i x of the sample x before the run,
-all of them from one matrix-vector product with the stack. It is still the
-discrete RK4 map, not the exact exponential, so the oracle stays independent
-of the closed forms. All integration runs in kappa-normalized time
-internally; times are converted to seconds at the boundary.
+samples is R^chunk, built once per run by repeated squaring: on small parts
+D (R^chunk = I + D) while the maps stay near I, on full matrices past that.
+From it, its first 32 powers are built once per run by the same rule, and the
+samples are filled in runs of 32: each sample of a run is x + D_i x, or P_i x
+for full powers P_i, of the sample x before the run, all of them from one
+matrix-vector product with the stack; small parts are used only where all 32
+powers stay near I. It is still the discrete RK4 map, not the exact
+exponential, so the oracle stays independent of the closed forms. All
+integration runs in kappa-normalized time internally; times are converted to
+seconds at the boundary.
 
 A run of 32 samples costs one numpy call where one product per sample cost
-32, and rounds no worse. Over 150 seeded points (gamma, G) in [0, 3]^2 kappa
-with t_end = 10/kappa, the largest discrepancy footer against the closed forms
-is 8.6e-12, at the strongly unstable point (2.665, 1.863) kappa, where one
-product per sample gave 9.1e-12; runs of 16 give 8.2e-12. Longer runs round
-worse, 6.7e-11 with runs of 64 and 6.2e-11 with 256, both at that point: the
-rounding error of x + D_i x scales with the size of D_i, which grows with i
-at an unstable point.
+32. Where the map contracts, I + D_i is tiny and D_i close to -I, so x + D_i x
+would cancel to about eps |x| and lose the relative accuracy of a decaying
+state; the full powers keep it. Over 150 seeded points (gamma, G) in [0, 3]^2
+kappa with t_end = 10/kappa, the largest discrepancy footer against the closed
+forms is 5.2e-12 (3.5e-12 with small parts alone); over 60 points in [0, 4]^2
+kappa with t_end = 200/kappa it is 5.6e-11, where small parts alone gave
+2.6e-10.
 
 For unstable regimes the integration halts with a flagged truncation at the
 first stored sample whose largest moment magnitude exceeds 1e12 or is NaN,
-reporting that sample's time as the blow-up time. The guard is checked once
-per block of ``GUARD_BLOCK`` samples, over the whole block at once (runs end
-at block ends); the series is cut at the first failing sample of the block,
-so it truncates at the same sample as a check after every sample, and a long
-run stops within one block of it.
+kept as the series' last sample: its time is the blow-up time. The guard is
+checked once per block of ``GUARD_BLOCK`` samples, over the whole block at
+once (runs end at block ends); the series is cut at the first failing sample
+of the block, so it truncates at the same sample as a check after every
+sample, and a long run stops within one block of it.
 
 The CLI checks the closed forms against these series on the rows both
 reached: x = 2 x_zpf Re<b> relative to the local amplitude 2 x_zpf |<b>|
@@ -51,6 +53,8 @@ OVERFLOW_GUARD = 1e12
 GUARD_BLOCK = 256
 # Samples filled from one sample by one product with a stack of map powers.
 POWER_RUN = 32
+# Bound on the norm of a small part D that :func:`_compose` keeps as such.
+SMALL_LIMIT = 0.5
 # Step counts stay exact integers in float arithmetic, and the sample times
 # (step index times step) in int64.
 MAX_STEPS = 2**53
@@ -64,7 +68,6 @@ class FirstMomentSeries:
     a_mean: np.ndarray
     b_mean: np.ndarray
     truncated: bool = False
-    blowup_time: float | None = None
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,6 @@ class SecondMomentSeries:
     n_b: np.ndarray
     ab_corr: np.ndarray
     truncated: bool = False
-    blowup_time: float | None = None
 
 
 def default_dt(params: SystemParams) -> float:
@@ -115,33 +117,51 @@ def _plan_grid(t_end_k: float, dt_k: float, n_samples: int | None) -> tuple[int,
     return chunk, intervals
 
 
-def _compose(delta: np.ndarray, power: int) -> np.ndarray:
-    """D with I + D = (I + delta)^power, by repeated squaring on the small part:
-    (I + a)(I + b) = I + (a + b + ab), so squaring takes delta to 2 delta + delta^2.
+def _times(a: np.ndarray, b: np.ndarray, full: bool) -> np.ndarray:
+    """The product of two maps given in full, or near I by their small parts:
+    (I + a)(I + b) = I + (a + b + ab). Broadcasts over a stack ``a``."""
+    return a @ b if full else a + b + a @ b
+
+
+def _compose(delta: np.ndarray, power: int, span: int) -> tuple[np.ndarray, bool]:
+    """The map (I + delta)^power by repeated squaring, as (D, False) with the
+    map I + D if every power of I + delta up to ``span`` steps stays near I,
+    else as (P, True).
 
     Products of I + O(h) matrices rounded as such lose the O(h) part's low
-    digits at every step; these sums keep them.
+    digits at every step; products of small parts keep them. But where the map
+    contracts, I + D is tiny and D close to -I, and small parts would cancel
+    to a few eps of I. So a map of j steps counts as near I while the bound
+    (1 + |delta|)^j - 1 on the norm of its small part, |.| the Frobenius norm,
+    stays within ``SMALL_LIMIT``: the factors are squared as small parts while
+    that holds for them, and as full matrices from there on.
     """
-    result = None
+    # A map of j steps is near I while j * growth <= 1.
+    growth = math.log1p(math.sqrt(np.vdot(delta, delta).real)) / math.log1p(SMALL_LIMIT)
+    result, full, steps = None, False, 1
     while True:
         if power & 1:
-            result = delta if result is None else result + delta + result @ delta
+            result = delta if result is None else _times(result, delta, full)
         power >>= 1
         if not power:
-            return result
-        delta = 2.0 * delta + delta @ delta
+            break
+        if not full and steps * growth > 1.0:
+            eye = np.eye(len(delta), dtype=delta.dtype)
+            full, delta = True, delta + eye
+            result = None if result is None else result + eye
+        delta = _times(delta, delta, full)
+        steps *= 2
+    if not full and span * growth > 1.0:
+        return result + np.eye(len(delta), dtype=delta.dtype), True
+    return result, full
 
 
-def _power_stack(D: np.ndarray, count: int) -> np.ndarray:
-    """Small parts D_1..D_count of the powers (I + D)^i, i = 1..count, as one stack.
-
-    Doubles a stack by the rule of :func:`_compose`: (I + D)^(m + j) =
-    (I + D_j)(I + D_m), so D_(m + j) = D_j + D_m + D_j D_m for j = 1..m.
-    """
+def _power_stack(D: np.ndarray, count: int, full: bool) -> np.ndarray:
+    """The first ``count`` powers of a map given as by :func:`_compose`, as one
+    stack, doubled by (I + D)^(m + j) = (I + D_j)(I + D_m) for j = 1..m."""
     stack = D[np.newaxis]
     while len(stack) < count:
-        last = stack[-1]
-        stack = np.concatenate([stack, stack + last + stack @ last])
+        stack = np.concatenate([stack, _times(stack, stack[-1], full)])
     return stack[:count]
 
 
@@ -154,15 +174,15 @@ def _propagate(
     Works in kappa-normalized time. Returns the sample times, one state per
     row, and whether the run stopped at the overflow guard; a truncated run
     keeps the first sample that failed the guard as its last row. The RK4 step
-    I + delta is composed over ``chunk`` steps as I + D by :func:`_compose`,
-    which works on delta alone. The small parts D_1..D_S of the powers
-    (I + D)^i, i = 1..S = ``POWER_RUN``, are built once by
+    I + delta is composed over ``chunk`` steps by :func:`_compose`, as its
+    small part D if its first S = ``POWER_RUN`` powers stay near I, else as the
+    full map P. Those S powers, D_i or P_i, are built once by
     :func:`_power_stack`. Each run of up to S samples is filled from the
-    sample x before it as x + D_i x, i = 1..S, by one matrix-vector product
-    with the stack seen as one (S (n+1), n+1) matrix. A run uses only the
-    leading finite powers (at least one), so a state that the per-sample map
-    keeps finite, such as zero, is not turned into inf * 0 = NaN. Runs end at
-    the end of each block of ``GUARD_BLOCK`` samples, where the guard is
+    sample x before it as x + D_i x, or P_i x, i = 1..S, by one matrix-vector
+    product with the stack seen as one (S (n+1), n+1) matrix. A run uses only
+    the leading finite powers (at least one), so a state that the per-sample
+    map keeps finite, such as zero, is not turned into inf * 0 = NaN. Runs end
+    at the end of each block of ``GUARD_BLOCK`` samples, where the guard is
     checked over the block; that truncates at the same sample as checking
     after each one.
     """
@@ -185,7 +205,9 @@ def _propagate(
     # Past the guard the state may overflow to inf or NaN; the guard reports
     # that, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = _power_stack(_compose(delta, chunk), min(POWER_RUN, intervals))
+        count = min(POWER_RUN, intervals)
+        per_sample, full = _compose(delta, chunk, chunk * count)
+        stack = _power_stack(per_sample, count, full)
         run = max(1, int(np.cumprod(np.isfinite(stack).all(axis=(1, 2))).sum()))
         flat = stack[:run].reshape(run * (n + 1), n + 1)
         for start in range(1, intervals + 1, GUARD_BLOCK):
@@ -194,7 +216,8 @@ def _propagate(
                 r = min(run, stop - i)
                 out = xs[i:i + r]
                 np.matmul(flat[:r * (n + 1)], xs[i - 1], out=out.reshape(-1))
-                out += xs[i - 1]
+                if not full:
+                    out += xs[i - 1]
             # Written so that NaN also fails the guard.
             failed = ~np.all(np.abs(xs[start:stop, :n]) <= OVERFLOW_GUARD, axis=1)
             if failed.any():
@@ -234,7 +257,6 @@ def integrate_first_moments(
         a_mean=z[:, 0],
         b_mean=z[:, 1],
         truncated=truncated,
-        blowup_time=float(t[-1]) if truncated else None,
     )
 
 
@@ -278,7 +300,6 @@ def integrate_second_moments(
         # turns an infinite Im of a truncated run's last row into a NaN Re.
         ab_corr=np.ascontiguousarray(v[:, 2:]).view(complex)[:, 0],
         truncated=truncated,
-        blowup_time=float(t[-1]) if truncated else None,
     )
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptomech import analytic, spectrum, tables
+from ptomech import analytic, cli, spectrum, tables
 from ptomech.cli import (
     EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, RunConfig, _write_output, build_parser,
     main,
@@ -250,6 +250,25 @@ class TestEvolveCommand:
         assert len(rows) == 3 and "truncated_at_t" not in footer
         assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-6
 
+    @pytest.mark.parametrize("argv", [
+        ("figure", "3a", "--t-end", "1000"),
+        ("evolve", "--gamma", "0.063", "--G", "0.794", "--t-end", "1000"),
+        ("evolve", "--gamma", "0.3", "--G", "0.65", "--t-end", "1000"),
+        ("evolve", "--gamma", "0.6", "--G", "0.798", "--t-end", "5000"),
+        ("evolve", "--gamma", "0.6", "--G", "1.2", "--t-end", "200", "--samples", "5"),
+        ("evolve", "--gamma", "0", "--G", "0", "--omega1", "0.01", "--t-end", "400",
+         "--samples", "1000"),
+    ])
+    def test_long_stable_runs_keep_relative_accuracy(self, capsys, argv):
+        # The map between samples contracts by up to e^-10 here, and n_a of the
+        # last case by e^-26 over a run of 32 samples: filled as x + D_i x from
+        # small parts D_i, these rows would cancel to ~eps |x|.
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        _, _, footer = parse_csv(out)
+        assert float(footer["max_rel_discrepancy_x"]) <= 1e-10
+        assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-10
+
     def test_closed_form_error_exit_code(self, capsys, monkeypatch):
         def overflowing(params, init, t):
             raise analytic.ClosedFormError("n_b_sp is not finite from t = 1.0e-05 s on")
@@ -468,27 +487,39 @@ class TestRequestsThatCannotRun:
     """Output that cannot be written and arrays that cannot be allocated exit 2
     with one line on stderr."""
 
-    @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_closed_stdout_pipe(self, unbuffered):
-        # Buffered, stdout keeps the unwritten text and the interpreter's exit
-        # flush tries it again; that attempt must not add a line either.
-        read_end, write_end = os.pipe()
-        os.close(read_end)
+    @staticmethod
+    def assert_stdout_unwritable(argv, stdout, unbuffered=False):
+        """``ptomech argv`` in a fresh process with ``stdout`` exits 2 with one line."""
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        try:
-            proc = subprocess.run([sys.executable, "-m", "ptomech.cli", "sweep"],
-                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
-        finally:
-            os.close(write_end)
+        proc = subprocess.run([sys.executable, "-m", "ptomech.cli", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
         err = proc.stderr.decode()
         assert proc.returncode == EXIT_INVALID
         assert err.count("\n") == 1
         assert err.startswith("ptomech: invalid configuration: cannot write stdout: ")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_pipe(self, unbuffered):
+        # Buffered, stdout keeps the unwritten text and the interpreter's exit
+        # flush tries it again; that attempt must not add a line either.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            self.assert_stdout_unwritable(["sweep"], write_end, unbuffered)
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["--help"], ["figure", "--help"]])
+    def test_help_to_a_full_device(self, argv):
+        # argparse itself drops a failed help write and exits 0.
+        with open("/dev/full", "wb") as full:
+            self.assert_stdout_unwritable(argv, full)
 
     @pytest.mark.parametrize("argv", [
         ("sweep", "--gamma-res", str(2**59), "--G-res", "2"),
@@ -980,12 +1011,75 @@ class TestFloatCells:
         assert sum(exact) < 0.01 * 2 * len(values)
 
 
-def _subcommand_flags() -> dict:
-    """Each subcommand's optional arguments, read from the parser itself."""
+# One valid, quick call per command.
+VALID_CALLS = {
+    "classify": ["--gamma", "0.6", "--G", "1.2"],
+    "sweep": ["--gamma-res", "3", "--G-res", "3"],
+    "evolve": ["--gamma", "0.6", "--G", "1.2", "--t-end", "1", "--samples", "5"],
+    "steady": ["--gamma", "0.6", "--G", "1.2"],
+    "figure": ["3a", "--t-end", "1", "--samples", "5"],
+}
+
+
+def _full_subparser(command: str) -> argparse.ArgumentParser:
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: [a for a in p._actions if a.option_strings and a.dest != "help"]
-            for name, p in sub.choices.items()}
+    return sub.choices[command]
+
+
+class TestParserPerCall:
+    """A call builds the parser of the command it names alone, and that parser
+    reads and reports everything as the full parser's subparser does."""
+
+    def test_every_command_has_a_valid_call(self):
+        assert list(VALID_CALLS) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(VALID_CALLS))
+    def test_each_call_builds_one_parser(self, capsys, monkeypatch, command):
+        built = []
+        original = cli._Parser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        code, out, _ = run(capsys, command, *VALID_CALLS[command])
+        assert code == EXIT_OK and out
+        assert built == [f"ptomech {command}"]
+
+    @pytest.mark.parametrize("command", sorted(VALID_CALLS))
+    def test_help_equals_the_full_parsers(self, command):
+        assert build_parser(command).format_help() == _full_subparser(command).format_help()
+
+    @pytest.mark.parametrize("command, argv, env", [
+        ("sweep", ["--gamma-res", "x"], {}),
+        ("evolve", ["--samples"], {}),
+        ("figure", [], {}),
+        ("classify", ["--format", "xml"], {}),
+        ("figure", ["3a"], {"PTOM_SAMPLES": "x"}),
+        ("steady", [], {"PTOM_SWEEP": "x"}),
+        ("figure", ["3a", "--bogus"], {}),
+        ("classify", ["extra"], {}),
+    ])
+    def test_error_lines_equal_the_full_parsers(self, monkeypatch, command, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        lines = []
+        for parse in (lambda: build_parser(command).parse_args(argv),
+                      lambda: build_parser().parse_args([command, *argv])):
+            with pytest.raises(argparse.ArgumentError) as caught:
+                parse()
+            lines.append(cli._argument_error(caught.value))
+        assert lines[0] == lines[1]
+        assert all(f"({name}=" in lines[0] for name in env)
+
+
+def _subcommand_flags() -> dict:
+    """Each subcommand's optional arguments, read from the full parser itself."""
+    return {name: [a for a in _full_subparser(name)._actions
+                   if a.option_strings and a.dest != "help"]
+            for name in cli._COMMANDS}
 
 
 _FLAGS = _subcommand_flags()

@@ -64,12 +64,14 @@ def composed_loop(A, b, x0, t_end_k, dt_k, n_samples):
     """Reference for ``_propagate``: the same composed per-sample map, applied
     one sample at a time with the guard checked after each sample.
 
-    The step is I + delta; (I + delta)^chunk = I + D is composed bit by bit of
-    chunk, least significant first, on the small parts alone:
-    (I + a)(I + b) = I + (a + b + ab)."""
+    The step is I + delta; (I + delta)^chunk is composed bit by bit of chunk,
+    least significant first, on the small parts alone, (I + a)(I + b) =
+    I + (a + b + ab), while the factor of 2^i steps has (1 + |delta|)^(2^i)
+    <= 1.5 (Frobenius norm), and as full matrices from there on."""
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
     n = len(x0)
+    eye = np.eye(n + 1, dtype=A.dtype)
     hM = np.zeros((n + 1, n + 1), dtype=A.dtype)
     hM[:n, :n] = h * A
     hM[:n, n] = h * b
@@ -77,14 +79,17 @@ def composed_loop(A, b, x0, t_end_k, dt_k, n_samples):
     for k in (2.0, 3.0, 4.0):
         term = term @ hM / k
         delta = delta + term
-    powers = [delta]  # small parts of the 2^i-th powers
-    while 2 ** len(powers) <= chunk:
-        powers.append(2.0 * powers[-1] + powers[-1] @ powers[-1])
-    D = None
-    for i, small in enumerate(powers):
+    norm = np.linalg.norm(delta)
+    D, full = None, False  # the map so far: its small part, or itself once full
+    for i in range(chunk.bit_length()):
         if chunk >> i & 1:
-            D = small if D is None else D + small + D @ small
-    per_sample = np.eye(n + 1, dtype=A.dtype) + D
+            D = delta if D is None else D @ delta if full else D + delta + D @ delta
+        if not full and 2**i * math.log1p(norm) > math.log1p(0.5):
+            full = True
+            delta = delta + eye
+            D = None if D is None else D + eye
+        delta = delta @ delta if full else 2.0 * delta + delta @ delta
+    per_sample = D if full else eye + D
     xs = [np.append(x0, 1.0).astype(A.dtype)]
     truncated = False
     for _ in range(intervals):
@@ -109,6 +114,10 @@ PROPAGATOR_CASES = {
     # of the first guard block) and GUARD_BLOCK + 1 (the first of the next).
     "block_end": (1.8, 1.2, 2.0, 22.0, 513),
     "block_start": (1.8, 1.2, 2.0, 25.75, 601),
+    # Region 4, where the map contracts: sample intervals of 5/kappa, and one
+    # interval of 200/kappa.
+    "stable_chunked": (0.6, 1.2, 2.0, 200.0, 41),
+    "stable_one_interval": (0.6, 1.2, 2.0, 200.0, 2),
 }
 
 
@@ -200,6 +209,16 @@ class TestPropagatorAgainstStepwiseLoop:
         assert truncated and len(t) == len(xs) == k + 1
         assert xs[-2, 0] <= OVERFLOW_GUARD < xs[-1, 0]
 
+    def test_contracting_runs_keep_relative_accuracy(self):
+        # x' = -2x over sample intervals of 127 steps: the squared factors of
+        # up to 64 steps stay near I, but each sample shrinks x by e^-1.27 and
+        # a run of 32 by e^-40, so every row must keep its own relative error.
+        A, b, x0 = np.array([[-2.0]]), np.zeros(1), np.ones(1)
+        t, xs, truncated = _propagate(A, b, x0, 25.4, 0.005, 41)
+        ref = stepwise_rk4(A, b, x0, 25.4, 0.005, 41)
+        assert not truncated and xs.shape == ref.shape == (41, 1)
+        assert np.max(np.abs(xs - ref) / np.abs(ref)) <= 1e-12
+
     def test_runs_use_only_finite_powers(self):
         # x' = x over sample intervals of 300/kappa: (I + D)^2 ~ e^600 is past
         # float range, so each sample comes from the one before, and a zero
@@ -216,7 +235,7 @@ class TestPropagatorAgainstStepwiseLoop:
         zero = CoherentInit(alpha=0j, beta=0j)
         series = integrate_first_moments(p, zero, 400.0 / KAPPA, dt=0.005 / KAPPA,
                                          n_samples=2000)
-        assert not series.truncated and series.blowup_time is None
+        assert not series.truncated
         assert len(series.t) == 2000
         assert not np.any(series.a_mean) and not np.any(series.b_mean)
 
@@ -351,7 +370,6 @@ class TestSecondMoments:
         p = params_at(1.8, 1.2)
         series = integrate_second_moments(p, coherent_init, 40.0 / KAPPA, n_samples=400)
         assert series.truncated
-        assert series.blowup_time is not None
         assert series.t[-1] < 40.0 / KAPPA
         assert np.max(series.n_b) > 1e12
 
@@ -362,7 +380,6 @@ class TestSecondMoments:
             series = integrate_second_moments(p, coherent_init, 400.0 / KAPPA, n_samples=2)
         assert np.isnan(series.n_b[-1])
         assert series.truncated
-        assert series.blowup_time == series.t[-1]
 
 
 class TestSplit:

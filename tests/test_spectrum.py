@@ -17,10 +17,14 @@ from ptomech import (
     phase_diagram,
     supermode_frequencies,
 )
-from ptomech.model import MARGINAL_STABILITIES
 from ptomech.spectrum import REGIME_LABELS, regime_codes
 
 from conftest import KAPPA, MASS, OMEGA1, TRAJECTORY_SETS, params_at
+
+# Labels whose defining property is a vanishing maximal eigenvalue real part.
+MARGINAL_STABILITIES = frozenset(
+    {Stability.FINITE_TIME_STABLE, Stability.STABLE_BOUNDARY, Stability.UNSTABLE_DEGENERATE}
+)
 
 
 def sorted_lambdas(values):
