@@ -183,10 +183,11 @@ def cmd_sweep(args) -> int:
     config = _config_from_args(args, "sweep", sweep={name: getattr(args, name) for name in names})
     grid = spectrum.phase_diagram((args.gamma_min, args.gamma_max), (args.G_min, args.G_max),
                                   (args.gamma_res, args.G_res), tol=args.tol)
-    n_gamma, n_G = grid.codes.shape
+    # Each axis value is formatted once: row i * n_G + j is (gamma_i, G_j).
+    i, j = np.indices(grid.codes.shape).reshape(2, -1)
     columns = {
-        "gamma_over_kappa": np.repeat(grid.gamma_over_kappa, n_G),
-        "G_over_kappa": np.tile(grid.G_over_kappa, n_gamma),
+        "gamma_over_kappa": tables.Coded(grid.gamma_over_kappa, i),
+        "G_over_kappa": tables.Coded(grid.G_over_kappa, j),
         **_label_columns(grid.codes.ravel()),
         "max_re_lambda": grid.max_re_lambda.ravel(),
     }
@@ -291,7 +292,7 @@ def _steady_sweep_columns(args, axis: str) -> dict:
         make_params(k, gamma[-1], G[-1], args.omega1 * k, args.mass)
     n_a_s, n_b_s, missing = analytic.steady_state(k, gamma, G, args.tol)
     return {axis: values, "n_a_s": n_a_s, "n_b_s": n_b_s,
-            "stable": (missing == 0).astype(int).tolist()}
+            "stable": tables.Coded((0, 1), (missing == 0).astype(np.intp))}
 
 
 def cmd_steady(args) -> int:

@@ -1,13 +1,13 @@
 """Tables of named columns as CSV or JSON text.
 
-A table is a dict of equal-length columns: a float ndarray, or a list (or a
-:class:`Coded`) of str/int cells. CSV writes each float as '%.{p-1}e' at the
-precision p (-0.0 as 0, NaN as ``nan``) and other cells by ``str``; JSON
-writes the float the CSV text reads back as, as json.dumps writes it (NaN as
-null), and other cells by json.dumps, with the same bytes as ``json.dumps(
-payload, indent=2)``. One consequence, kept on purpose: a value whose
-rounded decimal lies past float range differs between the two, e.g.
-1.5e308 at p = 1 is ``2e+308`` in CSV and ``Infinity`` in JSON.
+A table is a dict of equal-length columns: a float ndarray, a list of str/int
+cells, or a :class:`Coded` column of str/int cells or floats. CSV writes each
+float as '%.{p-1}e' at the precision p (-0.0 as 0, NaN as ``nan``) and other
+cells by ``str``; JSON writes the float the CSV text reads back as, as
+json.dumps writes it (NaN as null), and other cells by json.dumps, with the
+same bytes as ``json.dumps(payload, indent=2)``. One consequence, kept on
+purpose: a value whose rounded decimal lies past float range differs between
+the two, e.g. 1.5e308 at p = 1 is ``2e+308`` in CSV and ``Infinity`` in JSON.
 
 Floats take one numpy digit pass for p <= 12: e = floor(log10|v|) and
 m = rint(|v| 10**(p-1-e)) give each value's p digits once, and CSV and JSON
@@ -22,8 +22,10 @@ of a rounding tie, every value for p > 12, and arrays too short to repay
 the numpy calls.
 
 Rows go out in blocks of ``_BLOCK_ROWS``: the float columns of a block in one
-call, each distinct str/int cell encoded once and gathered, all laid out at
-fixed positions on one canvas of 4-byte words. Bytes between texts are 0xFF,
+call, each distinct cell of a coded or str/int column formatted once and
+gathered, all laid out at fixed positions on one canvas of 4-byte words. A
+run of adjacent coded columns sharing one codes array is one gathered slot,
+which holds its separators and keys too. Bytes between texts are 0xFF,
 which no UTF-8 (or surrogatepass) encoding has: dropping them compacts a block.
 """
 
@@ -223,9 +225,10 @@ def float_text(value: float, p: int) -> str:
 
 
 class Coded:
-    """A column of str/int cells: its distinct cells, and each row's index into them."""
+    """A column by its distinct cells (a tuple of str/int, or a float ndarray)
+    and each row's index into them; each distinct cell is formatted once."""
 
-    def __init__(self, values: tuple, codes: np.ndarray):
+    def __init__(self, values: tuple | np.ndarray, codes: np.ndarray):
         self.values, self.codes = values, codes
 
     def __len__(self) -> int:
@@ -258,34 +261,54 @@ def _row_blocks(columns: dict, pieces: list[str], p: int, json_text: bool):
     ``pieces[-1]`` after the last cell, one string per block of rows.
 
     A float column (ndarray) is formatted by :func:`_float_cells`, the float
-    columns of a block in one call; a str/int column (a list or a
-    :class:`Coded`) is encoded once per distinct cell (``str`` for CSV,
-    json.dumps for JSON) and gathered. Each block is laid out on a canvas of
-    words at fixed positions and compacted once by dropping its pads.
+    columns of a block in one call; a coded or str/int column once per distinct
+    cell (floats by :func:`_float_cells`, other cells by ``str`` for CSV and
+    json.dumps for JSON) and gathered by code. Adjacent coded columns sharing
+    one ``codes`` array gather from one table, whose rows hold each column's
+    piece and cell without pads between them. Each block is laid out on a
+    canvas of words at fixed positions and compacted once by dropping its pads.
     """
     n_rows = min(map(len, columns.values()), default=0)
     float_columns = [col for col in columns.values() if isinstance(col, np.ndarray)]
     cell_width = _cell_words(float_columns, p, json_text)
+    # Each cell's piece and slot: [piece, None, column] for a float column and
+    # ["", codes, texts] for a run of coded columns, each text the run's pieces
+    # and cells for one code. No float text holds "\n", so it ends each cell.
+    slots = []
+    for piece, col in zip(pieces, columns.values()):
+        if isinstance(col, np.ndarray):
+            slots.append([piece, None, col])
+            continue
+        coded = col if isinstance(col, Coded) else _coded(col)
+        if isinstance(coded.values, np.ndarray):
+            cells = _float_cells(coded.values, p, json_text)
+            ends = np.full((len(cells), 1), _word("\n"), _WORD)
+            texts = _text(np.hstack([cells, ends])).split("\n")[:-1]
+        else:
+            texts = [json.dumps(c) if json_text else str(c) for c in coded.values]
+        texts = [piece + text for text in texts]
+        if slots and slots[-1][1] is coded.codes:
+            slots[-1][2] = [a + b for a, b in zip(slots[-1][2], texts)]
+        else:
+            slots.append(["", coded.codes, texts])
     # The row template holds the pieces, each padded to whole words, and
-    # after each piece its column's slot: floats (offset, column) and str/int
-    # columns (offset, codes, table).
+    # after each piece its slot: floats (offset, column) and coded runs
+    # (offset, codes, table).
     template = bytearray()
 
     def add_piece(piece: str) -> None:
         data = piece.encode("utf-8", "surrogatepass")
         template.extend(data + _PAD * (-len(data) % 4))
 
-    floats, slots = [], []
-    for piece, col in zip(pieces, columns.values()):
+    floats, coded_slots = [], []
+    for piece, codes, col in slots:
         add_piece(piece)
-        offset = len(template) // 4
-        if isinstance(col, np.ndarray):
-            floats.append((offset, col))
+        if codes is None:
+            floats.append((len(template) // 4, col))
             width = cell_width
         else:
-            coded = col if isinstance(col, Coded) else _coded(col)
-            table = _word_table([json.dumps(c) if json_text else str(c) for c in coded.values])
-            slots.append((offset, coded.codes, table))
+            table = _word_table(col)
+            coded_slots.append((len(template) // 4, codes, table))
             width = table.shape[1]
         template.extend(_PAD * (4 * width))
     add_piece(pieces[-1])
@@ -300,7 +323,7 @@ def _row_blocks(columns: dict, pieces: list[str], p: int, json_text: bool):
             cells = _float_cells(block, p, json_text, cell_width).reshape(n, -1, cell_width)
             for k, (at, _) in enumerate(floats):
                 chars[:, at:at + cell_width] = cells[:, k]
-        for at, codes, table in slots:
+        for at, codes, table in coded_slots:
             chars[:, at:at + table.shape[1]] = table[codes[rows]]
         yield _text(chars)
 

@@ -1011,6 +1011,55 @@ class TestFloatCells:
         assert sum(exact) < 0.01 * 2 * len(values)
 
 
+def written(columns, precision, fmt):
+    """The text the writer makes of ``columns`` (no footer) in CSV or JSON."""
+    if fmt == "json":
+        return "".join(tables.json_pieces({"command": "test"}, columns, {}, precision))
+    return "".join(tables.csv_pieces(columns, {}, precision))
+
+
+_CODED_FLOATS = st.one_of(st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-300, 1.5e308]),
+                          _NEAR_TIES, st.floats())
+
+
+@st.composite
+def _coded_tables(draw):
+    """Float values (fewer or more than the digit pass takes), str labels and
+    row codes into both, for as few rows as none or more than one block."""
+    n_values = draw(st.sampled_from([1, 3, tables._FAST_MIN_CELLS - 1, tables._FAST_MIN_CELLS + 9]))
+    values = np.array(draw(st.lists(_CODED_FLOATS, min_size=n_values, max_size=n_values)))
+    labels = tuple(draw(st.lists(_TEXT, min_size=1, max_size=4)))
+    n_rows = draw(st.sampled_from([0, 1, 37, tables._BLOCK_ROWS + 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, min(n_values, len(labels)), n_rows)
+    return values, labels, codes, rng.integers(0, n_values, n_rows)
+
+
+class TestCodedColumns:
+    """A coded float column writes the text of the plain column values[codes],
+    and adjacent coded columns that share codes (one slot of the row template)
+    write the text of the same columns with codes of their own."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(table=_coded_tables(), precision=st.integers(1, 17),
+           fmt=st.sampled_from(["csv", "json"]))
+    def test_coded_columns_write_the_gathered_text(self, table, precision, fmt):
+        values, labels, codes, other = table
+
+        def columns(shared):
+            own = (lambda: codes) if shared else codes.copy
+            return {"x": tables.Coded(values, own()), "s": tables.Coded(labels, own()),
+                    "y": tables.Coded(values[::-1], own()), "z": tables.Coded(values, other),
+                    "w": values[other], "v": tables.Coded(labels, own())}
+
+        plain = {"x": values[codes], "s": [labels[c] for c in codes],
+                 "y": values[::-1][codes], "z": values[other], "w": values[other],
+                 "v": [labels[c] for c in codes]}
+        text = written(plain, precision, fmt)
+        assert written(columns(shared=True), precision, fmt) == text
+        assert written(columns(shared=False), precision, fmt) == text
+
+
 # One valid, quick call per command.
 VALID_CALLS = {
     "classify": ["--gamma", "0.6", "--G", "1.2"],
