@@ -28,6 +28,13 @@ finite steady state at a ``steady`` point (``analytic.NoSteadyState``); 4
 analytic/numeric discrepancy above threshold, or a closed form that is not
 finite at a requested time (``analytic.ClosedFormError``). :func:`main` alone
 maps errors to exit codes, and each failure prints one line on stderr.
+
+A JSON document starts with ``command`` and a ``config`` block of the flags:
+``params_in_kappa_units`` (gamma, G, omega1), ``init`` (alpha_mag, alpha_phase,
+beta_mag, beta_phase), kappa_hz, mass, t_end, dt, samples, tol, ``output``
+(--out), format, precision, ``sweep`` (the grid or curve of a sweep) and
+``figure`` (the preset of ``figure --show-preset``); a flag the command does
+not have reads null. A figure run records the command it runs, evolve or steady.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ import io
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,29 +61,6 @@ EXIT_DISCREPANCY = 4
 
 class DiscrepancyExceeded(Exception):
     """Analytic and numeric trajectories disagree beyond the threshold."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete, serializable description of one CLI invocation."""
-
-    command: str
-    params_in_kappa_units: dict
-    init: dict
-    kappa_hz: float = presets.KAPPA_HZ_DEFAULT
-    mass: float = presets.MASS_DEFAULT
-    t_end: float | None = None
-    dt: float | None = None
-    samples: int | None = None
-    tol: float = spectrum.DEFAULT_TOL
-    output: str | None = None
-    format: str = "csv"
-    precision: int = 12
-    sweep: dict | None = None
-    figure: str | None = None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @contextlib.contextmanager
@@ -98,17 +81,17 @@ def _output_errors(output: str | None):
         raise ValueError(f"cannot write {target}: {exc.strerror or exc}")
 
 
-def _write_output(columns: dict, footer: dict | None, config: RunConfig) -> None:
+def _write_output(columns: dict, footer: dict | None, config: dict) -> None:
     """Emit named columns (see :mod:`.tables`) in CSV or JSON, to ``--out`` or stdout."""
     footer = footer or {}
-    if config.format == "json":
-        head = {"command": config.command, "config": config.to_dict(), "columns": list(columns)}
-        pieces = tables.json_pieces(head, columns, footer, config.precision)
+    if config["format"] == "json":
+        head = {"command": config["command"], "config": config, "columns": list(columns)}
+        pieces = tables.json_pieces(head, columns, footer, config["precision"])
     else:
-        pieces = tables.csv_pieces(columns, footer, config.precision)
-    with _output_errors(config.output):
-        if config.output:
-            with open(config.output, "w", newline="") as fh:
+        pieces = tables.csv_pieces(columns, footer, config["precision"])
+    with _output_errors(config["output"]):
+        if config["output"]:
+            with open(config["output"], "w", newline="") as fh:
                 fh.writelines(pieces)
         else:
             sys.stdout.writelines(pieces)
@@ -118,10 +101,6 @@ def _write_output(columns: dict, footer: dict | None, config: RunConfig) -> None
 def _build_params(args):
     kappa = args.kappa_hz
     return make_params(kappa, args.gamma * kappa, args.G * kappa, args.omega1 * kappa, args.mass)
-
-
-def _build_init(args) -> CoherentInit:
-    return CoherentInit.from_polar(args.alpha_mag, args.alpha_phase, args.beta_mag, args.beta_phase)
 
 
 # Per label column, the string of each regime code.
@@ -135,29 +114,29 @@ def _label_columns(codes: np.ndarray) -> dict:
     return {name: tables.Coded(strings, codes) for name, strings in _LABEL_STRINGS.items()}
 
 
-def _config_from_args(args, command: str, sweep: dict | None = None) -> RunConfig:
+def _config_from_args(args, command: str, sweep: dict | None = None) -> dict:
+    """The config block (see the module docstring), after checking the flags
+    it records that not every command reads: --precision, --tol, --kappa-hz,
+    --omega1 and --mass."""
     if args.precision < 1:
         raise ValueError("--precision must be >= 1")
-    params = {"gamma": getattr(args, "gamma", None), "G": getattr(args, "G", None),
-              "omega1": args.omega1}
-    init = {name: getattr(args, name, None)
-            for name in ("alpha_mag", "alpha_phase", "beta_mag", "beta_phase")}
-    return RunConfig(
-        command=command,
-        params_in_kappa_units=params,
-        init=init,
-        kappa_hz=args.kappa_hz,
-        mass=args.mass,
-        t_end=getattr(args, "t_end", None),
-        dt=getattr(args, "dt", None),
-        samples=getattr(args, "samples", None),
-        tol=args.tol,
-        output=args.out,
-        format=args.format,
-        precision=args.precision,
-        sweep=sweep,
-        figure=getattr(args, "name", None) if command == "figure" else None,
-    )
+    spectrum.check_tol(args.tol)
+    make_params(args.kappa_hz, 0.0, 0.0, args.omega1 * args.kappa_hz, args.mass)
+    # Each command's parser defines only its own flags; any other reads None.
+    return {
+        "command": command,
+        "params_in_kappa_units": {name: getattr(args, name, None)
+                                  for name in ("gamma", "G", "omega1")},
+        "init": {name: getattr(args, name, None)
+                 for name in ("alpha_mag", "alpha_phase", "beta_mag", "beta_phase")},
+        **{name: getattr(args, name, None)
+           for name in ("kappa_hz", "mass", "t_end", "dt", "samples", "tol")},
+        "output": args.out,
+        "format": args.format,
+        "precision": args.precision,
+        "sweep": sweep,
+        "figure": args.name if command == "figure" else None,
+    }
 
 
 def cmd_classify(args) -> int:
@@ -220,7 +199,7 @@ def _evolve_tables(args):
     if not args.max_discrepancy >= 0:
         raise ValueError(f"--max-discrepancy must be >= 0, got {args.max_discrepancy}")
     params = _build_params(args)
-    init = _build_init(args)
+    init = CoherentInit.from_polar(args.alpha_mag, args.alpha_phase, args.beta_mag, args.beta_phase)
     k = params.kappa
     t_end_s = args.t_end / k
     dt_s = args.dt / k if args.dt is not None else None
@@ -296,12 +275,10 @@ def _steady_sweep_columns(args, axis: str) -> dict:
 
 
 def cmd_steady(args) -> int:
-    sweep_cfg = None
     if args.sweep:
-        sweep_cfg = {"param": args.sweep, "min": args.sweep_min, "max": args.sweep_max,
-                     "points": args.sweep_points}
-    config = _config_from_args(args, "steady", sweep=sweep_cfg)
-    if args.sweep:
+        config = _config_from_args(args, "steady", sweep={
+            "param": args.sweep, "min": args.sweep_min, "max": args.sweep_max,
+            "points": args.sweep_points})
         if args.sweep_min is None or args.sweep_max is None:
             raise ValueError("steady sweep requires --sweep-min and --sweep-max")
         if not np.isfinite([args.sweep_min, args.sweep_max]).all():
@@ -316,6 +293,7 @@ def cmd_steady(args) -> int:
         axis = "gamma_over_kappa" if args.sweep == "gamma" else "G_over_kappa"
         _write_output(_steady_sweep_columns(args, axis), None, config)
         return EXIT_OK
+    config = _config_from_args(args, "steady")
     if args.gamma is None or args.G is None:
         raise ValueError("steady requires --gamma and --G (in units of kappa)")
     n_a_s, n_b_s = analytic.steady_numbers(_build_params(args), tol=args.tol)
@@ -477,23 +455,19 @@ _COMMANDS = {
 }
 
 
-def _fill(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    """Add ``command``'s own arguments, then the common ones, and its handler."""
-    _, adders, handler = _COMMANDS[command]
-    for add_arguments in (*adders, _add_common):
-        add_arguments(parser)
-    parser.set_defaults(func=handler, command=command)
-    return parser
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone if it names one, else the full parser
-    (for ``ptomech --help`` and a missing or unknown command). Adding every
-    command's arguments costs several times what parsing one call does."""
+    """The parser of ``command`` if it names one: its own arguments, the common
+    ones and its handler. Else the full parser, for ``ptomech --help`` and a
+    missing or unknown command: its subcommands hold only a name and help line."""
     # exit_on_error=False: a bad value raises argparse.ArgumentError, which
     # main() reports in one line.
     if command in _COMMANDS:
-        return _fill(_Parser(prog=f"ptomech {command}", exit_on_error=False), command)
+        parser = _Parser(prog=f"ptomech {command}", exit_on_error=False)
+        _, adders, handler = _COMMANDS[command]
+        for add_arguments in (*adders, _add_common):
+            add_arguments(parser)
+        parser.set_defaults(func=handler)
+        return parser
     parser = _Parser(
         prog="ptomech",
         description="Two-mode gain/loss optomechanical dynamics: regimes, spectra, trajectories.",
@@ -501,7 +475,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_line, _, _) in _COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_line, exit_on_error=False), name)
+        sub.add_parser(name, help=help_line, exit_on_error=False)
     return parser
 
 

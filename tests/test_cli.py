@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -16,16 +15,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ptomech import analytic, cli, spectrum, tables
 from ptomech.cli import (
-    EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, RunConfig, _write_output, build_parser,
-    main,
+    EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, _write_output, build_parser, main,
 )
 from ptomech.presets import PRESETS
 from ptomech.tables import _float_cells, float_text
+
+
+def writer_config(fmt="csv", precision=12, output=None):
+    """A config dict of the keys the writer reads."""
+    return {"command": "test", "output": output, "format": fmt, "precision": precision}
 
 
 def run(capsys, *argv):
@@ -330,6 +333,18 @@ def perturbed_closed_form(perturb):
 class TestDiscrepancyGate:
     """The footers gate quantities that do not cross zero, and still catch an
     error of twice the threshold in one row."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="long runs on the f = 0 line near gamma = kappa: the oracle's "
+                              "composed per-sample maps lose accuracy (ROADMAP item 1)")
+    @pytest.mark.parametrize("samples", ["200", "20"])
+    def test_long_run_on_the_f0_line_near_gamma_kappa(self, capsys, samples):
+        code, out, err = run(capsys, "evolve", "--gamma", "0.99", "--G", "0.99498743710662",
+                             "--t-end", "1000", "--samples", samples)
+        _, _, footer = parse_csv(out)
+        assert float(footer["max_rel_discrepancy_x"]) <= 1e-6
+        assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-6
+        assert (code, err) == (EXIT_OK, "")
 
     def test_zero_crossing_of_x_passes(self, capsys):
         # The last sample lands next to a zero of x(t); relative to |x| there the
@@ -664,6 +679,22 @@ class TestOutputFormats:
         assert code == EXIT_INVALID
         assert err.count("\n") == 1 and "--precision must be >= 1" in err
 
+    @pytest.mark.parametrize("argv, line", [
+        (("sweep", "--kappa-hz", "nan", "--omega1", "inf", "--format", "json"),
+         "kappa must be finite, got nan"),
+        (("sweep", "--omega1", "inf", "--format", "json"), "omega1 must be finite, got inf"),
+        (("classify", "--gamma", "0.6", "--G", "1.2", "--mass", "0"), "mass must be > 0, got 0.0"),
+        (("figure", "3a", "--show-preset", "--kappa-hz", "-5", "--format", "json"),
+         "kappa must be > 0, got -5.0"),
+        (("evolve", "--gamma", "0.6", "--G", "1.2", "--t-end", "1", "--samples", "5",
+          "--tol", "nan", "--format", "json"), "tol must be in (0, 1e-3], got nan"),
+        (("figure", "3a", "--tol", "5"), "tol must be in (0, 1e-3], got 5.0"),
+    ])
+    def test_recorded_flags_are_checked(self, capsys, argv, line):
+        # The config block records these flags also where the command does not
+        # read them, so each is checked before any output.
+        assert run(capsys, *argv) == (EXIT_INVALID, "", f"ptomech: invalid configuration: {line}\n")
+
     def test_unwritable_output_path(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.csv"
         code, _, err = run(capsys, "classify", "--gamma", "0.6", "--G", "1.2", "--out", str(path))
@@ -738,9 +769,7 @@ class TestWriter:
     FOOTER = {"disc": float("nan"), "t_end": -0.0, "source": "analytic"}
 
     def write(self, capsys, fmt, precision, columns=COLUMNS, footer=FOOTER):
-        config = RunConfig(command="test", params_in_kappa_units={}, init={},
-                           format=fmt, precision=precision)
-        _write_output(columns, footer, config)
+        _write_output(columns, footer, writer_config(fmt, precision))
         return capsys.readouterr().out
 
     @pytest.mark.parametrize("precision,expected", [
@@ -778,8 +807,7 @@ class TestWriterLayout:
     @staticmethod
     def write(columns, footer, fmt, precision, out=None):
         """The writer's text (on stdout, or in the file ``out``) and the legacy writer's."""
-        config = RunConfig(command="test", params_in_kappa_units={}, init={}, format=fmt,
-                           precision=precision, output=out)
+        config = writer_config(fmt, precision, out)
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             _write_output(columns, footer, config)
@@ -841,7 +869,7 @@ class TestWriterLayout:
 def legacy_json(columns, footer, config):
     """The JSON document as ``json.dumps(payload, indent=2)`` wrote it before the
     row template: the reference the writer must match byte for byte."""
-    fmt = f"%.{config.precision - 1}e"
+    fmt = f"%.{config['precision'] - 1}e"
 
     def number(value):
         text = fmt % (float(value) + 0.0)
@@ -850,8 +878,8 @@ def legacy_json(columns, footer, config):
     cells = {name: [number(v) for v in col] if isinstance(col, np.ndarray) else col
              for name, col in columns.items()}
     payload = {
-        "command": config.command,
-        "config": config.to_dict(),
+        "command": config["command"],
+        "config": config,
         "columns": list(columns),
         "rows": [dict(zip(cells, row)) for row in zip(*cells.values())],
     }
@@ -865,7 +893,7 @@ def legacy_csv(columns, footer, config):
     """The CSV text as the writer wrote it before the numpy digit pass: each
     float cell by '%', rows by ",".join and one '# key=value' line per footer
     entry. The reference the writer must match byte for byte."""
-    fmt = f"%.{config.precision - 1}e"
+    fmt = f"%.{config['precision'] - 1}e"
     cells = {name: [fmt % (float(v) + 0.0) for v in col] if isinstance(col, np.ndarray) else col
              for name, col in columns.items()}
     lines = [",".join(columns)]
@@ -905,16 +933,16 @@ class TestWriterMatchesJsonDumps:
     @given(table=_tables(), precision=st.integers(1, 17), command=_TEXT)
     def test_row_template_gives_json_dumps_bytes(self, table, precision, command):
         columns, footer = table
-        config = RunConfig(command=command, params_in_kappa_units={"gamma": 0.6}, init={},
-                           format="json", precision=precision)
+        config = {"command": command, "params_in_kappa_units": {"gamma": 0.6}, "init": {},
+                  "output": None, "format": "json", "precision": precision}
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             _write_output(columns, footer, config)
         assert stdout.getvalue() == legacy_json(columns, footer, config)
         with tempfile.TemporaryDirectory() as tmp:
-            config = dataclasses.replace(config, output=os.path.join(tmp, "out.json"))
+            config = {**config, "output": os.path.join(tmp, "out.json")}
             _write_output(columns, footer, config)
-            with open(config.output, newline="") as fh:
+            with open(config["output"], newline="") as fh:
                 assert fh.read() == legacy_json(columns, footer, config)
 
 
@@ -923,15 +951,15 @@ class TestWriterMatchesLegacyCsv:
     @given(table=_tables(), precision=st.integers(1, 17))
     def test_rows_and_footer_give_legacy_bytes(self, table, precision):
         columns, footer = table
-        config = RunConfig(command="test", params_in_kappa_units={}, init={}, precision=precision)
+        config = writer_config(precision=precision)
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             _write_output(columns, footer, config)
         assert stdout.getvalue() == legacy_csv(columns, footer, config)
         with tempfile.TemporaryDirectory() as tmp:
-            config = dataclasses.replace(config, output=os.path.join(tmp, "out.csv"))
+            config = {**config, "output": os.path.join(tmp, "out.csv")}
             _write_output(columns, footer, config)
-            with open(config.output, newline="") as fh:
+            with open(config["output"], newline="") as fh:
                 assert fh.read() == legacy_csv(columns, footer, config)
 
 
@@ -1040,7 +1068,10 @@ class TestCodedColumns:
     and adjacent coded columns that share codes (one slot of the row template)
     write the text of the same columns with codes of their own."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    # No shrink phase: a failing example reaches _BLOCK_ROWS + 5 rows, and
+    # shrinking it formats them again at every step, for minutes.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              phases=[phase for phase in Phase if phase is not Phase.shrink])
     @given(table=_coded_tables(), precision=st.integers(1, 17),
            fmt=st.sampled_from(["csv", "json"]))
     def test_coded_columns_write_the_gathered_text(self, table, precision, fmt):
@@ -1070,18 +1101,133 @@ VALID_CALLS = {
 }
 
 
-def _full_subparser(command: str) -> argparse.ArgumentParser:
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
+# The options every command shares, as its help lists them at 80 columns.
+_COMMON_HELP = """\
+  --kappa-hz KAPPA_HZ   cavity loss rate setting the absolute scale, rad/s
+                        (default 6.45e6)
+  --omega1 OMEGA1       common frequency in units of kappa (default 2*pi*23.4
+                        MHz / kappa)
+  --mass MASS           mechanical effective mass, kg (default 5e-11)
+  --tol TOL             classification tolerance in kappa-normalized units
+                        (default 1e-9)
+  --out OUT             output path (default: stdout)
+  --format {csv,json}   output format
+  --precision PRECISION
+                        significant digits in numeric output (default 12)
+  --seedless            assert that the run uses no random numbers (always
+                        true; accepted for audit scripting)
+"""
+_POINT_HELP = """\
+  --gamma GAMMA         mechanical gain rate in units of kappa
+  --G G                 effective coupling in units of kappa
+"""
+_EVOLUTION_HELP = """\
+  --alpha-mag ALPHA_MAG
+  --alpha-phase ALPHA_PHASE
+                        initial cavity phase, radians
+  --beta-mag BETA_MAG
+  --beta-phase BETA_PHASE
+                        initial mechanical phase, radians
+  --t-end T_END         evolution time in units of 1/kappa (default 10)
+  --dt DT               integration step in units of 1/kappa (default
+                        1e-3/max(1, gamma, G, omega1))
+  --samples SAMPLES     number of stored sample times (default 200)
+  --max-discrepancy MAX_DISCREPANCY
+                        largest allowed analytic/numeric relative discrepancy
+                        (default 1e-6)
+"""
+_OPTIONS = "options:\n  -h, --help            show this help message and exit\n"
+# Each command's help at COLUMNS=80, as the full parser's subcommands printed
+# it when they held every command's arguments.
+COMMAND_HELP = {
+    "classify": """\
+usage: ptomech classify [-h] [--gamma GAMMA] [--G G] [--kappa-hz KAPPA_HZ]
+                        [--omega1 OMEGA1] [--mass MASS] [--tol TOL]
+                        [--out OUT] [--format {csv,json}]
+                        [--precision PRECISION] [--seedless]
+
+""" + _OPTIONS + _POINT_HELP + _COMMON_HELP,
+    "sweep": """\
+usage: ptomech sweep [-h] [--gamma-min GAMMA_MIN] [--gamma-max GAMMA_MAX]
+                     [--gamma-res GAMMA_RES] [--G-min G_MIN] [--G-max G_MAX]
+                     [--G-res G_RES] [--kappa-hz KAPPA_HZ] [--omega1 OMEGA1]
+                     [--mass MASS] [--tol TOL] [--out OUT]
+                     [--format {csv,json}] [--precision PRECISION]
+                     [--seedless]
+
+""" + _OPTIONS + """\
+  --gamma-min GAMMA_MIN
+  --gamma-max GAMMA_MAX
+  --gamma-res GAMMA_RES
+  --G-min G_MIN
+  --G-max G_MAX
+  --G-res G_RES
+""" + _COMMON_HELP,
+    "evolve": """\
+usage: ptomech evolve [-h] [--gamma GAMMA] [--G G] [--alpha-mag ALPHA_MAG]
+                      [--alpha-phase ALPHA_PHASE] [--beta-mag BETA_MAG]
+                      [--beta-phase BETA_PHASE] [--t-end T_END] [--dt DT]
+                      [--samples SAMPLES] [--max-discrepancy MAX_DISCREPANCY]
+                      [--kappa-hz KAPPA_HZ] [--omega1 OMEGA1] [--mass MASS]
+                      [--tol TOL] [--out OUT] [--format {csv,json}]
+                      [--precision PRECISION] [--seedless]
+
+""" + _OPTIONS + _POINT_HELP + _EVOLUTION_HELP + _COMMON_HELP,
+    "steady": """\
+usage: ptomech steady [-h] [--gamma GAMMA] [--G G] [--sweep {G,gamma}]
+                      [--sweep-min SWEEP_MIN] [--sweep-max SWEEP_MAX]
+                      [--sweep-points SWEEP_POINTS] [--kappa-hz KAPPA_HZ]
+                      [--omega1 OMEGA1] [--mass MASS] [--tol TOL] [--out OUT]
+                      [--format {csv,json}] [--precision PRECISION]
+                      [--seedless]
+
+""" + _OPTIONS + _POINT_HELP + """\
+  --sweep {G,gamma}     sweep variable for curve output
+  --sweep-min SWEEP_MIN
+  --sweep-max SWEEP_MAX
+  --sweep-points SWEEP_POINTS
+""" + _COMMON_HELP,
+    "figure": """\
+usage: ptomech figure [-h] [--show-preset] [--gamma GAMMA] [--G G]
+                      [--alpha-mag ALPHA_MAG] [--alpha-phase ALPHA_PHASE]
+                      [--beta-mag BETA_MAG] [--beta-phase BETA_PHASE]
+                      [--t-end T_END] [--dt DT] [--samples SAMPLES]
+                      [--max-discrepancy MAX_DISCREPANCY]
+                      [--kappa-hz KAPPA_HZ] [--omega1 OMEGA1] [--mass MASS]
+                      [--tol TOL] [--out OUT] [--format {csv,json}]
+                      [--precision PRECISION] [--seedless]
+                      name
+
+positional arguments:
+  name                  preset name, e.g. 3a..3f, 4top, 4bot, 5a..5i, 6a, 6b
+
+""" + _OPTIONS + """\
+  --show-preset         print the preset parameter record instead of running
+                        it
+""" + _POINT_HELP + _EVOLUTION_HELP + _COMMON_HELP,
+}
+
+# Per call, the error line the full parser's subcommand printed for it.
+ERROR_LINES = {
+    ("sweep", "--gamma-res", "x"): "argument --gamma-res: invalid int value: 'x'",
+    ("evolve", "--samples"): "argument --samples: expected one argument",
+    ("figure",): "the following arguments are required: name",
+    ("classify", "--format", "xml"):
+        "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
+    ("figure", "3a"): "argument --samples: invalid int value: 'x' (PTOM_SAMPLES='x')",
+    ("steady",): "argument --sweep: invalid choice: 'x' (choose from 'G', 'gamma') (PTOM_SWEEP='x')",
+    ("figure", "3a", "--bogus"): "unrecognized arguments: --bogus",
+    ("classify", "extra"): "unrecognized arguments: extra",
+}
 
 
 class TestParserPerCall:
     """A call builds the parser of the command it names alone, and that parser
-    reads and reports everything as the full parser's subparser does."""
+    prints the help and the error lines that the full parser's subcommands
+    printed when they held every command's arguments."""
 
     def test_every_command_has_a_valid_call(self):
-        assert list(VALID_CALLS) == list(cli._COMMANDS)
+        assert list(VALID_CALLS) == list(cli._COMMANDS) == list(COMMAND_HELP)
 
     @pytest.mark.parametrize("command", sorted(VALID_CALLS))
     def test_each_call_builds_one_parser(self, capsys, monkeypatch, command):
@@ -1098,8 +1244,13 @@ class TestParserPerCall:
         assert built == [f"ptomech {command}"]
 
     @pytest.mark.parametrize("command", sorted(VALID_CALLS))
-    def test_help_equals_the_full_parsers(self, command):
-        assert build_parser(command).format_help() == _full_subparser(command).format_help()
+    def test_help_equals_the_full_parsers(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert build_parser(command).format_help() == COMMAND_HELP[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (COMMAND_HELP[command], "")
 
     @pytest.mark.parametrize("command, argv, env", [
         ("sweep", ["--gamma-res", "x"], {}),
@@ -1111,22 +1262,51 @@ class TestParserPerCall:
         ("figure", ["3a", "--bogus"], {}),
         ("classify", ["extra"], {}),
     ])
-    def test_error_lines_equal_the_full_parsers(self, monkeypatch, command, argv, env):
+    def test_error_lines_equal_the_full_parsers(self, capsys, monkeypatch, command, argv, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        lines = []
-        for parse in (lambda: build_parser(command).parse_args(argv),
-                      lambda: build_parser().parse_args([command, *argv])):
-            with pytest.raises(argparse.ArgumentError) as caught:
-                parse()
-            lines.append(cli._argument_error(caught.value))
-        assert lines[0] == lines[1]
-        assert all(f"({name}=" in lines[0] for name in env)
+        line = ERROR_LINES[(command, *argv)]
+        with pytest.raises(argparse.ArgumentError) as caught:
+            build_parser(command).parse_args(argv)
+        assert cli._argument_error(caught.value) == line
+        assert run(capsys, command, *argv) == (
+            EXIT_INVALID, "", f"ptomech: invalid configuration: {line}\n")
+
+
+class TestFullParser:
+    """The full parser's one job: the command list of ``ptomech --help``, and
+    the line for a missing or unknown command. Its subcommands hold no arguments."""
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, (help_line, _, _) in cli._COMMANDS.items():
+            assert f"    {name:<20}{help_line}\n" in out
+
+    def test_subcommands_hold_no_arguments(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli._COMMANDS)
+        for parser in sub.choices.values():
+            assert [a.dest for a in parser._actions] == ["help"]
+            assert parser._defaults == {}
+
+    @pytest.mark.parametrize("argv, line", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' "
+                    "(choose from 'classify', 'sweep', 'evolve', 'steady', 'figure')"),
+        (["--", "classify", "--gamma", "1", "--G", "1"], "argument command: invalid choice: '--' "
+                    "(choose from 'classify', 'sweep', 'evolve', 'steady', 'figure')"),
+    ])
+    def test_missing_or_unknown_command(self, capsys, argv, line):
+        assert run(capsys, *argv) == (EXIT_INVALID, "", f"ptomech: invalid configuration: {line}\n")
 
 
 def _subcommand_flags() -> dict:
-    """Each subcommand's optional arguments, read from the full parser itself."""
-    return {name: [a for a in _full_subparser(name)._actions
+    """Each subcommand's optional arguments, read from its own parser."""
+    return {name: [a for a in build_parser(name)._actions
                    if a.option_strings and a.dest != "help"]
             for name in cli._COMMANDS}
 
