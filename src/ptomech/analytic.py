@@ -35,9 +35,9 @@ p^(k)(u) = integral_0^1 s^k e^(u s) ds: by Gauss-Legendre quadrature for
 |u| >= 10) beyond.
 
 Every returned value is checked: a non-finite value, or an imaginary residue
-above 1e-10 relative in a value that is mathematically real, raises
-:class:`ClosedFormError` naming the quantity (and, for a non-finite value, the
-first time at which it overflows).
+above 1e-10 relative in a value that is mathematically real but computed in
+complex arithmetic, raises :class:`ClosedFormError` naming the quantity (and,
+for a non-finite value, the first time at which it overflows).
 """
 
 from __future__ import annotations
@@ -55,9 +55,11 @@ __all__ = [
     "NoSteadyState",
     "NumberSplit",
     "displacement",
+    "displacement_from_moments",
     "finite_time_amplitude",
     "first_moments_closed_form",
     "numbers",
+    "numbers_from_moments",
     "steady_numbers",
     "steady_state",
 ]
@@ -81,10 +83,12 @@ class NoSteadyState(ValueError):
 
 
 def _as_real(value, what: str, t=None) -> np.ndarray | float:
-    """Check a closed-form value (finite, negligible imaginary part) and return its real part.
+    """Check a closed-form value (finite; if complex, a negligible imaginary
+    part) and return its real part.
 
     ``t`` is the time grid ``value`` was evaluated on; a non-finite value is
-    reported with the first time at which it occurs.
+    reported with the first time at which it occurs. A value computed as a
+    real number has no imaginary residue to check.
     """
     value = np.asarray(value)
     finite = np.isfinite(value)
@@ -93,16 +97,17 @@ def _as_real(value, what: str, t=None) -> np.ndarray | float:
             raise ClosedFormError(f"{what} is not finite")
         horizon = float(np.min(np.broadcast_to(t, value.shape)[~finite]))
         raise ClosedFormError(f"{what} is not finite from t = {horizon:.6e} s on (overflow horizon)")
-    scale = np.maximum(np.abs(value), 1.0)
-    residue = np.max(np.abs(value.imag) / scale, initial=0.0)
-    # Written so that a NaN residue fails too.
-    if not residue <= _IMAG_RESIDUE_TOL:
-        raise ClosedFormError(
-            f"{what}: imaginary residue {residue:.3e} exceeds {_IMAG_RESIDUE_TOL:.0e}; "
-            "closed form is inconsistent"
-        )
-    out = value.real
-    return float(out) if out.ndim == 0 else out
+    if np.iscomplexobj(value):
+        scale = np.maximum(np.abs(value), 1.0)
+        residue = np.max(np.abs(value.imag) / scale, initial=0.0)
+        # Written so that a NaN residue fails too.
+        if not residue <= _IMAG_RESIDUE_TOL:
+            raise ClosedFormError(
+                f"{what}: imaginary residue {residue:.3e} exceeds {_IMAG_RESIDUE_TOL:.0e}; "
+                "closed form is inconsistent"
+            )
+        value = value.real
+    return float(value) if value.ndim == 0 else value
 
 
 def _check_time(t) -> np.ndarray:
@@ -213,6 +218,12 @@ def displacement(params: SystemParams, init: CoherentInit, t) -> float | np.ndar
     Evaluated from the closed-form <b>(t) as x = x_zpf*(<b> + <b>*).
     """
     _, b = first_moments_closed_form(params, init, t)
+    return displacement_from_moments(params, b, t)
+
+
+def displacement_from_moments(params: SystemParams, b, t) -> float | np.ndarray:
+    """x = 2 x_zpf Re<b> in meters, from <b> at the times ``t`` (seconds),
+    checked like :func:`displacement`."""
     return _as_real(params.x_zpf * 2.0 * b.real, "displacement", t)
 
 
@@ -262,10 +273,14 @@ def numbers(params: SystemParams, init: CoherentInit, t) -> NumberSplit:
     whole plane, gamma = kappa, f = 0, Omega = 0 and the exceptional point
     included; both spontaneous parts vanish at t = 0.
     """
-    t = _check_time(t)
-    k, g, G = params.kappa, params.gamma, params.coupling_G
-    a, b = first_moments_closed_form(params, init, t)
+    return numbers_from_moments(params, *first_moments_closed_form(params, init, t), t)
 
+
+def numbers_from_moments(params: SystemParams, a, b, t) -> NumberSplit:
+    """:func:`numbers` from <a>, <b> at the times ``t`` (seconds, checked by
+    :func:`first_moments_closed_form`, which gave them)."""
+    t = np.asarray(t, dtype=float)
+    k, g, G = params.kappa, params.gamma, params.coupling_G
     ts = t.reshape(-1)
     p0, s1, s2 = _divided_differences((g - k) * ts, params.Omega * ts)
     gpk = g + k

@@ -9,7 +9,9 @@ a JSON mirror with identical field names. Commands hand named columns to
 differ. Every flag that takes a value can be supplied through an environment
 variable with the ``PTOM_`` prefix (e.g. ``PTOM_GAMMA``); only the chosen
 subcommand's variables are read, each is checked like its flag, and explicit
-flags win.
+flags win. Each command's parser is built once per process and shared
+read-only (:func:`build_parser`); the variables, and ``COLUMNS`` for help,
+are read on every call.
 
 ``evolve`` (and every trajectory figure) tabulates the closed forms next to the
 RK4 oracle and reports, in its footer, ``max_rel_discrepancy_x``: the largest
@@ -42,6 +44,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import os
 import re
@@ -217,9 +220,11 @@ def _evolve_tables(args):
     # forms are evaluated on the rows where the oracle is finite; the rest read
     # nan, so the discrepancy gate fails there.
     m = n if np.all(np.isfinite([x_numeric[-1], *n_numeric[:2, -1]])) else n - 1
-    numbers = analytic.numbers(params, init, t[:m])
+    # One evaluation of <a>, <b> gives both x and the numbers.
+    a, b = analytic.first_moments_closed_form(params, init, t[:m])
+    numbers = analytic.numbers_from_moments(params, a, b, t[:m])
     closed = np.full((7, n), np.nan)
-    closed[:, :m] = [analytic.displacement(params, init, t[:m]),
+    closed[:, :m] = [analytic.displacement_from_moments(params, b, t[:m]),
                      numbers.n_a, numbers.n_b, numbers.n_a_st, numbers.n_b_st,
                      numbers.n_a_sp, numbers.n_b_sp]
 
@@ -334,8 +339,9 @@ def cmd_figure(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Each flag that takes a value may also come from ``PTOM_<FLAG>``.
 
-    A call builds only the parser of the command it names (see
-    :func:`build_parser`), so only that command's variables are read.
+    A call parses with the parser of the command it names (see
+    :func:`build_parser`), so only that command's variables are read, on
+    every call.
     A set variable is parsed as if its flag came first on the command line:
     argparse converts and checks it (type, choices), and an explicit flag,
     coming later, wins. Errors raise argparse.ArgumentError, which main()
@@ -458,10 +464,19 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``command`` if it names one: its own arguments, the common
     ones and its handler. Else the full parser, for ``ptomech --help`` and a
-    missing or unknown command: its subcommands hold only a name and help line."""
+    missing or unknown command: its subcommands hold only a name and help line.
+
+    Each is built once per process and shared, so treat it as read-only. It
+    keeps no state between calls: ``PTOM_*`` variables are read on each parse
+    and ``COLUMNS`` each time help is printed."""
+    return _build_parser(command if command in _COMMANDS else None)
+
+
+@functools.cache
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
     # exit_on_error=False: a bad value raises argparse.ArgumentError, which
     # main() reports in one line.
-    if command in _COMMANDS:
+    if command is not None:
         parser = _Parser(prog=f"ptomech {command}", exit_on_error=False)
         _, adders, handler = _COMMANDS[command]
         for add_arguments in (*adders, _add_common):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ptomech import analytic, cli, spectrum, tables
+from ptomech import CoherentInit, analytic, cli, spectrum, tables
 from ptomech.cli import (
     EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, _write_output, build_parser, main,
 )
@@ -273,10 +273,10 @@ class TestEvolveCommand:
         assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-10
 
     def test_closed_form_error_exit_code(self, capsys, monkeypatch):
-        def overflowing(params, init, t):
+        def overflowing(params, a, b, t):
             raise analytic.ClosedFormError("n_b_sp is not finite from t = 1.0e-05 s on")
 
-        monkeypatch.setattr(analytic, "numbers", overflowing)
+        monkeypatch.setattr(analytic, "numbers_from_moments", overflowing)
         code, out, err = run(
             capsys, "evolve", "--gamma", "0.6", "--G", "1.2", "--t-end", "2", "--samples", "5"
         )
@@ -392,6 +392,67 @@ class TestDiscrepancyGate:
         monkeypatch.setattr(analytic, "first_moments_closed_form", perturbed_closed_form(scale))
         code, _, err = run(capsys, "figure", name)
         assert code == EXIT_DISCREPANCY and "discrepancy" in err
+
+
+# Per call that tabulates the closed forms: its argv and its (gamma, G).
+CLOSED_FORM_CALLS = {
+    **{name: (["figure", name], PRESETS[name].gamma, PRESETS[name].G)
+       for name in TRAJECTORY_PRESETS},
+    "dense-evolve": (["evolve", "--gamma", "1.0", "--G", "0.8", "--t-end", "0.5",
+                      "--samples", "11400"], 1.0, 0.8),
+}
+
+
+def closed_form_inputs(gamma, G):
+    """The params and initial state the CLI builds for a point with default flags."""
+    args = build_parser("evolve").parse_args(["--gamma", repr(gamma), "--G", repr(G)])
+    init = CoherentInit.from_polar(args.alpha_mag, args.alpha_phase, args.beta_mag,
+                                   args.beta_phase)
+    return cli._build_params(args), init
+
+
+class TestClosedFormColumns:
+    """The CLI evaluates <a>, <b> once per call and derives x and the numbers
+    from them: the same bits, and the same overflow line, as the public forms."""
+
+    @pytest.mark.parametrize("call", sorted(CLOSED_FORM_CALLS))
+    def test_columns_equal_the_public_closed_forms(self, monkeypatch, call):
+        argv, gamma, G = CLOSED_FORM_CALLS[call]
+        written = {}
+        monkeypatch.setattr(cli, "_write_output",
+                            lambda columns, footer, config: written.update(columns))
+        assert main(argv) == EXIT_OK
+        params, init = closed_form_inputs(gamma, G)
+        t = written["t"]
+        split = analytic.numbers(params, init, t)
+        expected = {"x_analytic": analytic.displacement(params, init, t),
+                    **{name: getattr(split, name) for name in
+                       ("n_a", "n_b", "n_a_st", "n_b_st", "n_a_sp", "n_b_sp")}}
+        for name, value in expected.items():
+            assert written[name].tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("moment, quantity", [(0, "n_a_st"), (1, "n_b_st")])
+    @pytest.mark.parametrize("call", sorted(CLOSED_FORM_CALLS))
+    def test_overflow_names_the_quantity_and_time(self, capsys, monkeypatch, call, moment,
+                                                  quantity):
+        original = analytic.first_moments_closed_form
+        seen = []
+
+        def overflowing(params, init, t):
+            moments = [np.array(z) for z in original(params, init, t)]
+            moments[moment][len(t) // 2] = np.inf
+            seen.append(np.array(t))
+            return tuple(moments)
+
+        monkeypatch.setattr(analytic, "first_moments_closed_form", overflowing)
+        argv, gamma, G = CLOSED_FORM_CALLS[call]
+        code, out, err = run(capsys, *argv)
+        t = seen[0]
+        line = f"{quantity} is not finite from t = {t[len(t) // 2]:.6e} s on (overflow horizon)"
+        assert (code, out, err) == (EXIT_DISCREPANCY, "", f"ptomech: {line}\n")
+        with pytest.raises(analytic.ClosedFormError) as caught:
+            analytic.numbers(*closed_form_inputs(gamma, G), t)
+        assert str(caught.value) == line
 
 
 class TestSteadyCommand:
@@ -1222,15 +1283,16 @@ ERROR_LINES = {
 
 
 class TestParserPerCall:
-    """A call builds the parser of the command it names alone, and that parser
-    prints the help and the error lines that the full parser's subcommands
-    printed when they held every command's arguments."""
+    """A call uses the parser of the command it names alone, built once per
+    process, and that parser prints the help and the error lines that the
+    full parser's subcommands printed when they held every command's arguments."""
 
     def test_every_command_has_a_valid_call(self):
         assert list(VALID_CALLS) == list(cli._COMMANDS) == list(COMMAND_HELP)
 
     @pytest.mark.parametrize("command", sorted(VALID_CALLS))
     def test_each_call_builds_one_parser(self, capsys, monkeypatch, command):
+        cli._build_parser.cache_clear()
         built = []
         original = cli._Parser.__init__
 
@@ -1239,9 +1301,11 @@ class TestParserPerCall:
             original(parser, *args, **kwargs)
 
         monkeypatch.setattr(cli._Parser, "__init__", counting)
-        code, out, _ = run(capsys, command, *VALID_CALLS[command])
-        assert code == EXIT_OK and out
-        assert built == [f"ptomech {command}"]
+        # The first call builds its command's parser alone; the second builds none.
+        for _ in range(2):
+            code, out, _ = run(capsys, command, *VALID_CALLS[command])
+            assert code == EXIT_OK and out
+            assert built == [f"ptomech {command}"]
 
     @pytest.mark.parametrize("command", sorted(VALID_CALLS))
     def test_help_equals_the_full_parsers(self, capsys, monkeypatch, command):
@@ -1271,6 +1335,50 @@ class TestParserPerCall:
         assert cli._argument_error(caught.value) == line
         assert run(capsys, command, *argv) == (
             EXIT_INVALID, "", f"ptomech: invalid configuration: {line}\n")
+
+
+class TestParserReuse:
+    """The shared parsers keep no state between calls: the environment is read,
+    and help laid out, on each call."""
+
+    def test_one_parser_per_command_and_one_full_parser(self):
+        assert build_parser("figure") is build_parser("figure")
+        assert build_parser() is build_parser(None) is build_parser("bogus")
+
+    def test_env_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["classify", "--gamma", "0.6"]
+        missing = (EXIT_INVALID, "", "ptomech: invalid configuration: "
+                                     "classify requires --gamma and --G (in units of kappa)\n")
+        assert run(capsys, *argv) == missing
+        monkeypatch.setenv("PTOM_G", "1.2")
+        assert run(capsys, *argv) == run(capsys, *argv, "--G", "1.2")
+        assert run(capsys, *argv)[0] == EXIT_OK
+        monkeypatch.setenv("PTOM_FORMAT", "json")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "") and json.loads(out)["config"]["format"] == "json"
+        monkeypatch.delenv("PTOM_FORMAT")
+        monkeypatch.delenv("PTOM_G")
+        assert run(capsys, *argv) == missing
+
+    def test_no_namespace_state_between_calls(self, capsys):
+        missing = (EXIT_INVALID, "", "ptomech: invalid configuration: "
+                                     "evolve requires --gamma and --G (in units of kappa)\n")
+        # figure fills in the preset's point; the next call must not see it.
+        assert run(capsys, "figure", "3a")[0] == EXIT_OK
+        assert run(capsys, "evolve", "--t-end", "1") == missing
+        assert run(capsys, "evolve", "--gamma", "0.6", "--G", "1.2", "--t-end", "1")[0] == EXIT_OK
+        assert run(capsys, "evolve", "--t-end", "1") == missing
+
+    @pytest.mark.parametrize("command", sorted(VALID_CALLS))
+    def test_help_reads_columns_when_printed(self, capsys, monkeypatch, command):
+        cli._build_parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "40")
+        assert build_parser(command).format_help() != COMMAND_HELP[command]
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (COMMAND_HELP[command], "")
 
 
 class TestFullParser:
