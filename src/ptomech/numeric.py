@@ -4,26 +4,25 @@ The integrators are classical fixed-step RK4. The moment systems are linear,
 autonomous and at most affine, x' = Ax + b, so a single RK4 step reduces to
 multiplication by one constant matrix: R = I + D with D = hM + (hM)^2/2 +
 (hM)^3/6 + (hM)^4/24 for the augmented matrix M = [[A, b], [0, 0]] acting on
-(x, 1). Both moment systems share one propagator. The map between stored
-samples is R^chunk, built once per run by repeated squaring: on small parts
-D (R^chunk = I + D) while the maps stay near I, on full matrices past that.
-From it, its first 32 powers are built once per run by the same rule, and the
-samples are filled in runs of 32: each sample of a run is x + D_i x, or P_i x
-for full powers P_i, of the sample x before the run, all of them from one
-matrix-vector product with the stack; small parts are used only where all 32
-powers stay near I. It is still the discrete RK4 map, not the exact
-exponential, so the oracle stays independent of the closed forms. All
-integration runs in kappa-normalized time internally; times are converted to
-seconds at the boundary.
+(x, 1). Both moment systems share one propagator. The second-moment state is
+the closed number system (n_a, n_b, Im<a^dag b>): Re<a^dag b> feeds neither
+number, so it is not carried. The map between stored samples is R^chunk,
+built once per run by repeated squaring: on small parts D (R^chunk = I + D)
+while the maps stay near I, on full matrices past that. Its first 32 powers
+are built once per run by the same rule and handed on as full maps P_i, and
+the samples are filled in runs of 32: each sample of a run is P_i x of the
+sample x before the run, all of them from one matrix-vector product with the
+stack. It is still the discrete RK4 map, not the exact exponential, so the
+oracle stays independent of the closed forms. All integration runs in
+kappa-normalized time internally; times are converted to seconds at the
+boundary.
 
 A run of 32 samples costs one numpy call where one product per sample cost
-32. Where the map contracts, I + D_i is tiny and D_i close to -I, so x + D_i x
-would cancel to about eps |x| and lose the relative accuracy of a decaying
-state; the full powers keep it. Over 150 seeded points (gamma, G) in [0, 3]^2
-kappa with t_end = 10/kappa, the largest discrepancy footer against the closed
-forms is 5.2e-12 (3.5e-12 with small parts alone); over 60 points in [0, 4]^2
-kappa with t_end = 200/kappa it is 5.6e-11, where small parts alone gave
-2.6e-10.
+32. Over 150 points (gamma, G) in [0, 3]^2 kappa drawn by default_rng(2026),
+with t_end = 10/kappa, the largest discrepancy footers against the closed
+forms are 3.5e-12 (x) and 3.8e-11 (numbers, at (2.665, 1.863), where the same
+map powers applied in extended precision give 2.3e-11); over 60 points in
+[0, 4]^2 kappa drawn the same way, with t_end = 200/kappa, 3.3e-11 and 8.5e-10.
 
 For unstable regimes the integration halts with a flagged truncation at the
 first stored sample whose largest moment magnitude exceeds 1e12 or is NaN,
@@ -72,12 +71,11 @@ class FirstMomentSeries:
 
 @dataclass(frozen=True)
 class SecondMomentSeries:
-    """Sampled trajectory of <a^dag a>, <b^dag b>, <a^dag b>; t in seconds."""
+    """Sampled trajectory of n_a = <a^dag a> and n_b = <b^dag b>; t in seconds."""
 
     t: np.ndarray
     n_a: np.ndarray
     n_b: np.ndarray
-    ab_corr: np.ndarray
     truncated: bool = False
 
 
@@ -157,12 +155,14 @@ def _compose(delta: np.ndarray, power: int, span: int) -> tuple[np.ndarray, bool
 
 
 def _power_stack(D: np.ndarray, count: int, full: bool) -> np.ndarray:
-    """The first ``count`` powers of a map given as by :func:`_compose`, as one
-    stack, doubled by (I + D)^(m + j) = (I + D_j)(I + D_m) for j = 1..m."""
+    """The first ``count`` powers P_i of a map given as by :func:`_compose`, as
+    one stack of full maps. It is doubled by P_(m + j) = P_j P_m for j = 1..m,
+    on the small parts while the map came as one, and I is added once at the
+    end."""
     stack = D[np.newaxis]
     while len(stack) < count:
         stack = np.concatenate([stack, _times(stack, stack[-1], full)])
-    return stack[:count]
+    return stack[:count] if full else stack[:count] + np.eye(len(D), dtype=D.dtype)
 
 
 def _propagate(
@@ -176,15 +176,14 @@ def _propagate(
     keeps the first sample that failed the guard as its last row. The RK4 step
     I + delta is composed over ``chunk`` steps by :func:`_compose`, as its
     small part D if its first S = ``POWER_RUN`` powers stay near I, else as the
-    full map P. Those S powers, D_i or P_i, are built once by
-    :func:`_power_stack`. Each run of up to S samples is filled from the
-    sample x before it as x + D_i x, or P_i x, i = 1..S, by one matrix-vector
-    product with the stack seen as one (S (n+1), n+1) matrix. A run uses only
-    the leading finite powers (at least one), so a state that the per-sample
-    map keeps finite, such as zero, is not turned into inf * 0 = NaN. Runs end
-    at the end of each block of ``GUARD_BLOCK`` samples, where the guard is
-    checked over the block; that truncates at the same sample as checking
-    after each one.
+    full map P. :func:`_power_stack` turns it once into the full powers P_i,
+    i = 1..S. Each run of up to S samples is filled from the sample x before
+    it as P_i x by one matrix-vector product with the stack seen as one
+    (S (n+1), n+1) matrix. A run uses only the leading finite powers (at least
+    one), so a state that the per-sample map keeps finite, such as zero, is
+    not turned into inf * 0 = NaN. Runs end at the end of each block of
+    ``GUARD_BLOCK`` samples, where the guard is checked over the block; that
+    truncates at the same sample as checking after each one.
     """
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
@@ -214,10 +213,7 @@ def _propagate(
             stop = min(start + GUARD_BLOCK, intervals + 1)
             for i in range(start, stop, run):
                 r = min(run, stop - i)
-                out = xs[i:i + r]
-                np.matmul(flat[:r * (n + 1)], xs[i - 1], out=out.reshape(-1))
-                if not full:
-                    out += xs[i - 1]
+                np.matmul(flat[:r * (n + 1)], xs[i - 1], out=xs[i:i + r].reshape(-1))
             # Written so that NaN also fails the guard.
             failed = ~np.all(np.abs(xs[start:stop, :n]) <= OVERFLOW_GUARD, axis=1)
             if failed.any():
@@ -267,13 +263,15 @@ def integrate_second_moments(
     dt: float | None = None,
     n_samples: int | None = None,
 ) -> SecondMomentSeries:
-    """RK4 trajectory of the closed second-moment system; t_end, dt in seconds.
+    """RK4 trajectory of the closed number system; t_end, dt in seconds.
 
-    State (n_a, n_b, Re<a^dag b>, Im<a^dag b>) with the equations of motion
-    n_a' = -2*kappa*n_a - 2G*Im(c), n_b' = 2*gamma*n_b + 2G*Im(c) + 2*gamma,
-    c' = (gamma-kappa)*c + iG*(n_a - n_b), including the inhomogeneous
-    2*gamma gain term. Initial second moments are the coherent-state values
-    n_a = |alpha|^2, n_b = |beta|^2, c = alpha* beta.
+    State (n_a, n_b, s) with s = Im<a^dag b> and the equations of motion
+    n_a' = -2*kappa*n_a - 2G*s, n_b' = 2*gamma*n_b + 2G*s + 2*gamma,
+    s' = (gamma-kappa)*s + G*(n_a - n_b), including the inhomogeneous
+    2*gamma gain term. Re<a^dag b> obeys its own equation,
+    d/dt Re<a^dag b> = (gamma-kappa) Re<a^dag b>, and feeds neither number, so
+    it is not carried. Initial values are the coherent-state ones
+    n_a = |alpha|^2, n_b = |beta|^2, s = Im(alpha* beta).
     """
     dt = _check_step(params, t_end, dt)
     k = params.kappa
@@ -281,24 +279,20 @@ def integrate_second_moments(
     Gn = params.coupling_G / k
     A = np.array(
         [
-            [-2.0, 0.0, 0.0, -2.0 * Gn],
-            [0.0, 2.0 * gn, 0.0, 2.0 * Gn],
-            [0.0, 0.0, gn - 1.0, 0.0],
-            [Gn, -Gn, 0.0, gn - 1.0],
+            [-2.0, 0.0, -2.0 * Gn],
+            [0.0, 2.0 * gn, 2.0 * Gn],
+            [Gn, -Gn, gn - 1.0],
         ]
     )
-    b = np.array([0.0, 2.0 * gn, 0.0, 0.0])
-    c0 = complex(init.alpha).conjugate() * complex(init.beta)
-    v0 = np.array([abs(init.alpha) ** 2, abs(init.beta) ** 2, c0.real, c0.imag])
+    b = np.array([0.0, 2.0 * gn, 0.0])
+    s0 = (complex(init.alpha).conjugate() * complex(init.beta)).imag
+    v0 = np.array([abs(init.alpha) ** 2, abs(init.beta) ** 2, s0])
     t, v, truncated = _propagate(A, b, v0, t_end * k, dt * k, n_samples)
     t = t / k
     return SecondMomentSeries(
         t=t,
         n_a=v[:, 0],
         n_b=v[:, 1],
-        # The (Re, Im) pair read as one complex, without arithmetic: Re + 1j*Im
-        # turns an infinite Im of a truncated run's last row into a NaN Re.
-        ab_corr=np.ascontiguousarray(v[:, 2:]).view(complex)[:, 0],
         truncated=truncated,
     )
 

@@ -264,7 +264,7 @@ class TestEvolveCommand:
     ])
     def test_long_stable_runs_keep_relative_accuracy(self, capsys, argv):
         # The map between samples contracts by up to e^-10 here, and n_a of the
-        # last case by e^-26 over a run of 32 samples: filled as x + D_i x from
+        # last case by e^-26 over a run of 32 samples: with powers composed as
         # small parts D_i, these rows would cancel to ~eps |x|.
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK

@@ -12,6 +12,7 @@ from ptomech import (
     integrate_first_moments,
     integrate_second_moments,
     make_params,
+    numeric,
     steady_numbers,
     stimulated_spontaneous_split,
 )
@@ -107,7 +108,7 @@ PROPAGATOR_CASES = {
     "chunked": (1.0, 0.8, 2.0, 6.0, 20),
     "truncating": (1.8, 1.2, 2.0, 15.0, 50),
     # One sample interval of 400/kappa: the last row is inf - inf = NaN; of
-    # 316/kappa: the last row has infinite and finite entries.
+    # 316/kappa: the last row is infinite, not NaN.
     "nan": (1.8, 1.2, 2.0, 400.0, 2),
     "inf": (1.8, 1.2, 2.0, 316.0, 2),
     # The second moments fail the guard at sample GUARD_BLOCK (the last sample
@@ -131,7 +132,24 @@ def moment_systems(g, G, w1, init):
             (second_moment_matrix(g, G), np.array([0.0, 2.0 * g, 0.0, 0.0]), x0))
 
 
-def integrate_both(case, init):
+@pytest.fixture
+def propagated(monkeypatch):
+    """The states ``_propagate`` returns, one array per call, in call order.
+
+    The second-moment state (n_a, n_b, Im<a^dag b>) is read here: the series
+    keeps only the numbers."""
+    states = []
+
+    def recording(*args):
+        out = _propagate(*args)
+        states.append(out[1])
+        return out
+
+    monkeypatch.setattr(numeric, "_propagate", recording)
+    return states
+
+
+def integrate_both(case, init, propagated):
     g, G, w1, t_end, n_samples = PROPAGATOR_CASES[case]
     p = make_params(KAPPA, g * KAPPA, G * KAPPA, w1 * KAPPA, MASS)
     dt = 0.005 / KAPPA
@@ -141,18 +159,22 @@ def integrate_both(case, init):
         first = integrate_first_moments(p, init, t_end / KAPPA, dt=dt, n_samples=n_samples)
         second = integrate_second_moments(p, init, t_end / KAPPA, dt=dt, n_samples=n_samples)
     got1 = np.column_stack([first.a_mean, first.b_mean])
-    got2 = np.column_stack([second.n_a, second.n_b, second.ab_corr.real, second.ab_corr.imag])
+    got2 = propagated[-1]
+    assert np.array_equal(got2[:, :2], np.column_stack([second.n_a, second.n_b]), equal_nan=True)
     return (first, got1), (second, got2)
 
 
 class TestPropagatorAgainstStepwiseLoop:
     @pytest.mark.parametrize("case", sorted(PROPAGATOR_CASES))
-    def test_both_series_match_reference(self, case, coherent_init):
+    def test_both_series_match_reference(self, case, coherent_init, propagated):
         g, G, w1, t_end, n_samples = PROPAGATOR_CASES[case]
-        (first, got1), (second, got2) = integrate_both(case, coherent_init)
+        (first, got1), (second, got2) = integrate_both(case, coherent_init, propagated)
         with np.errstate(over="ignore", invalid="ignore"):
             refs = [stepwise_rk4(A, b, x0, t_end, 0.005, n_samples)
                     for A, b, x0 in moment_systems(g, G, w1, coherent_init)]
+        # The oracle carries (n_a, n_b, Im<a^dag b>): columns 0, 1 and 3 of the
+        # four-state reference.
+        refs[1] = refs[1][:, [0, 1, 3]]
         for got, ref, series in ((got1, refs[0], first), (got2, refs[1], second)):
             assert got.shape == ref.shape
             assert series.truncated == (not np.max(np.abs(ref[-1])) <= OVERFLOW_GUARD)
@@ -171,8 +193,7 @@ class TestPropagatorAgainstStepwiseLoop:
             assert first.truncated and second.truncated
             assert np.isnan(second.n_b[-1]) and len(second.t) == 2
         if case == "inf":
-            assert np.isinf(second.n_b[-1]) and np.isinf(second.ab_corr[-1].imag)
-            assert np.isfinite(second.ab_corr[-1].real)
+            assert np.isinf(second.n_b[-1]) and np.isinf(got2[-1, 2])
         if case.startswith("block"):
             assert len(second.t) - 1 == GUARD_BLOCK + (case == "block_start")
 
@@ -195,6 +216,19 @@ class TestPropagatorAgainstStepwiseLoop:
             rows = np.all(finite, axis=1)
             scale = np.max(np.abs(xs_ref[rows]), axis=1, keepdims=True)
             assert np.max(np.abs(xs[rows] - xs_ref[rows]) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["chunk1", "chunked", "stable_chunked"])
+    def test_numbers_do_not_see_re_ab_corr(self, case, coherent_init):
+        # Row and column 2 of the four-state matrix are zero off the diagonal:
+        # Re<a^dag b> feeds neither number, which is why the oracle drops it.
+        g, G, w1, t_end, n_samples = PROPAGATOR_CASES[case]
+        _, (A, b, x0) = moment_systems(g, G, w1, coherent_init)
+        base = stepwise_rk4(A, b, x0, t_end, 0.005, n_samples)
+        for re_c in (0.0, -3.5, 1e3):
+            ref = stepwise_rk4(A, b, np.array([x0[0], x0[1], re_c, x0[3]]), t_end, 0.005,
+                               n_samples)
+            assert not np.array_equal(ref[:, 2], base[:, 2])
+            assert np.array_equal(ref[:, [0, 1, 3]], base[:, [0, 1, 3]])
 
     @pytest.mark.parametrize("k", [1, GUARD_BLOCK - 1, GUARD_BLOCK, GUARD_BLOCK + 1,
                                    2 * GUARD_BLOCK, 2 * GUARD_BLOCK + 1])
@@ -416,7 +450,7 @@ class TestSplit:
         with pytest.raises(ValueError):
             stimulated_spontaneous_split(first, second)
 
-    def test_moment_state_accessor(self, coherent_init):
+    def test_moment_state_accessor(self, coherent_init, propagated):
         # The moments of one sample, read from the two series: coherent at t = 0.
         p = params_at(0.6, 1.2)
         first = integrate_first_moments(p, coherent_init, 1.0 / KAPPA, n_samples=10)
@@ -426,7 +460,10 @@ class TestSplit:
         assert first.b_mean[0] == coherent_init.beta
         assert second.n_a[0] == abs(coherent_init.alpha) ** 2
         assert second.n_b[0] == abs(coherent_init.beta) ** 2
-        assert second.ab_corr[0] == coherent_init.alpha.conjugate() * coherent_init.beta
+        # Im(alpha* beta) starts the third state, as in the four-state reference.
+        _, (_, _, x0) = moment_systems(0.6, 1.2, OMEGA1 / KAPPA, coherent_init)
+        s0 = (coherent_init.alpha.conjugate() * coherent_init.beta).imag
+        assert propagated[-1][0, 2] == x0[3] == s0
         # Total number dominates the stimulated part along the trajectory.
         assert np.all(second.n_a >= np.abs(first.a_mean) ** 2 - 1e-9)
         assert np.all(second.n_b >= np.abs(first.b_mean) ** 2 - 1e-9)
