@@ -3,10 +3,14 @@
 Every formula holds on the whole (gamma, G) plane with one expression: gain
 above, at or below loss, the PT-symmetric and broken-PT regimes, the
 transition line Omega = 0, the f = G^2 - gamma*kappa = 0 curve and the
-exceptional point gamma = kappa = G. Each is evaluated once, in complex
-arithmetic: Omega = sqrt((gamma+kappa)^2 - 4G^2) is real in the broken-PT
-regime and imaginary in the PT-symmetric one, and exponentials of imaginary
-arguments are sinusoids, so no regime needs its own branch.
+exceptional point gamma = kappa = G. Each is evaluated once, and each
+intermediate keeps the dtype of its value: Omega = sqrt((gamma+kappa)^2 - 4G^2)
+is taken as a float where it is real (the broken-PT regime, the transition
+line Omega = 0 and the exceptional point) and as a complex number where it is
+imaginary (the PT-symmetric regime), and u = (gamma-kappa)t is real
+everywhere. Exponentials of imaginary arguments are sinusoids, so no regime
+needs its own branch; numpy's dtype promotion alone decides where complex
+arithmetic is needed.
 
 No formula divides by a difference of drift eigenvalues (Omega, gamma -
 kappa or gamma - kappa +- Omega), since those vanish on the transition line,
@@ -117,9 +121,15 @@ def _check_time(t) -> np.ndarray:
     return t
 
 
+def _omega(params: SystemParams) -> float | complex:
+    """Omega as a float where it is real, else as a complex number."""
+    Om = params.Omega
+    return Om.real if Om.imag == 0 else Om
+
+
 def _p(z) -> np.ndarray:
-    """p(z) = (e^z - 1)/z, with p(0) = 1; complex z."""
-    z = np.asarray(z, dtype=complex)
+    """p(z) = (e^z - 1)/z, with p(0) = 1; float for real z, complex for complex z."""
+    z = np.asarray(z, dtype=np.result_type(z, float))
     zero = z == 0
     safe = np.where(zero, 1.0, z)
     return np.where(zero, 1.0, np.expm1(safe) / safe)
@@ -158,8 +168,9 @@ def _p_derivatives(u: np.ndarray, order: int) -> np.ndarray:
 def _divided_differences(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p(u), S1 = [p(u+w) - p(u-w)]/(2w) and S2 = [p(u+w) + p(u-w) - 2p(u)]/(2w^2).
 
-    Real 1-d u, complex w of the same length (real or imaginary). S1 and S2
-    are even in w; where |w| is small they are the Taylor series
+    Real 1-d u; w of the same length, real (float) or imaginary (complex).
+    The results are float for a float w. S1 and S2 are even in w; where |w|
+    is small they are the Taylor series
     S1 = sum_j p^(2j+1)(u) w^2j/(2j+1)!, S2 = sum_j p^(2j+2)(u) w^2j/(2j+2)!.
     """
     small = np.abs(w) < _TAYLOR_W * np.maximum(1.0, -u)
@@ -195,16 +206,16 @@ def first_moments_closed_form(
     + (beta(gamma+kappa) + 2iG alpha) sinh(Omega t/2)/Omega] (and <a> with
     alpha <-> beta, gain <-> loss) regrouped so that gamma+kappa-Omega =
     4G^2/(gamma+kappa+Omega) appears without cancellation and no factor
-    overflows before the moment does.
+    overflows before the moment does. e^(lambda_-t) is formed as
+    e^(lambda_+t) e^(-Omega t), a real exponential where Omega is real.
     """
     t = _check_time(t)
     k, g, G = params.kappa, params.gamma, params.coupling_G
-    Om = params.Omega
+    Om = _omega(params)
     alpha, beta = complex(init.alpha), complex(init.beta)
 
-    x = g - k
-    e_plus = np.exp((0.5 * (x + Om) - 1j * params.omega1) * t)
-    e_minus = np.exp((0.5 * (x - Om) - 1j * params.omega1) * t)
+    e_plus = np.exp((0.5 * (g - k + Om) - 1j * params.omega1) * t)
+    e_minus = e_plus * np.exp(-Om * t)
     half_h = e_plus * (0.5 * t) * _p(-Om * t)
     mix = 4.0 * G * G / (g + k + Om)  # = gamma + kappa - Omega
     a = alpha * e_minus + (2j * G * beta - mix * alpha) * half_h
@@ -282,7 +293,7 @@ def numbers_from_moments(params: SystemParams, a, b, t) -> NumberSplit:
     t = np.asarray(t, dtype=float)
     k, g, G = params.kappa, params.gamma, params.coupling_G
     ts = t.reshape(-1)
-    p0, s1, s2 = _divided_differences((g - k) * ts, params.Omega * ts)
+    p0, s1, s2 = _divided_differences((g - k) * ts, _omega(params) * ts)
     gpk = g + k
     t3_s2 = ts**3 * s2
     na_sp = 4.0 * g * G * G * t3_s2

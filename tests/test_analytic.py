@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +23,7 @@ from ptomech import (
     stimulated_spontaneous_split,
 )
 from ptomech.analytic import steady_state
-from ptomech import presets
+from ptomech import analytic, presets
 from ptomech.presets import PRESETS
 
 from conftest import KAPPA, TRAJECTORY_SETS, params_at
@@ -405,6 +406,17 @@ class TestNumbersAgainstMpmath:
         for i, field in enumerate(("n_a_st", "n_b_st", "n_a_sp", "n_b_sp")):
             assert _pointwise_rel(getattr(got, field), ref[i]) <= 1e-10, field
 
+    # The dense benchmark's window: S2's direct form cancels near the Taylor
+    # switch here, which is where evaluating in real arithmetic moves digits.
+    @pytest.mark.parametrize("g,G", [pytest.param(g, G, id=name) for name, g, G in [
+        ("broken", 0.6, 0.5), ("PT", 0.6, 1.2), ("f=0", 0.6, math.sqrt(0.6)),
+        ("Omega~0", 0.6, 0.5 * math.sqrt(1.6**2 - 1e-8)), ("EP", 1.0, 1.0)]])
+    def test_short_time_window(self, g, G, coherent_init):
+        p, grid = params_at(g, G), np.linspace(0.0, 0.5, 41)
+        ref = mp_reference(p, coherent_init, grid)
+        got = numbers(p, coherent_init, grid / KAPPA)
+        for i, field in enumerate(("n_a_st", "n_b_st", "n_a_sp", "n_b_sp")):
+            assert _pointwise_rel(getattr(got, field), ref[i]) <= 1e-11, field
 
     def test_cavity_only_state_at_weak_coupling(self):
         # With beta = 0 the growing mode of <a> is fed only through
@@ -415,6 +427,46 @@ class TestNumbersAgainstMpmath:
         got = numbers(p, init, MP_GRID / KAPPA)
         for i, field in enumerate(("n_a_st", "n_b_st", "n_a_sp", "n_b_sp")):
             assert _pointwise_rel(getattr(got, field), ref[i]) <= 1e-10, field
+
+
+_BROKEN_PT_POINTS = st.one_of(
+    # The open broken-PT region G < (gamma + kappa)/2 and its lines gamma = kappa
+    # and f = 0 (G = sqrt(gamma kappa), below the line except at the EP).
+    st.tuples(_PLANE, st.floats(0.0, 1.0, exclude_max=True)).map(
+        lambda p: (p[0], 0.5 * (1.0 + p[0]) * p[1])),
+    st.floats(0.0, 1.0, exclude_max=True).map(lambda s: (1.0, s)),
+    _PLANE.map(lambda g: (g, math.sqrt(g))),
+    # Omega -> 0+: Omega = (gamma + kappa) sqrt(e).
+    st.tuples(_PLANE, st.integers(2, 16)).map(
+        lambda p: (p[0], 0.5 * (1.0 + p[0]) * math.sqrt(1.0 - 10.0 ** -p[1]))),
+)
+
+
+class TestRealOmega:
+    """Where Omega is real the closed forms run in real arithmetic; forced
+    complex, the same formulas give the same values."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(point=_BROKEN_PT_POINTS)
+    def test_real_and_complex_arithmetic_agree(self, point):
+        p = params_at(*point)
+        assert p.Omega.imag == 0 and isinstance(analytic._omega(p), float)
+        init = CoherentInit.from_polar(2.0, math.pi / 6.0, 2.0, math.pi / 3.0)
+        t = np.linspace(0.0, 4.0, 41) / KAPPA
+        u, w = (p.gamma - p.kappa) * t, p.Omega.real * t
+        real = analytic._divided_differences(u, w)
+        assert all(x.dtype == np.float64 for x in real)
+        for x, y in zip(real, analytic._divided_differences(u, complex(p.Omega) * t)):
+            assert _pointwise_rel(x, y) <= 1e-12
+        moments = first_moments_closed_form(p, init, t)
+        got = numbers(p, init, t)
+        with mock.patch.object(analytic, "_omega", lambda params: params.Omega):
+            forced_moments = first_moments_closed_form(p, init, t)
+            forced = numbers(p, init, t)
+        for x, y in zip(moments, forced_moments):
+            assert _pointwise_rel(x, y) <= 1e-12
+        for field in ("n_a_st", "n_b_st", "n_a_sp", "n_b_sp"):
+            assert _pointwise_rel(getattr(got, field), getattr(forced, field)) <= 1e-12, field
 
 
 class TestNumbersAgainstOracleProperty:

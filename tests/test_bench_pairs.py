@@ -1,0 +1,35 @@
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def result(pass_s, verified, failed=0):
+    return {"failed": failed, "attempted": 10,
+            "metrics": {"pass_s": {"value": pass_s}, "verified_frac": {"value": verified}}}
+
+
+def test_summary_of_pairs():
+    runs = {"parent": [result(2.0, 1.0), result(3.0, 0.9, 1), result(4.0, 1.0), result(5.0, 1.0)],
+            "change": [result(1.0, 1.0), result(3.5, 1.0), result(2.0, 0.9, 1), result(3.0, 1.0)]}
+    out = bench_pairs.summarize(runs, {"pass_s": "lower", "verified_frac": "higher"})
+    assert out["parent"]["pass_s"] == {"median": 3.5, "q1": 2.75, "q3": 4.25,
+                                       "runs": [2.0, 3.0, 4.0, 5.0]}
+    assert out["change"]["failed"] == [0, 0, 1, 0]
+    assert out["pair_winner"]["pass_s"] == ["change", "parent", "change", "change"]
+    assert out["pair_winner"]["verified_frac"] == ["tie", "change", "parent", "tie"]
+    assert out["change_wins_of_pairs"] == {"pass_s": 3, "verified_frac": 1}
+    assert out["ratio"]["pass_s"] == pytest.approx(2.5 / 3.5)
+
+
+def test_ratio_to_an_earlier_file():
+    summary = {side: {"pass_s": {"median": m}} for side, m in (("parent", 2.0), ("change", 1.0))}
+    earlier = {"workloads": {"w": {"change": {"pass_s": {"median": 4.0}}}}}
+    assert bench_pairs.ratios_to(earlier, "w", summary, ["pass_s"]) == {
+        "parent": {"pass_s": 0.5}, "change": {"pass_s": 0.25}}
+    assert bench_pairs.ratios_to(earlier, "other", summary, ["pass_s"]) is None

@@ -989,6 +989,43 @@ def _tables(draw):
     return columns, footer
 
 
+# Texts as the writer's canvas holds them: multi-byte UTF-8, U+00FF (C3 BF) and
+# lone surrogates, which only the surrogatepass encoding takes.
+_CANVAS_TEXT = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from("\u00e9\u00ff\u2028\U0001f600\U0010ffff"),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)), max_size=9)
+
+
+@st.composite
+def _canvases(draw):
+    """Texts laid out on a (rows, width) canvas of words, each text padded to
+    whole words and followed by 0-2 pad words, the canvas filled up with pads."""
+    texts = draw(st.lists(_CANVAS_TEXT, max_size=30))
+    data = bytearray()
+    for text in texts:
+        encoded = text.encode("utf-8", "surrogatepass")
+        data += encoded + tables._PAD * (-len(encoded) % 4 + 4 * draw(st.integers(0, 2)))
+    width = draw(st.integers(1, 5))
+    data += tables._PAD * (-len(data) % (4 * width))
+    return texts, np.frombuffer(bytes(data), tables._WORD).reshape(-1, width)
+
+
+class TestTextCompaction:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(canvas=_canvases())
+    def test_drops_exactly_the_pads(self, canvas):
+        texts, chars = canvas
+        # The mask-and-index form the writer used before bytes.translate.
+        data = chars.view(np.uint8).ravel()
+        masked = data[data != 0xFF].tobytes().decode("utf-8", "surrogatepass")
+        assert tables._text(chars) == masked == "".join(texts)
+
+    def test_no_lone_surrogate_encodes_a_pad_byte(self):
+        for code in range(0xD800, 0xE000):
+            encoded = chr(code).encode("utf-8", "surrogatepass")
+            assert encoded[0] == 0xED and tables._PAD not in encoded
+
+
 class TestWriterMatchesJsonDumps:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(table=_tables(), precision=st.integers(1, 17), command=_TEXT)
