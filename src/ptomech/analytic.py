@@ -206,16 +206,18 @@ def first_moments_closed_form(
     + (beta(gamma+kappa) + 2iG alpha) sinh(Omega t/2)/Omega] (and <a> with
     alpha <-> beta, gain <-> loss) regrouped so that gamma+kappa-Omega =
     4G^2/(gamma+kappa+Omega) appears without cancellation and no factor
-    overflows before the moment does. e^(lambda_-t) is formed as
-    e^(lambda_+t) e^(-Omega t), a real exponential where Omega is real.
+    overflows before the moment does. e^(lambda_-t) is its own exp, not
+    e^(lambda_+t) e^(-Omega t): that product rounds once more and saves too
+    little to measure end to end.
     """
     t = _check_time(t)
     k, g, G = params.kappa, params.gamma, params.coupling_G
     Om = _omega(params)
     alpha, beta = complex(init.alpha), complex(init.beta)
 
-    e_plus = np.exp((0.5 * (g - k + Om) - 1j * params.omega1) * t)
-    e_minus = e_plus * np.exp(-Om * t)
+    x = g - k
+    e_plus = np.exp((0.5 * (x + Om) - 1j * params.omega1) * t)
+    e_minus = np.exp((0.5 * (x - Om) - 1j * params.omega1) * t)
     half_h = e_plus * (0.5 * t) * _p(-Om * t)
     mix = 4.0 * G * G / (g + k + Om)  # = gamma + kappa - Omega
     a = alpha * e_minus + (2j * G * beta - mix * alpha) * half_h

@@ -54,7 +54,8 @@ _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 _WORD = np.dtype("<u4")
 _PAD = b"\xff"
 # Two adjacent words read as one item: numpy gathers 1-d items several times
-# faster than rows of a 2-d table.
+# faster than rows of a 2-d table, and copies the gathered words into two
+# canvas columns faster than as (n, 2) rows.
 _PAIR = np.dtype("<u8")
 # Words per float cell. CSV: [-]d, '.' and p-1 digits right-aligned in 12
 # places, e+/- and 2-3 exponent digits; an exact text of p <= 17 (at most 24
@@ -168,7 +169,8 @@ def _fast_cells(v: np.ndarray, p: int, json_text: bool, chars: np.ndarray) -> np
         chars[:, point] = np.where(n_frac != 0, _word("."), np.where(pos, _word(".0"), _word("")))
         # The fraction's p+3 digits, left-aligned in 16.
         _put_digits(n_frac * ipow10[13 - p], chars[:, point + 1:point + 5], "trailing")
-        chars[:, point + 5:].view(_PAIR)[:, 0] = exponents[np.where(pos, -1, e + _EXP)]
+        words = exponents[np.where(pos, -1, e + _EXP)].view(_WORD).reshape(-1, 2)
+        chars[:, point + 5], chars[:, point + 6] = words.T
     else:
         # '-' (0x2D) or a pad in byte 0, the first digit in byte 3; then the
         # other p-1 digits, zero-padded to 12 places, with pads and '.' over the zeros.
@@ -177,7 +179,8 @@ def _fast_cells(v: np.ndarray, p: int, json_text: bool, chars: np.ndarray) -> np
         _put_digits(m % top, chars[:, 1:4])
         fill = _PAD * (12 - p) + b"." if p > 1 else _PAD * 12
         chars.view(np.uint8)[:, 4:17 - p] = np.frombuffer(fill, np.uint8)
-        chars[:, 4:].view(_PAIR)[:, 0] = exponents[e + _EXP]
+        words = exponents[e + _EXP].view(_WORD).reshape(-1, 2)
+        chars[:, 4], chars[:, 5] = words.T
     return fast
 
 

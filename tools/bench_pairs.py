@@ -1,20 +1,22 @@
-"""Run the benchmark in alternating pairs against a base commit and write BENCH_<n>.json.
+"""Run the benchmark in alternating pairs against HEAD and write BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --number 16 --base HEAD --pairs 10 --seconds 30
+    python3 tools/bench_pairs.py --number 16
 
-Each side runs from a clean copy of its tree without ``__pycache__``: the
-base commit from ``git archive``, the change from the working tree's tracked
-and untracked, not ignored files. For each workload, pair i runs
+Run it with the change uncommitted. Each side runs from a clean copy of its
+tree without ``__pycache__``: the parent (HEAD) from ``git archive``, the
+change from the working tree's tracked and untracked, not ignored files. For
+every workload of ``BENCHMARK.json``, pair i of ten runs
 ``bench/run.py --workload W --seed S_i --seconds T --trace 0`` on both sides
-with the same seed, the base first in odd pairs and the change first in even
-ones, every run with ``PYTHONDONTWRITEBYTECODE=1``. With ``--trace-seed`` each
-side then makes one ``--trace 1`` run per workload.
+with the same seed and the benchmark's ``run_seconds`` as T, the parent first
+in odd pairs and the change first in even ones, every run with
+``PYTHONDONTWRITEBYTECODE=1``. Each side then makes one ``--trace 1`` run per
+workload.
 
 The output holds, per workload and side, each end-to-end metric's runs,
 median and quartiles, the failed and attempted calls of each run, and per
 metric the winner of each pair (by the direction ``BENCHMARK.json`` gives),
 the number of pairs the change won and the ratio of the medians, change over
-base. Each side's medians are also divided by the change medians of the newest
+parent. Each side's medians are also divided by the change medians of the newest
 earlier ``BENCH_<k>.json`` in the repository root. The script only reads what
 ``bench/run.py`` prints; it changes nothing under ``bench/``.
 """
@@ -35,6 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# Ten pairs: a gain is claimed where the change wins nine of them.
+PAIRS = 10
+TRACE_SEED = 7
 
 
 def _git(*args: str) -> str:
@@ -42,10 +47,10 @@ def _git(*args: str) -> str:
                           text=True).stdout
 
 
-def export_trees(base: str, into: Path) -> dict[str, Path]:
-    """Clean copies of the base commit and of the working tree under ``into``."""
+def export_trees(parent: str, into: Path) -> dict[str, Path]:
+    """Clean copies of the parent commit and of the working tree under ``into``."""
     trees = {side: into / side for side in SIDES}
-    archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
+    archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
                              capture_output=True).stdout
     trees["parent"].mkdir()
     subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
@@ -135,35 +140,28 @@ def ratios_to(earlier: dict, workload: str, summary: dict, names) -> dict | None
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, required=True, help="n of the BENCH_<n>.json written")
-    parser.add_argument("--base", default="HEAD", help="commit the working tree is compared with")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--first-seed", type=int, help="seed of pair 1 (default 100 n + 1)")
-    parser.add_argument("--workloads", nargs="*", help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--trace-seed", type=int, help="also make one --trace 1 run per side with this seed")
     parser.add_argument("--what", default="", help="one sentence on the change, stored as 'what'")
-    parser.add_argument("--workdir", type=Path, help="where the two trees go (default: a temporary directory)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     first_seed = args.first_seed if args.first_seed is not None else 100 * args.number + 1
-    seeds = list(range(first_seed, first_seed + args.pairs))
-    seconds = int(args.seconds) if args.seconds == int(args.seconds) else args.seconds
-    base_commit = _git("rev-parse", args.base).strip()
+    seeds = list(range(first_seed, first_seed + PAIRS))
+    seconds = spec["run_seconds"]
+    parent_commit = _git("rev-parse", "HEAD").strip()
     earlier = newest_earlier(args.number)
 
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    workdir.mkdir(parents=True, exist_ok=True)
-    trees = export_trees(base_commit, workdir)
+    workdir = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    trees = export_trees(parent_commit, workdir)
     sys.path.insert(0, str(trees["change"] / "bench"))
     from workloads import WORKLOADS  # noqa: E402  (the change's workload table)
 
     doc = {
         "what": args.what,
         "command": " ".join(bench_argv("W", "S", seconds, 0)),
-        "parent_commit": base_commit,
+        "parent_commit": parent_commit,
         "machine": (f"{os.cpu_count()}-core {platform.machine()}; Python {platform.python_version()}; "
                     "PYTHONDONTWRITEBYTECODE=1, so every run compiles the package from source"),
         "ratio": "change median / parent median",
@@ -187,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             "cli_argv": [list(inv.argv) for inv in WORKLOADS[workload].invocations],
             "bench_argv": bench_argv(workload, "S", seconds, 0),
             "seeds": seeds,
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "order": order,
             **summarize(runs, better),
         }
@@ -195,24 +193,22 @@ def main(argv: list[str] | None = None) -> int:
             entry[f"ratio_to_bench_{earlier[0]}"] = ratios
         doc["workloads"][workload] = entry
 
-    if args.trace_seed is not None:
-        trace = {"command": " ".join(bench_argv("W", args.trace_seed, seconds, 1)),
-                 "note": ("medians over traced passes of one run per side, run after the pairs; "
-                          "seconds are wall time, not scaled, so compare them with "
-                          "machine.kernel_s of the same run")}
-        for workload in workloads:
-            trace[workload] = {}
-            for side in SIDES:
-                result = run_bench(trees[side], bench_argv(workload, args.trace_seed, seconds, 1))
-                trace[workload][side] = {name: m["value"] for name, m in result["metrics"].items()}
-        doc["per_layer_trace"] = trace
+    trace = {"command": " ".join(bench_argv("W", TRACE_SEED, seconds, 1)),
+             "note": ("medians over traced passes of one run per side, run after the pairs; "
+                      "seconds are wall time, not scaled, so compare them with "
+                      "machine.kernel_s of the same run")}
+    for workload in workloads:
+        trace[workload] = {}
+        for side in SIDES:
+            result = run_bench(trees[side], bench_argv(workload, TRACE_SEED, seconds, 1))
+            trace[workload][side] = {name: m["value"] for name, m in result["metrics"].items()}
+    doc["per_layer_trace"] = trace
     doc["notes"] = []
 
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path}", file=sys.stderr)
-    if args.workdir is None:
-        shutil.rmtree(workdir)
+    shutil.rmtree(workdir)
     return 0
 
 
