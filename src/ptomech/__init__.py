@@ -12,14 +12,10 @@ from .model import (
 )
 from .spectrum import (
     PhaseDiagramGrid,
-    Spectrum,
     classify,
-    drift_eigenvalues,
     drift_eigenvalues_dense,
     drift_matrix,
-    max_re_lambda,
     phase_diagram,
-    supermode_frequencies,
 )
 from .analytic import (
     ClosedFormError,
@@ -51,12 +47,10 @@ __all__ = [
     "PhaseDiagramGrid",
     "RegimeLabel",
     "SecondMomentSeries",
-    "Spectrum",
     "Stability",
     "SystemParams",
     "classify",
     "displacement",
-    "drift_eigenvalues",
     "drift_eigenvalues_dense",
     "drift_matrix",
     "finite_time_amplitude",
@@ -64,10 +58,8 @@ __all__ = [
     "integrate_first_moments",
     "integrate_second_moments",
     "make_params",
-    "max_re_lambda",
     "numbers",
     "phase_diagram",
     "steady_numbers",
     "stimulated_spontaneous_split",
-    "supermode_frequencies",
 ]

@@ -13,6 +13,11 @@ flags win. Each command's parser is built once per process and shared
 read-only (:func:`build_parser`); the variables, and ``COLUMNS`` for help,
 are read on every call.
 
+``classify`` prints everything in units of kappa. Its first six columns are
+the row a one-cell ``sweep`` prints at the same point, from the same rule;
+the rest are the supermode frequencies and drift eigenvalues of
+``spectrum.eigenvalues``, real and imaginary parts.
+
 ``evolve`` (and every trajectory figure) tabulates the closed forms next to the
 RK4 oracle and reports, in its footer, ``max_rel_discrepancy_x``: the largest
 |x_analytic - x_numeric| relative to the oracle's local amplitude
@@ -145,18 +150,17 @@ def _config_from_args(args, command: str, sweep: dict | None = None) -> dict:
 def cmd_classify(args) -> int:
     if args.gamma is None or args.G is None:
         raise ValueError("classify requires --gamma and --G (in units of kappa)")
-    params = _build_params(args)
+    _build_params(args)  # for its checks of the rates, and their error lines
     config = _config_from_args(args, "classify")
-    code = spectrum.REGIME_LABELS.index(spectrum.classify(params, tol=args.tol))
-    spec = spectrum.drift_eigenvalues(params)
-    k = params.kappa
-    record = {"gamma_over_kappa": args.gamma, "G_over_kappa": args.G,
-              **{name: strings[code] for name, strings in _LABEL_STRINGS.items()},
-              "max_re_lambda": spectrum.max_re_lambda(params) / k}
+    # The 1x1 case of sweep's rule, then the closed-form spectrum, all in kappa units.
+    g, G = np.array([args.gamma]), np.array([args.G])
+    codes, rmax = spectrum._codes_and_rmax(g, G, args.tol)
+    columns = {"gamma_over_kappa": g, "G_over_kappa": G, **_label_columns(codes),
+               "max_re_lambda": rmax}
     names = ("omega_plus", "omega_minus", "lambda_pp", "lambda_pm", "lambda_mp", "lambda_mm")
-    for name, z in zip(names, (spec.omega_plus, spec.omega_minus, *spec.lambdas)):
-        record[f"{name}_re"], record[f"{name}_im"] = z.real / k, z.imag / k
-    _write_output(tables.one_row(record), None, config)
+    for name, z in zip(names, spectrum.eigenvalues(args.gamma, args.G, args.omega1)):
+        columns[f"{name}_re"], columns[f"{name}_im"] = np.array([z.real]), np.array([z.imag])
+    _write_output(columns, None, config)
     return EXIT_OK
 
 

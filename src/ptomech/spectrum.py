@@ -1,9 +1,10 @@
 """Eigenanalysis of the linearized two-mode system and regime classification.
 
-Two routes to the same spectrum are kept deliberately separate: the closed
-forms for the supermode frequencies and the drift eigenvalues, and a dense
-eigensolve of the explicitly materialized 4x4 drift matrix. The dense route is
-a redundant cross-check, not the primary formula.
+The spectrum has one closed form, :func:`eigenvalues`: the supermode
+frequencies and the four drift eigenvalues in units of kappa. A dense
+eigensolve of the explicitly materialized 4x4 drift matrix
+(:func:`drift_eigenvalues_dense`, rad/s) is the independent cross-check, not
+a second formula.
 
 Classification is one rule over arrays, :func:`regime_codes`: it compares
 f = G^2 - gamma*kappa, gamma vs kappa and G vs (kappa+gamma)/2 in
@@ -13,7 +14,9 @@ returns an int8 code per point that indexes the nine labels of
 :data:`REGIME_LABELS`. On the transition line the stability class is the
 sign of the largest eigenvalue real part, within the same tolerance.
 :func:`classify` is its 1x1 case and :func:`phase_diagram` applies it to a
-whole grid at once.
+whole grid at once. ``ptomech classify`` prints the 1x1 case of the grid
+rule (the row of a one-cell sweep), then the real and imaginary parts from
+:func:`eigenvalues`.
 """
 
 from __future__ import annotations
@@ -29,27 +32,20 @@ from .model import PTPhase, RegimeLabel, Stability, SystemParams
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Supermode frequencies and the four drift eigenvalues of one parameter point.
+def eigenvalues(g: float, G: float, w1: float) -> tuple[complex, ...]:
+    """Supermode frequencies and drift eigenvalues at gamma/kappa = g, G/kappa = G
+    and omega1/kappa = w1, in kappa units.
 
-    ``lambdas`` is ordered (tau, s) = (+1,+1), (+1,-1), (-1,+1), (-1,-1).
+    Returns (omega_+, omega_-, lambda_{+,+}, lambda_{+,-}, lambda_{-,+}, lambda_{-,-}):
+    omega_pm = w1 - (i/2)(1 - g) +- sqrt(G^2 - (1+g)^2/4), and
+    lambda_{tau,s} = [g - 1 + tau*sqrt((g+1)^2 - 4G^2) + 2i*s*w1]/2.
+    The squares are products: ``**`` raises OverflowError where ``*`` gives inf.
     """
-
-    omega_plus: complex
-    omega_minus: complex
-    lambdas: tuple[complex, complex, complex, complex]
-
-
-def supermode_frequencies(params: SystemParams) -> tuple[complex, complex]:
-    """Eigenfrequencies of the symmetric/antisymmetric supermodes, rad/s.
-
-    omega_pm = omega1 - (i/2)(kappa - gamma) +- sqrt(G^2 - (kappa+gamma)^2/4);
-    omega_plus carries the + branch of the square root.
-    """
-    root = cmath.sqrt(params.coupling_G**2 - 0.25 * (params.kappa + params.gamma) ** 2)
-    base = params.omega1 - 0.5j * (params.kappa - params.gamma)
-    return base + root, base - root
+    root = cmath.sqrt(G * G - 0.25 * ((1.0 + g) * (1.0 + g)))
+    base = w1 - 0.5j * (1.0 - g)
+    Om = cmath.sqrt((g + 1.0) * (g + 1.0) - 4.0 * G * G)
+    lambdas = [0.5 * (g - 1.0 + tau * Om + 2j * s * w1) for tau in (1.0, -1.0) for s in (1.0, -1.0)]
+    return (base + root, base - root, *lambdas)
 
 
 def drift_matrix(params: SystemParams) -> np.ndarray:
@@ -69,35 +65,15 @@ def drift_matrix(params: SystemParams) -> np.ndarray:
     )
 
 
-def drift_eigenvalues(params: SystemParams) -> Spectrum:
-    """Closed-form drift eigenvalues lambda_{tau,s} and supermode frequencies.
-
-    lambda_{tau,s} = [gamma - kappa + tau*sqrt((gamma+kappa)^2 - 4G^2) + 2i*s*omega1]/2.
-    """
-    Om = params.Omega
-    gk = params.gamma - params.kappa
-    w1 = params.omega1
-    lambdas = tuple(
-        0.5 * (gk + tau * Om + 2j * s * w1) for tau in (1.0, -1.0) for s in (1.0, -1.0)
-    )
-    op, om = supermode_frequencies(params)
-    return Spectrum(omega_plus=op, omega_minus=om, lambdas=lambdas)
-
-
 def drift_eigenvalues_dense(params: SystemParams) -> np.ndarray:
     """Eigenvalues of the materialized drift matrix via a generic dense solver.
 
-    Independent cross-check path for :func:`drift_eigenvalues`; returns the four
+    Independent cross-check of :func:`eigenvalues`, in rad/s; returns the four
     eigenvalues sorted by (real, imag).
     """
     lam = np.linalg.eigvals(drift_matrix(params))
     order = np.lexsort((lam.imag, lam.real))
     return lam[order]
-
-
-def max_re_lambda(params: SystemParams) -> float:
-    """Largest eigenvalue real part of the drift matrix, rad/s (closed form)."""
-    return 0.5 * (params.gamma - params.kappa + params.Omega.real)
 
 
 # Code k of regime_codes is REGIME_LABELS[k]; codes 1..6 are the regions of that
@@ -190,7 +166,7 @@ def _axis(name: str, lo: float, hi: float, n: int) -> np.ndarray:
         raise ValueError(f"{name} range must be nonnegative, got [{lo}, {hi}]")
     if hi < lo:
         raise ValueError(f"{name} range is inverted: [{lo}, {hi}]")
-    # regime_codes and max_re_lambda square gamma + 1 and 2G.
+    # _codes_and_rmax squares gamma + 1 and 2G.
     if not (2.0 * hi + 1.0) * (2.0 * hi + 1.0) < math.inf:
         raise ValueError(f"{name} range is out of floating-point range: [{lo}, {hi}]")
     if n < 2:

@@ -1,5 +1,7 @@
 import importlib.util
 import pathlib
+import sys
+import tempfile
 
 import pytest
 
@@ -33,3 +35,22 @@ def test_ratio_to_an_earlier_file():
     assert bench_pairs.ratios_to(earlier, "w", summary, ["pass_s"]) == {
         "parent": {"pass_s": 0.5}, "change": {"pass_s": 0.25}}
     assert bench_pairs.ratios_to(earlier, "other", summary, ["pass_s"]) is None
+
+
+def test_a_failed_run_leaves_no_tree_copies(tmp_path, monkeypatch):
+    def export_trees(parent, into):
+        (into / "parent").mkdir()
+        # The change's side reads its workload table from bench/.
+        return {"parent": into / "parent", "change": bench_pairs.ROOT}
+
+    def run_bench(tree, argv):
+        raise RuntimeError("exited 1")
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "0" * 40 + "\n")
+    monkeypatch.setattr(bench_pairs, "export_trees", export_trees)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    with pytest.raises(RuntimeError, match="exited 1"):
+        bench_pairs.main(["--number", "99"])
+    assert not list(tmp_path.glob("bench_pairs-*"))

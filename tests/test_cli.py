@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ptomech import CoherentInit, analytic, cli, spectrum, tables
@@ -24,6 +24,8 @@ from ptomech.cli import (
 )
 from ptomech.presets import PRESETS
 from ptomech.tables import _float_cells, float_text
+
+from conftest import RULE_POINTS
 
 
 def writer_config(fmt="csv", precision=12, output=None):
@@ -557,6 +559,67 @@ class TestSteadyCommand:
         flags = {r[3] for r in rows}
         assert flags == {"0", "1"}
         assert all(r[1] == "nan" for r in rows if r[3] == "0")
+
+
+def captured(*argv):
+    """Exit code, stdout and stderr of one in-process call (no pytest fixture,
+    so that hypothesis may call it per example)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def csv_row(argv):
+    code, out, err = captured(*argv)
+    assert (code, err) == (EXIT_OK, "")
+    header, rows, _ = parse_csv(out)
+    assert len(rows) == 1
+    return dict(zip(header, rows[0]))
+
+
+def json_row(argv):
+    code, out, err = captured(*argv, "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    rows = json.loads(out, parse_float=str, parse_constant=str)["rows"]
+    assert len(rows) == 1
+    return rows[0]
+
+
+class TestOnePointAgainstOneCellSweep:
+    """A one-point command prints what a one-cell sweep of the same rule prints."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(point=RULE_POINTS)
+    @example(point=(0.721, 0.849))
+    @example(point=(0.198, 0.446))
+    @example(point=(1.522, 1.107))
+    def test_classify_is_a_one_cell_sweep(self, point):
+        g, G = map(repr, point)
+        classify = ("classify", "--gamma", g, "--G", G)
+        sweep = ("sweep", "--gamma-min", g, "--gamma-max", g, "--gamma-res", "1",
+                 "--G-min", G, "--G-max", G, "--G-res", "1")
+        for row in (csv_row, json_row):
+            cells, cell = row(classify), row(sweep)
+            assert list(cells.items())[:6] == list(cell.items())
+            assert cells["lambda_pp_re"] == cells["max_re_lambda"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(point=RULE_POINTS)
+    def test_steady_is_a_one_point_sweep(self, point):
+        g, G = map(repr, point)
+        code, out, _ = captured("steady", "--gamma", g, "--G", G)
+        assert code in (EXIT_OK, EXIT_UNSTABLE)
+        if code == EXIT_OK:
+            header, rows, _ = parse_csv(out)
+            numbers = dict(zip(header, rows[0]))
+            expected = (numbers["n_a_s"], numbers["n_b_s"], "1")
+        else:
+            expected = ("nan", "nan", "0")
+        for argv in (("--gamma", g, "--sweep", "G", "--sweep-min", G, "--sweep-max", G),
+                     ("--G", G, "--sweep", "gamma", "--sweep-min", g, "--sweep-max", g)):
+            cell = csv_row(("steady", *argv, "--sweep-points", "1"))
+            assert (cell["n_a_s"], cell["n_b_s"], cell["stable"]) == expected
 
 
 class TestRequestsThatCannotRun:

@@ -8,7 +8,6 @@ import pytest
 from ptomech import (
     CoherentInit,
     displacement,
-    drift_eigenvalues,
     integrate_first_moments,
     integrate_second_moments,
     make_params,
@@ -17,6 +16,7 @@ from ptomech import (
     stimulated_spontaneous_split,
 )
 from ptomech.numeric import GUARD_BLOCK, OVERFLOW_GUARD, _plan_grid, _propagate, default_dt
+from ptomech.spectrum import eigenvalues
 
 from conftest import KAPPA, MASS, OMEGA1, params_at
 
@@ -286,7 +286,7 @@ class TestFirstMoments:
     def test_eigenvector_initialization_evolves_as_pure_mode(self):
         p = params_at(0.6, 1.2)
         # (a, b) block eigenvalue: tau = +1, s = -1 branch of the closed form.
-        lam = drift_eigenvalues(p).lambdas[1]
+        lam = KAPPA * eigenvalues(0.6, 1.2, OMEGA1 / KAPPA)[3]
         v = np.array([1j * p.coupling_G, lam + 1j * p.omega1 + p.kappa])
         v = v / np.max(np.abs(v))
         init = CoherentInit(alpha=complex(v[0]), beta=complex(v[1]))
@@ -376,9 +376,8 @@ class TestSecondMoments:
         rng = np.random.default_rng(31)
         for _ in range(50):
             g, G = rng.uniform(0.0, 2.0, size=2)
-            p = make_params(1.0, g, G, 10.0, 1.0)
             second_eigs = np.linalg.eigvals(second_moment_matrix(g, G))
-            lam_p, lam_m = drift_eigenvalues(p).lambdas[1], drift_eigenvalues(p).lambdas[3]
+            _, _, _, lam_p, _, lam_m = eigenvalues(g, G, 10.0)
             expected = np.array(
                 [
                     lam_p + lam_p.conjugate(),

@@ -9,17 +9,14 @@ from ptomech import (
     PTPhase,
     Stability,
     classify,
-    drift_eigenvalues,
     drift_eigenvalues_dense,
     drift_matrix,
     make_params,
-    max_re_lambda,
     phase_diagram,
-    supermode_frequencies,
 )
-from ptomech.spectrum import REGIME_LABELS, regime_codes
+from ptomech.spectrum import REGIME_LABELS, eigenvalues, regime_codes
 
-from conftest import KAPPA, MASS, OMEGA1, TRAJECTORY_SETS, params_at
+from conftest import KAPPA, MASS, OMEGA1, RULE_POINTS, TOL, TRAJECTORY_SETS, params_at
 
 # Labels whose defining property is a vanishing maximal eigenvalue real part.
 MARGINAL_STABILITIES = frozenset(
@@ -39,59 +36,60 @@ def eig_set_distance(a, b) -> float:
     return max(float(np.max(np.min(d, axis=1))), float(np.max(np.min(d, axis=0))))
 
 
+def lambdas_at(g, G, w1=OMEGA1 / KAPPA):
+    """The four closed-form drift eigenvalues in (tau, s) order, kappa units."""
+    return eigenvalues(g, G, w1)[2:]
+
+
+def max_re_lambda(g, G):
+    """Largest closed-form drift-eigenvalue real part, kappa units."""
+    return max(lam.real for lam in lambdas_at(g, G))
+
+
 class TestSupermodes:
     def test_pt_regime_split_frequencies_common_linewidth(self):
-        p = params_at(0.6, 1.2)  # G > (kappa+gamma)/2
-        wp, wm = supermode_frequencies(p)
+        g, w1 = 0.6, OMEGA1 / KAPPA
+        wp, wm = eigenvalues(g, 1.2, w1)[:2]  # G > (kappa+gamma)/2
         assert wp.real != pytest.approx(wm.real)
         assert wp.imag == pytest.approx(wm.imag)
-        assert wp.imag == pytest.approx(-(p.kappa - p.gamma) / 2.0)
+        assert wp.imag == pytest.approx(-(1.0 - g) / 2.0)
 
     def test_broken_pt_common_frequency_split_linewidths(self):
-        p = params_at(0.6, 0.5)  # G < (kappa+gamma)/2
-        wp, wm = supermode_frequencies(p)
-        assert wp.real == pytest.approx(p.omega1)
-        assert wm.real == pytest.approx(p.omega1)
+        w1 = OMEGA1 / KAPPA
+        wp, wm = eigenvalues(0.6, 0.5, w1)[:2]  # G < (kappa+gamma)/2
+        assert wp.real == pytest.approx(w1)
+        assert wm.real == pytest.approx(w1)
         assert wp.imag != pytest.approx(wm.imag)
 
     def test_exact_coalescence_at_ep(self):
-        p = params_at(0.6, 0.8)  # G = (kappa+gamma)/2 exactly
-        wp, wm = supermode_frequencies(p)
+        wp, wm = eigenvalues(0.6, 0.8, OMEGA1 / KAPPA)[:2]  # G = (kappa+gamma)/2 exactly
         assert wp == wm
 
 
 class TestDriftEigenvalues:
     def test_decoupled_modes_at_zero_coupling(self):
-        p = params_at(0.7, 0.0)
-        spec = drift_eigenvalues(p)
-        expected = [
-            -p.kappa + 1j * p.omega1,
-            -p.kappa - 1j * p.omega1,
-            p.gamma + 1j * p.omega1,
-            p.gamma - 1j * p.omega1,
-        ]
-        got = sorted_lambdas(spec.lambdas)
+        g, w1 = 0.7, OMEGA1 / KAPPA
+        expected = [-1.0 + 1j * w1, -1.0 - 1j * w1, g + 1j * w1, g - 1j * w1]
+        got = sorted_lambdas(lambdas_at(g, 0.0))
         for a, b in zip(got, sorted_lambdas(expected)):
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_equal_gain_case_pure_imaginary(self):
         # gamma = kappa with f > 0: lambda = tau*sqrt(kappa^2 - G^2) + i*s*omega1,
         # and the radicand is negative, so all real parts vanish.
-        p = params_at(1.0, 1.5)
-        spec = drift_eigenvalues(p)
-        root = math.sqrt(p.coupling_G**2 - p.kappa**2)
-        for lam in spec.lambdas:
-            assert abs(lam.real) <= 1e-9 * p.kappa
-            assert abs(lam.imag) == pytest.approx(abs(p.omega1 + root), rel=1e-12) or abs(
+        G, w1 = 1.5, OMEGA1 / KAPPA
+        root = math.sqrt(G * G - 1.0)
+        for lam in lambdas_at(1.0, G):
+            assert abs(lam.real) <= 1e-9
+            assert abs(lam.imag) == pytest.approx(abs(w1 + root), rel=1e-12) or abs(
                 lam.imag
-            ) == pytest.approx(abs(p.omega1 - root), rel=1e-12)
+            ) == pytest.approx(abs(w1 - root), rel=1e-12)
 
     def test_region4_all_decaying_and_dense_crosscheck(self):
-        p = params_at(0.6, 1.2)
-        spec = drift_eigenvalues(p)
-        assert all(lam.real < 0 for lam in spec.lambdas)
-        dense = drift_eigenvalues_dense(p)
-        assert eig_set_distance(spec.lambdas, dense) <= 1e-10 * max(abs(z) for z in dense)
+        lambdas = lambdas_at(0.6, 1.2)
+        assert all(lam.real < 0 for lam in lambdas)
+        dense = drift_eigenvalues_dense(params_at(0.6, 1.2)) / KAPPA
+        assert eig_set_distance(lambdas, dense) <= 1e-10 * max(abs(z) for z in dense)
 
     def test_closed_form_matches_dense_on_random_points(self):
         rng = np.random.default_rng(1234)
@@ -99,18 +97,26 @@ class TestDriftEigenvalues:
             g = rng.uniform(0.0, 3.0)
             G = rng.uniform(0.0, 3.0)
             w1 = rng.uniform(1.0, 30.0)
-            p = make_params(1.0, g, G, w1, 1.0)
-            dense = drift_eigenvalues_dense(p)
-            assert eig_set_distance(drift_eigenvalues(p).lambdas, dense) < 1e-10
+            dense = drift_eigenvalues_dense(make_params(1.0, g, G, w1, 1.0))
+            assert eig_set_distance(lambdas_at(g, G, w1), dense) < 1e-10
+
+    def test_supermodes_are_i_times_the_s_minus_eigenvalues(self):
+        # The (a, b) block evolves as exp(lambda_{tau,-} t) = exp(-i omega t).
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            g, G, w1 = rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(1, 20)
+            wp, wm, _, lpm, _, lmm = eigenvalues(g, G, w1)
+            assert eig_set_distance([wp, wm], [1j * lpm, 1j * lmm]) < 1e-12
 
     def test_trace_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            p = make_params(1.0, rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(1, 20), 1.0)
-            total = sum(drift_eigenvalues(p).lambdas)
-            assert total.real == pytest.approx(2.0 * (p.gamma - p.kappa), abs=1e-12)
+            g, G, w1 = rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(1, 20)
+            total = sum(lambdas_at(g, G, w1))
+            assert total.real == pytest.approx(2.0 * (g - 1.0), abs=1e-12)
             assert total.imag == pytest.approx(0.0, abs=1e-12)
-            assert np.trace(drift_matrix(p)) == pytest.approx(total, abs=1e-9)
+            assert np.trace(drift_matrix(make_params(1.0, g, G, w1, 1.0))) == pytest.approx(
+                total, abs=1e-9)
 
 
 class TestClassify:
@@ -136,10 +142,9 @@ class TestClassify:
         # Within tol of the line at gamma = kappa (f = -2e-9 is off the f = 0
         # band): max Re lambda = +4.47e-5 kappa, so the point is unstable,
         # whatever the sign of gamma - kappa says.
-        p = params_at(1.0, 0.999999999001)
-        label = classify(p)
+        label = classify(params_at(1.0, 0.999999999001))
         assert label.region_id == "EP"
-        assert max_re_lambda(p) / KAPPA == pytest.approx(4.47e-5, rel=1e-3)
+        assert max_re_lambda(1.0, 0.999999999001) == pytest.approx(4.47e-5, rel=1e-3)
         assert label.stability is Stability.UNSTABLE
         # Past G = kappa Omega is imaginary and max Re lambda is 0: degenerate.
         assert classify(params_at(1.0, 1.0 + 0.999e-9)).stability is Stability.UNSTABLE_DEGENERATE
@@ -179,9 +184,8 @@ class TestClassify:
         for _ in range(2000):
             g = rng.uniform(0.0, 2.5)
             G = rng.uniform(0.0, 2.5)
-            p = make_params(1.0, g, G, 10.0, 1.0)
-            label = classify(p, tol=tol)
-            rmax = max_re_lambda(p)
+            label = classify(make_params(1.0, g, G, 10.0, 1.0), tol=tol)
+            rmax = max_re_lambda(g, G)
             if label.stability is Stability.UNSTABLE:
                 assert rmax > tol
             elif label.stability is Stability.ASYMPTOTICALLY_STABLE:
@@ -240,7 +244,7 @@ class TestPhaseDiagram:
             for j, G in enumerate(grid.G_over_kappa):
                 p = make_params(1.0, g, G, 10.0, 1.0)
                 assert REGIME_LABELS[grid.codes[i, j]] == classify(p)
-                assert grid.max_re_lambda[i, j] == pytest.approx(max_re_lambda(p), abs=1e-15)
+                assert grid.max_re_lambda[i, j] == pytest.approx(max_re_lambda(g, G), abs=1e-15)
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -254,25 +258,11 @@ class TestPhaseDiagram:
             phase_diagram((0.0, 1.0), (0.0, 1e300), 5)
 
 
-TOL = 1e-9
-# Offsets of -/+ tol*(1 -/+ 1e-3) from a line: just inside and just outside its band.
-_OFFSETS = st.sampled_from([0.0] + [s * TOL * (1.0 + e) for s in (-1, 1) for e in (-1e-3, 1e-3)])
-_PLANE = st.floats(0.0, 2.5)
-# Open-plane points mixed with points on (or offset from) gamma = kappa, f = 0
-# (G = sqrt(gamma kappa)) and the transition line G = (gamma+kappa)/2.
-_POINTS = st.tuples(_PLANE, _PLANE) | st.tuples(_PLANE, _OFFSETS).flatmap(
-    lambda go: st.sampled_from([
-        (1.0 + go[1], go[0]),
-        (go[0], math.sqrt(max(go[0] + go[1], 0.0))),
-        (go[0], max(0.5 * (1.0 + go[0]) + go[1], 0.0)),
-    ]))
-
-
 class TestRegimeRuleProperty:
     """The array rule against quantities it does not compute itself."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(point=_POINTS)
+    @given(point=RULE_POINTS)
     def test_stability_and_pt_fields(self, point):
         g, G = point
         p = make_params(1.0, g, G, 10.0, 1.0)

@@ -153,62 +153,63 @@ def main(argv: list[str] | None = None) -> int:
     parent_commit = _git("rev-parse", "HEAD").strip()
     earlier = newest_earlier(args.number)
 
-    workdir = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    trees = export_trees(parent_commit, workdir)
-    sys.path.insert(0, str(trees["change"] / "bench"))
-    from workloads import WORKLOADS  # noqa: E402  (the change's workload table)
+    # The tree copies go with the directory, also when a run fails.
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
+        trees = export_trees(parent_commit, Path(workdir))
+        sys.path.insert(0, str(trees["change"] / "bench"))
+        from workloads import WORKLOADS  # noqa: E402  (the change's workload table)
 
-    doc = {
-        "what": args.what,
-        "command": " ".join(bench_argv("W", "S", seconds, 0)),
-        "parent_commit": parent_commit,
-        "machine": (f"{os.cpu_count()}-core {platform.machine()}; Python {platform.python_version()}; "
-                    "PYTHONDONTWRITEBYTECODE=1, so every run compiles the package from source"),
-        "ratio": "change median / parent median",
-        "workloads": {},
-    }
-    if earlier:
-        doc[f"ratio_to_bench_{earlier[0]}"] = (f"this file's median / BENCH_{earlier[0]}.json's "
-                                               "change median, per side")
-    for workload in workloads:
-        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-        order = []
-        for i, seed in enumerate(seeds):
-            sides = SIDES if i % 2 == 0 else SIDES[::-1]
-            order.append(f"{sides[0]} first")
-            for side in sides:
-                result = run_bench(trees[side], bench_argv(workload, seed, seconds, 0))
-                runs[side].append(result)
-                print(f"{workload} pair {i + 1} {side}: "
-                      f"pass_s {result['metrics']['pass_s']['value']:.5f}", file=sys.stderr)
-        entry = {
-            "cli_argv": [list(inv.argv) for inv in WORKLOADS[workload].invocations],
-            "bench_argv": bench_argv(workload, "S", seconds, 0),
-            "seeds": seeds,
-            "pairs": PAIRS,
-            "order": order,
-            **summarize(runs, better),
+        doc = {
+            "what": args.what,
+            "command": " ".join(bench_argv("W", "S", seconds, 0)),
+            "parent_commit": parent_commit,
+            "machine": (f"{os.cpu_count()}-core {platform.machine()}; "
+                        f"Python {platform.python_version()}; PYTHONDONTWRITEBYTECODE=1, "
+                        "so every run compiles the package from source"),
+            "ratio": "change median / parent median",
+            "workloads": {},
         }
-        if earlier and (ratios := ratios_to(earlier[1], workload, entry, better)):
-            entry[f"ratio_to_bench_{earlier[0]}"] = ratios
-        doc["workloads"][workload] = entry
+        if earlier:
+            doc[f"ratio_to_bench_{earlier[0]}"] = (
+                f"this file's median / BENCH_{earlier[0]}.json's change median, per side")
+        for workload in workloads:
+            runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+            order = []
+            for i, seed in enumerate(seeds):
+                sides = SIDES if i % 2 == 0 else SIDES[::-1]
+                order.append(f"{sides[0]} first")
+                for side in sides:
+                    result = run_bench(trees[side], bench_argv(workload, seed, seconds, 0))
+                    runs[side].append(result)
+                    print(f"{workload} pair {i + 1} {side}: "
+                          f"pass_s {result['metrics']['pass_s']['value']:.5f}", file=sys.stderr)
+            entry = {
+                "cli_argv": [list(inv.argv) for inv in WORKLOADS[workload].invocations],
+                "bench_argv": bench_argv(workload, "S", seconds, 0),
+                "seeds": seeds,
+                "pairs": PAIRS,
+                "order": order,
+                **summarize(runs, better),
+            }
+            if earlier and (ratios := ratios_to(earlier[1], workload, entry, better)):
+                entry[f"ratio_to_bench_{earlier[0]}"] = ratios
+            doc["workloads"][workload] = entry
 
-    trace = {"command": " ".join(bench_argv("W", TRACE_SEED, seconds, 1)),
-             "note": ("medians over traced passes of one run per side, run after the pairs; "
-                      "seconds are wall time, not scaled, so compare them with "
-                      "machine.kernel_s of the same run")}
-    for workload in workloads:
-        trace[workload] = {}
-        for side in SIDES:
-            result = run_bench(trees[side], bench_argv(workload, TRACE_SEED, seconds, 1))
-            trace[workload][side] = {name: m["value"] for name, m in result["metrics"].items()}
-    doc["per_layer_trace"] = trace
-    doc["notes"] = []
+        trace = {"command": " ".join(bench_argv("W", TRACE_SEED, seconds, 1)),
+                 "note": ("medians over traced passes of one run per side, run after the pairs; "
+                          "seconds are wall time, not scaled, so compare them with "
+                          "machine.kernel_s of the same run")}
+        for workload in workloads:
+            trace[workload] = {}
+            for side in SIDES:
+                result = run_bench(trees[side], bench_argv(workload, TRACE_SEED, seconds, 1))
+                trace[workload][side] = {name: m["value"] for name, m in result["metrics"].items()}
+        doc["per_layer_trace"] = trace
+        doc["notes"] = []
 
-    path = ROOT / f"BENCH_{args.number}.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {path}", file=sys.stderr)
-    shutil.rmtree(workdir)
+        path = ROOT / f"BENCH_{args.number}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
