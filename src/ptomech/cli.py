@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import io
 import os
@@ -190,8 +189,8 @@ def _head(series, n: int):
     """The first ``n`` samples of a moment series."""
     if len(series.t) == n:
         return series
-    return dataclasses.replace(series, **{name: value[:n] for name, value in vars(series).items()
-                                          if isinstance(value, np.ndarray)})
+    return type(series)(*(value[:n] if isinstance(value, np.ndarray) else value
+                          for value in series._values()))
 
 
 def _evolve_tables(args):

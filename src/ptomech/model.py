@@ -8,16 +8,19 @@ closed-form solutions hold.
 
 Every type here is an immutable value after construction and safe to share
 between concurrent workers.
+
+The package's records (here and in ``numeric``, ``spectrum`` and ``presets``)
+derive from :class:`Record`, a class whose ``__slots__`` are its fields. Its
+``__init__`` takes them by position or keyword, with per-class defaults, then
+runs the class's ``_check``; assignment and deletion raise ``AttributeError``;
+equality, hashing and ``repr`` go field by field.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 HBAR = 1.054571817e-34  # J*s, CODATA 2018
 
@@ -40,13 +43,61 @@ class Stability(Enum):
     UNSTABLE_DEGENERATE = "UnstableDegenerate"
 
 
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable record: ``_fields`` (default: every slot) are the arguments,
+    ``_defaults`` gives some of them a default, and a subclass's ``_check``, if
+    any, validates the record and may fill the slots that are not arguments."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        # One straight-line __init__ per class, as fast to call as one written out.
+        fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        params = ", ".join(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name
+                           for name in fields)
+        lines = [f"_set(self, {name!r}, {name})" for name in fields]
+        if hasattr(cls, "_check"):
+            lines.append("self._check()")
+        namespace = {"_set": _set, "_defaults": cls._defaults}
+        exec(f"def __init__(self, {params}):\n    " + "\n    ".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(Record):
     """Physical constants and rates defining one simulation point.
 
     Parameters
@@ -64,14 +115,10 @@ class SystemParams:
         Mechanical effective mass, kg. Only used for displacement scaling.
     """
 
-    kappa: float
-    gamma: float
-    coupling_G: float
-    omega1: float
-    mass: float
+    __slots__ = ("kappa", "gamma", "coupling_G", "omega1", "mass")
 
-    def __post_init__(self):
-        for name in ("kappa", "gamma", "coupling_G", "omega1", "mass"):
+    def _check(self):
+        for name in self.__slots__:
             _require_finite(name, getattr(self, name))
         if self.kappa <= 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
@@ -122,15 +169,14 @@ def make_params(kappa: float, gamma: float, G: float, omega1: float, mass: float
                         omega1=float(omega1), mass=float(mass))
 
 
-@dataclass(frozen=True)
-class CoherentInit:
-    """Initial coherent amplitudes of the cavity (alpha) and mechanics (beta)."""
+class CoherentInit(Record):
+    """Initial coherent amplitudes of the cavity (alpha) and mechanics (beta); default vacuum."""
 
-    alpha: complex = 0j
-    beta: complex = 0j
+    __slots__ = ("alpha", "beta")
+    _defaults = {"alpha": 0j, "beta": 0j}
 
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
+    def _check(self):
+        for name in self.__slots__:
             z = complex(getattr(self, name))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError(f"{name} must have finite components, got {z!r}")
@@ -149,8 +195,7 @@ class CoherentInit:
         )
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
+class RegimeLabel(Record):
     """One cell of the phase diagram: symmetry phase, stability class, region id.
 
     ``region_id`` is one of the integers 1..6 for the open regions and
@@ -160,11 +205,9 @@ class RegimeLabel:
     line).
     """
 
-    pt: PTPhase
-    stability: Stability
-    region_id: int | str
+    __slots__ = ("pt", "stability", "region_id")
 
-    def __post_init__(self):
+    def _check(self):
         if isinstance(self.region_id, int):
             if not 1 <= self.region_id <= 6:
                 raise ValueError(f"region_id must be in 1..6 or 'EP', got {self.region_id}")
@@ -172,22 +215,17 @@ class RegimeLabel:
             raise ValueError(f"region_id must be in 1..6 or 'EP', got {self.region_id!r}")
 
 
-@dataclass(frozen=True)
-class NumberSplit:
+class NumberSplit(Record):
     """Stimulated/spontaneous decomposition of the average particle numbers.
 
-    Fields are scalars or equally shaped numpy arrays; totals satisfy
-    n_i = n_i_st + n_i_sp exactly by construction.
+    Fields are scalars or equally shaped numpy arrays: the arguments t, n_a_st,
+    n_b_st, n_a_sp and n_b_sp, and the totals n_i = n_i_st + n_i_sp, exact by
+    construction.
     """
 
-    t: float | np.ndarray
-    n_a_st: float | np.ndarray
-    n_b_st: float | np.ndarray
-    n_a_sp: float | np.ndarray
-    n_b_sp: float | np.ndarray
-    n_a: float | np.ndarray = field(init=False)
-    n_b: float | np.ndarray = field(init=False)
+    __slots__ = ("t", "n_a_st", "n_b_st", "n_a_sp", "n_b_sp", "n_a", "n_b")
+    _fields = __slots__[:5]
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_a", self.n_a_st + self.n_a_sp)
-        object.__setattr__(self, "n_b", self.n_b_st + self.n_b_sp)
+    def _check(self):
+        _set(self, "n_a", self.n_a_st + self.n_a_sp)
+        _set(self, "n_b", self.n_b_st + self.n_b_sp)

@@ -41,11 +41,10 @@ reached: x = 2 x_zpf Re<b> relative to the local amplitude 2 x_zpf |<b>|
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoherentInit, NumberSplit, SystemParams
+from .model import CoherentInit, NumberSplit, Record, SystemParams
 
 OVERFLOW_GUARD = 1e12
 # Samples between two checks of the overflow guard.
@@ -59,24 +58,18 @@ SMALL_LIMIT = 0.5
 MAX_STEPS = 2**53
 
 
-@dataclass(frozen=True)
-class FirstMomentSeries:
-    """Sampled trajectory of <a>, <b>; t in seconds."""
+class FirstMomentSeries(Record):
+    """Sampled trajectory of <a>, <b> (arrays); t in seconds; ``truncated`` defaults to False."""
 
-    t: np.ndarray
-    a_mean: np.ndarray
-    b_mean: np.ndarray
-    truncated: bool = False
+    __slots__ = ("t", "a_mean", "b_mean", "truncated")
+    _defaults = {"truncated": False}
 
 
-@dataclass(frozen=True)
-class SecondMomentSeries:
-    """Sampled trajectory of n_a = <a^dag a> and n_b = <b^dag b>; t in seconds."""
+class SecondMomentSeries(Record):
+    """Sampled trajectory of n_a = <a^dag a> and n_b = <b^dag b> (arrays); t in seconds."""
 
-    t: np.ndarray
-    n_a: np.ndarray
-    n_b: np.ndarray
-    truncated: bool = False
+    __slots__ = ("t", "n_a", "n_b", "truncated")
+    _defaults = {"truncated": False}
 
 
 def default_dt(params: SystemParams) -> float:

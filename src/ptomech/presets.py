@@ -8,7 +8,8 @@ alpha = 2*exp(i*pi/6), beta = 2*exp(i*pi/3); rates below are in units of kappa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .model import Record
 
 KAPPA_HZ_DEFAULT = 6.45e6
 MASS_DEFAULT = 5e-11
@@ -21,19 +22,16 @@ T_END_DEFAULT = 10.0  # units of 1/kappa
 SAMPLES_DEFAULT = 200
 
 
-@dataclass(frozen=True)
-class FigurePreset:
-    """One named preset: either a time evolution or a steady-state sweep."""
+class FigurePreset(Record):
+    """One named preset: either a time evolution or a steady-state sweep.
 
-    name: str
-    kind: str  # "evolve" or "steady_sweep"
-    description: str
-    gamma: float | None = None  # kappa units
-    G: float | None = None
-    sweep_param: str | None = None
-    sweep_min: float | None = None
-    sweep_max: float | None = None
-    sweep_points: int | None = None
+    ``kind`` is "evolve" or "steady_sweep"; gamma, G and the sweep range are in
+    kappa units. Every field after ``description`` defaults to None.
+    """
+
+    __slots__ = ("name", "kind", "description", "gamma", "G", "sweep_param", "sweep_min",
+                 "sweep_max", "sweep_points")
+    _defaults = dict.fromkeys(__slots__[3:])
 
 
 def _evolve(name: str, gamma: float, G: float, description: str) -> FigurePreset:

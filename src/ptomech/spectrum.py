@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PTPhase, RegimeLabel, Stability, SystemParams
+from .model import PTPhase, Record, RegimeLabel, Stability, SystemParams
 
 DEFAULT_TOL = 1e-9
 
@@ -144,8 +143,7 @@ def classify(params: SystemParams, tol: float = DEFAULT_TOL) -> RegimeLabel:
     return REGIME_LABELS[code]
 
 
-@dataclass(frozen=True)
-class PhaseDiagramGrid:
+class PhaseDiagramGrid(Record):
     """Row-major grid of regime codes over (gamma/kappa, G/kappa).
 
     ``codes[i, j]`` (int8, an index into :data:`REGIME_LABELS`) and
@@ -153,10 +151,7 @@ class PhaseDiagramGrid:
     ``G_over_kappa[j]``; ``max_re_lambda`` is in units of kappa.
     """
 
-    gamma_over_kappa: np.ndarray
-    G_over_kappa: np.ndarray
-    codes: np.ndarray
-    max_re_lambda: np.ndarray
+    __slots__ = ("gamma_over_kappa", "G_over_kappa", "codes", "max_re_lambda")
 
 
 def _axis(name: str, lo: float, hi: float, n: int) -> np.ndarray:

@@ -33,7 +33,6 @@ that deletes them compacts a block.
 from __future__ import annotations
 
 import functools
-import json
 
 import numpy as np
 
@@ -292,8 +291,12 @@ def _row_blocks(columns: dict, pieces: list[str], p: int, json_text: bool):
             cells = _float_cells(coded.values, p, json_text)
             ends = np.full((len(cells), 1), _word("\n"), _WORD)
             texts = _text(np.hstack([cells, ends])).split("\n")[:-1]
+        elif json_text:
+            import json  # only JSON output reads it: CSV calls skip the import
+
+            texts = list(map(json.dumps, coded.values))
         else:
-            texts = [json.dumps(c) if json_text else str(c) for c in coded.values]
+            texts = list(map(str, coded.values))
         texts = [piece + text for text in texts]
         if slots and slots[-1][1] is coded.codes:
             slots[-1][2] = [a + b for a, b in zip(slots[-1][2], texts)]
@@ -349,6 +352,8 @@ def json_pieces(head: dict, columns: dict, footer: dict, p: int):
     The head goes through json.dumps; the rows and the summary (a one-row
     table) go through :func:`_row_blocks`, between keys json.dumps writes.
     """
+    import json
+
     yield json.dumps(head, indent=2)[:-2]  # without the closing "\n}"
     keys = [json.dumps(name) + ": " for name in columns]
     # Each row carries its leading separator; the first row drops it.

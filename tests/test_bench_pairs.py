@@ -27,6 +27,32 @@ def test_summary_of_pairs():
     assert out["pair_winner"]["verified_frac"] == ["tie", "change", "parent", "tie"]
     assert out["change_wins_of_pairs"] == {"pass_s": 3, "verified_frac": 1}
     assert out["ratio"]["pass_s"] == pytest.approx(2.5 / 3.5)
+    assert out["claim_holds"] == {"pass_s": False, "verified_frac": False}
+
+
+# Parent median 10.2, q1 10.1, q3 10.3: a spread of 0.2.
+PARENT_RUNS = [10.0, 10.1, 10.2, 10.3, 10.4] * 2
+
+
+@pytest.mark.parametrize("change_runs, holds", [
+    # Nine wins and a median gap of 1.2.
+    ([9.0] * 9 + [11.0], True),
+    # Nine wins and a tie: a tie counts for neither side.
+    ([9.0] * 9 + [10.4], True),
+    # Eight wins, a tie and a loss.
+    ([9.0] * 8 + [10.3, 11.0], False),
+    # Nine wins, each by 0.1, and a median gap of 0.1, inside the parent's spread.
+    ([v - 0.1 for v in PARENT_RUNS[:9]] + [11.4], False),
+])
+def test_claim_needs_nine_wins_and_a_gap_past_the_parent_spread(change_runs, holds):
+    def claim(parent, change, direction):
+        runs = {"parent": [result(v, 1.0) for v in parent],
+                "change": [result(v, 1.0) for v in change]}
+        return bench_pairs.summarize(runs, {"pass_s": direction})["claim_holds"]["pass_s"]
+
+    assert claim(PARENT_RUNS, change_runs, "lower") is holds
+    # A higher-is-better metric reads the negated runs the same way.
+    assert claim([-v for v in PARENT_RUNS], [-v for v in change_runs], "higher") is holds
 
 
 def test_ratio_to_an_earlier_file():

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from ptomech import CoherentInit, analytic, cli, spectrum, tables
+from ptomech import (
+    CoherentInit, FirstMomentSeries, SecondMomentSeries, analytic, cli, spectrum, tables,
+)
 from ptomech.cli import (
     EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, _write_output, build_parser, main,
 )
@@ -230,6 +232,19 @@ class TestEvolveCommand:
         assert float(footer["truncated_at_t"]) == float(rows[-1][0])
         assert float(footer["max_rel_discrepancy_x"]) <= 1e-6
         assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-6
+
+    @pytest.mark.parametrize("series_type, names", [
+        (FirstMomentSeries, ("t", "a_mean", "b_mean")),
+        (SecondMomentSeries, ("t", "n_a", "n_b")),
+    ])
+    def test_head_cuts_every_array_and_keeps_truncated(self, series_type, names):
+        arrays = {name: np.arange(5.0) + k for k, name in enumerate(names)}
+        series = series_type(**arrays, truncated=True)
+        head = cli._head(series, 3)
+        assert type(head) is series_type and head.truncated is True
+        for name in names:
+            assert np.array_equal(getattr(head, name), arrays[name][:3])
+        assert cli._head(series, 5) is series
 
     def test_nonfinite_discrepancy_fails_gate(self, capsys):
         # Over 400/kappa the second moments overflow to inf inside one sample.
@@ -1510,6 +1525,26 @@ class TestFullParser:
     ])
     def test_missing_or_unknown_command(self, capsys, argv, line):
         assert run(capsys, *argv) == (EXIT_INVALID, "", f"ptomech: invalid configuration: {line}\n")
+
+
+class TestStartUpImports:
+    """What a CSV call leaves out of a fresh interpreter."""
+
+    def test_no_dataclasses_or_json_after_a_csv_call(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import contextlib, io, sys\n"
+            "import ptomech.cli\n"
+            "def loaded(): return [m for m in ('dataclasses', 'json') if m in sys.modules]\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = ptomech.cli.main(['classify', '--gamma', '0.6', '--G', '1.2'])\n"
+            "print(code, loaded())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"[]\n{EXIT_OK} []\n"
 
 
 def _subcommand_flags() -> dict:

@@ -1,10 +1,23 @@
-import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from ptomech import CoherentInit, NumberSplit, PTPhase, RegimeLabel, Stability, make_params
+from ptomech import (
+    CoherentInit,
+    FirstMomentSeries,
+    NumberSplit,
+    PhaseDiagramGrid,
+    PTPhase,
+    RegimeLabel,
+    SecondMomentSeries,
+    Stability,
+    SystemParams,
+    make_params,
+)
+from ptomech.presets import PRESETS, FigurePreset
+from ptomech.spectrum import REGIME_LABELS
 
 from conftest import KAPPA, MASS, OMEGA1, params_at
 
@@ -68,7 +81,7 @@ class TestSystemParams:
 
     def test_immutable(self):
         p = params_at(0.6, 1.2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             p.kappa = 2.0
 
 
@@ -109,3 +122,101 @@ class TestLabelsAndRecords:
         )
         assert np.array_equal(split.n_a, split.n_a_st + split.n_a_sp)
         assert np.array_equal(split.n_b, np.array([4.0, 3.5]))
+
+
+def one_of_each() -> list:
+    """One record of each of the eight types, all fields scalars, and the
+    value its last argument takes in a second, unequal record."""
+    cases = [
+        (SystemParams(1.0, 0.5, 0.75, 4.0, 1.0), 2.0),
+        (CoherentInit(1 + 2j, 3j), 0j),
+        (RegimeLabel(PTPhase.BROKEN_PT, Stability.UNSTABLE, 1), "EP"),
+        (NumberSplit(0.0, 1.0, 2.0, 0.5, 0.25), 0.5),
+        (FirstMomentSeries(0.0, 1j, 2j), True),
+        (SecondMomentSeries(0.0, 1.0, 2.0, truncated=True), False),
+        (PhaseDiagramGrid(0.5, 0.75, 3, -0.1), 0.1),
+        (FigurePreset("x", "evolve", "a preset", gamma=0.6, G=1.2), 5),
+    ]
+    return [pytest.param(record, changed, id=type(record).__name__) for record, changed in cases]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record,_", one_of_each())
+    def test_assignment_and_deletion_raise(self, record, _):
+        name = type(record).__slots__[0]
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.not_a_field = 1.0
+        assert getattr(record, name) == before
+
+    @pytest.mark.parametrize("record,changed", one_of_each())
+    def test_fieldwise_equality_hash_repr_and_pickle(self, record, changed):
+        cls = type(record)
+        twin = cls(*(getattr(record, name) for name in cls._fields))
+        assert twin == record and hash(twin) == hash(record)
+        assert pickle.loads(pickle.dumps(record)) == record
+        other = cls(*(getattr(record, name) for name in cls._fields[:-1]), changed)
+        assert other != record
+        assert repr(record).startswith(f"{cls.__name__}({cls.__slots__[0]}=")
+        assert all(f"{name}={getattr(record, name)!r}" in repr(record) for name in cls.__slots__)
+
+    def test_equality_needs_the_same_type(self):
+        first = FirstMomentSeries(0.0, 1.0, 2.0)
+        assert first != SecondMomentSeries(0.0, 1.0, 2.0)
+        assert first != (0.0, 1.0, 2.0, False)
+
+    def test_keywords_and_positions_fill_the_same_fields(self):
+        assert SystemParams(1.0, 0.5, 0.75, 4.0, 1.0) == make_params(1.0, 0.5, 0.75, 4.0, 1.0)
+        assert CoherentInit(1j, beta=2j) == CoherentInit(alpha=1j, beta=2j)
+
+    def test_defaults(self):
+        assert CoherentInit() == CoherentInit(0j, 0j)
+        assert CoherentInit(beta=1j).alpha == 0j
+        preset = FigurePreset(name="x", kind="evolve", description="d")
+        assert [getattr(preset, name) for name in FigurePreset.__slots__[3:]] == [None] * 6
+        t = np.zeros(2)
+        assert FirstMomentSeries(t, t, t).truncated is False
+        assert SecondMomentSeries(t=t, n_a=t, n_b=t).truncated is False
+
+    def test_bad_arguments_raise_type_error(self):
+        with pytest.raises(TypeError):
+            SystemParams(1.0, 0.5, 0.75, 4.0)
+        with pytest.raises(TypeError):
+            CoherentInit(1j, 2j, 3j)
+        with pytest.raises(TypeError):
+            CoherentInit(1j, alpha=2j)
+        with pytest.raises(TypeError):
+            FirstMomentSeries(t=0.0, a_mean=0.0, b_mean=0.0, n_a=0.0)
+        # The totals are computed, not given.
+        with pytest.raises(TypeError):
+            NumberSplit(0.0, 1.0, 2.0, 0.5, 0.25, n_a=1.5)
+
+    def test_validation_messages_unchanged(self):
+        with pytest.raises(ValueError, match=r"^kappa must be > 0, got 0.0$"):
+            make_params(0.0, 0.5, 0.75, 4.0, 1.0)
+        with pytest.raises(ValueError, match=r"^gamma must be finite, got nan$"):
+            make_params(1.0, math.nan, 0.75, 4.0, 1.0)
+        with pytest.raises(ValueError, match=r"^coupling_G must be >= 0, got -1.0$"):
+            make_params(1.0, 0.5, -1.0, 4.0, 1.0)
+        with pytest.raises(ValueError, match=r"^rates out of floating-point range"):
+            make_params(1.0, 0.5, 1e300, 4.0, 1.0)
+        with pytest.raises(ValueError, match=r"^alpha must have finite components, got \(inf\+0j\)$"):
+            CoherentInit(alpha=complex(math.inf, 0.0))
+        with pytest.raises(ValueError, match=r"^region_id must be in 1..6 or 'EP', got 0$"):
+            RegimeLabel(PTPhase.BROKEN_PT, Stability.UNSTABLE, 0)
+        with pytest.raises(ValueError, match=r"^region_id must be in 1..6 or 'EP', got 'ep'$"):
+            RegimeLabel(PTPhase.BROKEN_PT, Stability.UNSTABLE, "ep")
+
+    def test_number_split_totals_are_fields(self):
+        split = NumberSplit(0.0, 1.0, 2.0, 0.5, 0.25)
+        assert (split.n_a, split.n_b) == (1.5, 2.25)
+        assert "n_a=1.5, n_b=2.25)" in repr(split)
+        assert split != NumberSplit(0.0, 1.0, 2.0, 0.5, 0.5)
+
+    def test_labels_and_presets_are_distinct_values(self):
+        assert len(set(REGIME_LABELS)) == 9
+        assert len(set(PRESETS.values())) == len(PRESETS)

@@ -15,9 +15,11 @@ workload.
 The output holds, per workload and side, each end-to-end metric's runs,
 median and quartiles, the failed and attempted calls of each run, and per
 metric the winner of each pair (by the direction ``BENCHMARK.json`` gives),
-the number of pairs the change won and the ratio of the medians, change over
-parent. Each side's medians are also divided by the change medians of the newest
-earlier ``BENCH_<k>.json`` in the repository root. The script only reads what
+the number of pairs the change won, the ratio of the medians, change over
+parent, and ``claim_holds``: whether the change won at least nine of the ten
+pairs (a tie counts for neither side) and its median beats the parent's by
+more than the parent's q3 - q1. Each side's medians are also divided by the
+change medians of the newest earlier ``BENCH_<k>.json`` in the repository root. The script only reads what
 ``bench/run.py`` prints; it changes nothing under ``bench/``.
 """
 
@@ -39,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # Ten pairs: a gain is claimed where the change wins nine of them.
 PAIRS = 10
+CLAIM_WINS = 9
 TRACE_SEED = 7
 
 
@@ -102,17 +105,22 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         out[side]["failed"] = [r["failed"] for r in runs[side]]
         out[side]["attempted"] = [r["attempted"] for r in runs[side]]
     out["ratio"], out["pair_winner"], out["change_wins_of_pairs"] = {}, {}, {}
+    out["claim_holds"] = {}
     for name, direction in better.items():
-        base = out["parent"][name]["median"]
-        out["ratio"][name] = out["change"][name]["median"] / base if base else None
+        parent, change = out["parent"][name], out["change"][name]
+        base = parent["median"]
+        out["ratio"][name] = change["median"] / base if base else None
         winners = []
-        for old, new in zip(out["parent"][name]["runs"], out["change"][name]["runs"]):
+        for old, new in zip(parent["runs"], change["runs"]):
             if new == old:
                 winners.append("tie")
             else:
                 winners.append("change" if (new < old) == (direction == "lower") else "parent")
         out["pair_winner"][name] = winners
         out["change_wins_of_pairs"][name] = winners.count("change")
+        gap = base - change["median"] if direction == "lower" else change["median"] - base
+        out["claim_holds"][name] = (winners.count("change") >= CLAIM_WINS
+                                    and gap > parent["q3"] - parent["q1"])
     return out
 
 
