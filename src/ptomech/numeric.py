@@ -6,11 +6,11 @@ multiplication by one constant matrix: R = I + D with D = hM + (hM)^2/2 +
 (hM)^3/6 + (hM)^4/24 for the augmented matrix M = [[A, b], [0, 0]] acting on
 (x, 1). Both moment systems share one propagator. The second-moment state is
 the closed number system (n_a, n_b, Im<a^dag b>): Re<a^dag b> feeds neither
-number, so it is not carried. The map between stored samples is R^chunk,
-built once per run by repeated squaring: on small parts D (R^chunk = I + D)
-while the maps stay near I, on full matrices past that. Its first 32 powers
-are built once per run by the same rule and handed on as full maps P_i, and
-the samples are filled in runs of 32: each sample of a run is P_i x of the
+number, so it is not carried. The map between stored samples is R^chunk.
+It and its first 32 powers P_i are composed once per run as full matrices in
+extended precision (``EXTENDED``) and rounded to the series dtype once: in
+float64, each product of I + O(h) maps loses the low digits of the O(h) part.
+The samples are filled in runs of 32: each sample of a run is P_i x of the
 sample x before the run, all of them from one matrix-vector product with the
 stack. It is still the discrete RK4 map, not the exact exponential, so the
 oracle stays independent of the closed forms. All integration runs in
@@ -20,9 +20,13 @@ boundary.
 A run of 32 samples costs one numpy call where one product per sample cost
 32. Over 150 points (gamma, G) in [0, 3]^2 kappa drawn by default_rng(2026),
 with t_end = 10/kappa, the largest discrepancy footers against the closed
-forms are 3.5e-12 (x) and 3.8e-11 (numbers, at (2.665, 1.863), where the same
-map powers applied in extended precision give 2.3e-11); over 60 points in
-[0, 4]^2 kappa drawn the same way, with t_end = 200/kappa, 3.3e-11 and 8.5e-10.
+forms are 3.1e-12 (x) and 5.7e-12 (numbers); over 60 points in [0, 4]^2 kappa
+drawn the same way, with t_end = 200/kappa, 3.3e-11 and 1.5e-10. On the f = 0
+line near gamma = kappa, ``evolve --gamma 0.99 --G 0.99498743710662 --t-end
+1000 --samples 200`` reads 6.4e-9 (numbers), where maps composed in float64
+read 1.3e-4. Where np.longdouble is float64 (MSVC, macOS arm64) the maps are
+composed in float64: the figure presets still read <= 8e-11, but that run
+exits 4 (6.8e-5).
 
 For unstable regimes the integration halts with a flagged truncation at the
 first stored sample whose largest moment magnitude exceeds 1e12 or is NaN,
@@ -51,8 +55,10 @@ OVERFLOW_GUARD = 1e12
 GUARD_BLOCK = 256
 # Samples filled from one sample by one product with a stack of map powers.
 POWER_RUN = 32
-# Bound on the norm of a small part D that :func:`_compose` keeps as such.
-SMALL_LIMIT = 0.5
+# The dtype each series dtype composes its maps in. np.longdouble is 80-bit
+# extended precision on x86-64 Linux and float64 on some platforms (MSVC,
+# macOS arm64).
+EXTENDED = {np.dtype(float): np.dtype(np.longdouble), np.dtype(complex): np.dtype(np.clongdouble)}
 # Step counts stay exact integers in float arithmetic, and the sample times
 # (step index times step) in int64.
 MAX_STEPS = 2**53
@@ -108,56 +114,6 @@ def _plan_grid(t_end_k: float, dt_k: float, n_samples: int | None) -> tuple[int,
     return chunk, intervals
 
 
-def _times(a: np.ndarray, b: np.ndarray, full: bool) -> np.ndarray:
-    """The product of two maps given in full, or near I by their small parts:
-    (I + a)(I + b) = I + (a + b + ab). Broadcasts over a stack ``a``."""
-    return a @ b if full else a + b + a @ b
-
-
-def _compose(delta: np.ndarray, power: int, span: int) -> tuple[np.ndarray, bool]:
-    """The map (I + delta)^power by repeated squaring, as (D, False) with the
-    map I + D if every power of I + delta up to ``span`` steps stays near I,
-    else as (P, True).
-
-    Products of I + O(h) matrices rounded as such lose the O(h) part's low
-    digits at every step; products of small parts keep them. But where the map
-    contracts, I + D is tiny and D close to -I, and small parts would cancel
-    to a few eps of I. So a map of j steps counts as near I while the bound
-    (1 + |delta|)^j - 1 on the norm of its small part, |.| the Frobenius norm,
-    stays within ``SMALL_LIMIT``: the factors are squared as small parts while
-    that holds for them, and as full matrices from there on.
-    """
-    # A map of j steps is near I while j * growth <= 1.
-    growth = math.log1p(math.sqrt(np.vdot(delta, delta).real)) / math.log1p(SMALL_LIMIT)
-    result, full, steps = None, False, 1
-    while True:
-        if power & 1:
-            result = delta if result is None else _times(result, delta, full)
-        power >>= 1
-        if not power:
-            break
-        if not full and steps * growth > 1.0:
-            eye = np.eye(len(delta), dtype=delta.dtype)
-            full, delta = True, delta + eye
-            result = None if result is None else result + eye
-        delta = _times(delta, delta, full)
-        steps *= 2
-    if not full and span * growth > 1.0:
-        return result + np.eye(len(delta), dtype=delta.dtype), True
-    return result, full
-
-
-def _power_stack(D: np.ndarray, count: int, full: bool) -> np.ndarray:
-    """The first ``count`` powers P_i of a map given as by :func:`_compose`, as
-    one stack of full maps. It is doubled by P_(m + j) = P_j P_m for j = 1..m,
-    on the small parts while the map came as one, and I is added once at the
-    end."""
-    stack = D[np.newaxis]
-    while len(stack) < count:
-        stack = np.concatenate([stack, _times(stack, stack[-1], full)])
-    return stack[:count] if full else stack[:count] + np.eye(len(D), dtype=D.dtype)
-
-
 def _propagate(
     A: np.ndarray, b: np.ndarray, x0: np.ndarray, t_end_k: float, dt_k: float,
     n_samples: int | None,
@@ -167,11 +123,11 @@ def _propagate(
     Works in kappa-normalized time. Returns the sample times, one state per
     row, and whether the run stopped at the overflow guard; a truncated run
     keeps the first sample that failed the guard as its last row. The RK4 step
-    I + delta is composed over ``chunk`` steps by :func:`_compose`, as its
-    small part D if its first S = ``POWER_RUN`` powers stay near I, else as the
-    full map P. :func:`_power_stack` turns it once into the full powers P_i,
-    i = 1..S. Each run of up to S samples is filled from the sample x before
-    it as P_i x by one matrix-vector product with the stack seen as one
+    I + delta, formed in extended precision, is raised to the power ``chunk``,
+    and that map P to its first S = ``POWER_RUN`` powers P_i = P^i by doubling
+    the stack, P_(m + j) = P_j P_m for j = 1..m; the stack is rounded to the
+    series dtype once. Each run of up to S samples is filled from the sample x
+    before it as P_i x by one matrix-vector product with the stack seen as one
     (S (n+1), n+1) matrix. A run uses only the leading finite powers (at least
     one), so a state that the per-sample map keeps finite, such as zero, is
     not turned into inf * 0 = NaN. Runs end at the end of each block of
@@ -198,8 +154,11 @@ def _propagate(
     # that, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         count = min(POWER_RUN, intervals)
-        per_sample, full = _compose(delta, chunk, chunk * count)
-        stack = _power_stack(per_sample, count, full)
+        step = np.eye(n + 1, dtype=EXTENDED[delta.dtype]) + delta
+        stack = np.linalg.matrix_power(step, chunk)[np.newaxis]
+        while len(stack) < count:
+            stack = np.concatenate([stack, stack @ stack[-1]])
+        stack = stack[:count].astype(delta.dtype)
         run = max(1, int(np.cumprod(np.isfinite(stack).all(axis=(1, 2))).sum()))
         flat = stack[:run].reshape(run * (n + 1), n + 1)
         for start in range(1, intervals + 1, GUARD_BLOCK):

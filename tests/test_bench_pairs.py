@@ -55,6 +55,28 @@ def test_claim_needs_nine_wins_and_a_gap_past_the_parent_spread(change_runs, hol
     assert claim([-v for v in PARENT_RUNS], [-v for v in change_runs], "higher") is holds
 
 
+@pytest.mark.parametrize("change_runs, within", [
+    # Median 10.2 against 10.2: no worse.
+    (PARENT_RUNS, True),
+    # Median 11.2, worse by 1.0, inside a bound of 0.1 * 10.2 = 1.02.
+    ([v + 1.0 for v in PARENT_RUNS], True),
+    # Median 11.3, worse by 1.1: past the bound.
+    ([v + 1.1 for v in PARENT_RUNS], False),
+    # Every pair lost, but the median is no worse by more than the bound.
+    ([v + 0.01 for v in PARENT_RUNS], True),
+])
+def test_within_bound_takes_the_bound_as_a_fraction_of_the_parent_median(change_runs, within):
+    def check(parent, change, direction):
+        runs = {"parent": [result(v, 1.0) for v in parent],
+                "change": [result(v, 1.0) for v in change]}
+        out = bench_pairs.summarize(runs, {"pass_s": direction}, {"pass_s": 0.1})
+        return out["within_bound"]["pass_s"]
+
+    assert check(PARENT_RUNS, change_runs, "lower") is within
+    # A higher-is-better metric reads the negated runs the same way.
+    assert check([-v for v in PARENT_RUNS], [-v for v in change_runs], "higher") is within
+
+
 def test_ratio_to_an_earlier_file():
     summary = {side: {"pass_s": {"median": m}} for side, m in (("parent", 2.0), ("change", 1.0))}
     earlier = {"workloads": {"w": {"change": {"pass_s": {"median": 4.0}}}}}

@@ -19,7 +19,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ptomech import (
-    CoherentInit, FirstMomentSeries, SecondMomentSeries, analytic, cli, spectrum, tables,
+    CoherentInit, FirstMomentSeries, SecondMomentSeries, analytic, cli, numeric, spectrum, tables,
 )
 from ptomech.cli import (
     EXIT_DISCREPANCY, EXIT_INVALID, EXIT_OK, EXIT_UNSTABLE, _write_output, build_parser, main,
@@ -281,8 +281,8 @@ class TestEvolveCommand:
     ])
     def test_long_stable_runs_keep_relative_accuracy(self, capsys, argv):
         # The map between samples contracts by up to e^-10 here, and n_a of the
-        # last case by e^-26 over a run of 32 samples: with powers composed as
-        # small parts D_i, these rows would cancel to ~eps |x|.
+        # last case by e^-26 over a run of 32 samples: each row must keep its
+        # own relative accuracy, not ~eps of the state a run starts from.
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         _, _, footer = parse_csv(out)
@@ -351,17 +351,35 @@ class TestDiscrepancyGate:
     """The footers gate quantities that do not cross zero, and still catch an
     error of twice the threshold in one row."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="long runs on the f = 0 line near gamma = kappa: the oracle's "
-                              "composed per-sample maps lose accuracy (ROADMAP item 1)")
-    @pytest.mark.parametrize("samples", ["200", "20"])
-    def test_long_run_on_the_f0_line_near_gamma_kappa(self, capsys, samples):
-        code, out, err = run(capsys, "evolve", "--gamma", "0.99", "--G", "0.99498743710662",
+    @pytest.mark.parametrize("gamma, G, samples", [
+        ("0.99", "0.99498743710662", "200"),
+        ("0.99", "0.99498743710662", "20"),
+        ("0.98", repr(math.sqrt(0.98)), "200"),
+        ("0.999", repr(math.sqrt(0.999)), "200"),
+    ])
+    def test_long_run_on_the_f0_line_near_gamma_kappa(self, capsys, gamma, G, samples):
+        # Maps composed in float64 lost the low digits of the O(h) part of
+        # I + O(h) at every product: the numbers footers read 1.3e-4, 2.5e-4,
+        # 7.6e-6 and 1.9e-3 here, against 6.4e-9, 1.9e-8, 8.1e-9 and 3.4e-7
+        # with the maps composed in extended precision.
+        code, out, err = run(capsys, "evolve", "--gamma", gamma, "--G", G,
                              "--t-end", "1000", "--samples", samples)
         _, _, footer = parse_csv(out)
         assert float(footer["max_rel_discrepancy_x"]) <= 1e-6
         assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-6
         assert (code, err) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize("name", TRAJECTORY_PRESETS)
+    def test_presets_pass_where_longdouble_is_float64(self, capsys, monkeypatch, name):
+        # np.longdouble is float64 under MSVC and on macOS arm64, so the maps
+        # are composed in float64 there (footers <= 8e-11 on these presets).
+        monkeypatch.setattr(numeric, "EXTENDED", {np.dtype(float): np.dtype(float),
+                                                  np.dtype(complex): np.dtype(complex)})
+        code, out, err = run(capsys, "figure", name)
+        assert (code, err) == (EXIT_OK, "")
+        _, _, footer = parse_csv(out)
+        assert float(footer["max_rel_discrepancy_x"]) <= 1e-6
+        assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-6
 
     def test_zero_crossing_of_x_passes(self, capsys):
         # The last sample lands next to a zero of x(t); relative to |x| there the

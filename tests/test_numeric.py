@@ -65,14 +65,13 @@ def composed_loop(A, b, x0, t_end_k, dt_k, n_samples):
     """Reference for ``_propagate``: the same composed per-sample map, applied
     one sample at a time with the guard checked after each sample.
 
-    The step is I + delta; (I + delta)^chunk is composed bit by bit of chunk,
-    least significant first, on the small parts alone, (I + a)(I + b) =
-    I + (a + b + ab), while the factor of 2^i steps has (1 + |delta|)^(2^i)
-    <= 1.5 (Frobenius norm), and as full matrices from there on."""
+    The step I + delta is formed in extended precision (np.longdouble, or
+    np.clongdouble for a complex A) and raised to the power chunk bit by bit
+    of chunk, least significant first, by repeated squaring; the map is
+    rounded to A's dtype once, at the end."""
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
     n = len(x0)
-    eye = np.eye(n + 1, dtype=A.dtype)
     hM = np.zeros((n + 1, n + 1), dtype=A.dtype)
     hM[:n, :n] = h * A
     hM[:n, n] = h * b
@@ -80,17 +79,13 @@ def composed_loop(A, b, x0, t_end_k, dt_k, n_samples):
     for k in (2.0, 3.0, 4.0):
         term = term @ hM / k
         delta = delta + term
-    norm = np.linalg.norm(delta)
-    D, full = None, False  # the map so far: its small part, or itself once full
+    factor = np.eye(n + 1, dtype=np.result_type(A.dtype, np.longdouble)) + delta
+    per_sample = None
     for i in range(chunk.bit_length()):
         if chunk >> i & 1:
-            D = delta if D is None else D @ delta if full else D + delta + D @ delta
-        if not full and 2**i * math.log1p(norm) > math.log1p(0.5):
-            full = True
-            delta = delta + eye
-            D = None if D is None else D + eye
-        delta = delta @ delta if full else 2.0 * delta + delta @ delta
-    per_sample = D if full else eye + D
+            per_sample = factor if per_sample is None else per_sample @ factor
+        factor = factor @ factor
+    per_sample = per_sample.astype(A.dtype)
     xs = [np.append(x0, 1.0).astype(A.dtype)]
     truncated = False
     for _ in range(intervals):
@@ -107,9 +102,10 @@ PROPAGATOR_CASES = {
     "chunk1": (0.6, 1.2, 2.0, 1.0, None),
     "chunked": (1.0, 0.8, 2.0, 6.0, 20),
     "truncating": (1.8, 1.2, 2.0, 15.0, 50),
-    # One sample interval of 400/kappa: the last row is inf - inf = NaN; of
-    # 316/kappa: the last row is infinite, not NaN.
-    "nan": (1.8, 1.2, 2.0, 400.0, 2),
+    # One sample interval of 400/kappa at gamma = 20 kappa: the composed map
+    # overflows extended precision and its last row is inf - inf = NaN; at
+    # gamma = 1.8 kappa, of 316/kappa: the last row is infinite, not NaN.
+    "nan": (20.0, 1.2, 2.0, 400.0, 2),
     "inf": (1.8, 1.2, 2.0, 316.0, 2),
     # The second moments fail the guard at sample GUARD_BLOCK (the last sample
     # of the first guard block) and GUARD_BLOCK + 1 (the first of the next).
@@ -208,7 +204,7 @@ class TestPropagatorAgainstStepwiseLoop:
             assert np.array_equal(t, t_ref)
             # Runs filled from a stack of map powers round differently from
             # one product per sample: the same non-finite entries, and the
-            # finite rows agree to 1e-12 of their largest entry (<= 6e-14
+            # finite rows agree to 1e-12 of their largest entry (<= 8e-14
             # over these cases).
             finite = np.isfinite(xs_ref)
             assert np.array_equal(np.isfinite(xs), finite)
@@ -407,11 +403,12 @@ class TestSecondMoments:
         assert np.max(series.n_b) > 1e12
 
     def test_nan_state_counts_as_overflow(self, coherent_init):
-        # One 400/kappa sample interval: the composed map overflows and inf - inf gives NaN.
+        # One 6000/kappa sample interval: the composed map overflows extended
+        # precision and inf - inf gives NaN.
         p = params_at(1.8, 1.2)
         with np.errstate(over="ignore", invalid="ignore"):
-            series = integrate_second_moments(p, coherent_init, 400.0 / KAPPA, n_samples=2)
-        assert np.isnan(series.n_b[-1])
+            series = integrate_second_moments(p, coherent_init, 6000.0 / KAPPA, n_samples=2)
+        assert np.isnan(series.n_a[-1]) and np.isnan(series.n_b[-1])
         assert series.truncated
 
 

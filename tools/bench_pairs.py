@@ -18,8 +18,11 @@ metric the winner of each pair (by the direction ``BENCHMARK.json`` gives),
 the number of pairs the change won, the ratio of the medians, change over
 parent, and ``claim_holds``: whether the change won at least nine of the ten
 pairs (a tie counts for neither side) and its median beats the parent's by
-more than the parent's q3 - q1. Each side's medians are also divided by the
-change medians of the newest earlier ``BENCH_<k>.json`` in the repository root. The script only reads what
+more than the parent's q3 - q1; and ``within_bound``: whether the change's
+median is no worse than the parent's by more than the metric's ``bound`` in
+``BENCHMARK.json``, taken as a fraction of the parent median. Each side's
+medians are also divided by the change medians of the newest earlier
+``BENCH_<k>.json`` in the repository root. The script only reads what
 ``bench/run.py`` prints; it changes nothing under ``bench/``.
 """
 
@@ -92,11 +95,13 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def summarize(runs: dict[str, list[dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per-side spreads, pair winners, wins and ratios from paired run results.
 
     ``runs[side][i]`` is the JSON result of pair i on that side; ``better``
-    maps each end-to-end metric to "lower" or "higher".
+    maps each end-to-end metric to "lower" or "higher", and ``bounds``, if
+    given, each metric to its bound, a fraction of the parent median.
     """
     out: dict = {}
     for side in SIDES:
@@ -105,7 +110,7 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         out[side]["failed"] = [r["failed"] for r in runs[side]]
         out[side]["attempted"] = [r["attempted"] for r in runs[side]]
     out["ratio"], out["pair_winner"], out["change_wins_of_pairs"] = {}, {}, {}
-    out["claim_holds"] = {}
+    out["claim_holds"], out["within_bound"] = {}, {}
     for name, direction in better.items():
         parent, change = out["parent"][name], out["change"][name]
         base = parent["median"]
@@ -121,6 +126,8 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         gap = base - change["median"] if direction == "lower" else change["median"] - base
         out["claim_holds"][name] = (winners.count("change") >= CLAIM_WINS
                                     and gap > parent["q3"] - parent["q1"])
+        if bounds is not None:
+            out["within_bound"][name] = -gap <= bounds[name] * abs(base)
     return out
 
 
@@ -154,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     first_seed = args.first_seed if args.first_seed is not None else 100 * args.number + 1
     seeds = list(range(first_seed, first_seed + PAIRS))
@@ -197,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
                 "seeds": seeds,
                 "pairs": PAIRS,
                 "order": order,
-                **summarize(runs, better),
+                **summarize(runs, better, bounds),
             }
             if earlier and (ratios := ratios_to(earlier[1], workload, entry, better)):
                 entry[f"ratio_to_bench_{earlier[0]}"] = ratios
