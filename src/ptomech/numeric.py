@@ -25,8 +25,9 @@ drawn the same way, with t_end = 200/kappa, 3.3e-11 and 1.5e-10. On the f = 0
 line near gamma = kappa, ``evolve --gamma 0.99 --G 0.99498743710662 --t-end
 1000 --samples 200`` reads 6.4e-9 (numbers), where maps composed in float64
 read 1.3e-4. Where np.longdouble is float64 (MSVC, macOS arm64) the maps are
-composed in float64: the figure presets still read <= 8e-11, but that run
-exits 4 (6.8e-5).
+composed in float64 and long runs lose accuracy: the figure presets still
+read <= 8e-11, but stable runs of 1000/kappa and 5000/kappa read up to 1.1e-9
+where extended precision reads <= 3.5e-11, and that run exits 4 (6.8e-5).
 
 For unstable regimes the integration halts with a flagged truncation at the
 first stored sample whose largest moment magnitude exceeds 1e12 or is NaN,

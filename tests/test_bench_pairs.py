@@ -19,7 +19,8 @@ def result(pass_s, verified, failed=0):
 def test_summary_of_pairs():
     runs = {"parent": [result(2.0, 1.0), result(3.0, 0.9, 1), result(4.0, 1.0), result(5.0, 1.0)],
             "change": [result(1.0, 1.0), result(3.5, 1.0), result(2.0, 0.9, 1), result(3.0, 1.0)]}
-    out = bench_pairs.summarize(runs, {"pass_s": "lower", "verified_frac": "higher"})
+    out = bench_pairs.summarize(runs, {"pass_s": "lower", "verified_frac": "higher"},
+                                {"pass_s": 0.1, "verified_frac": 0.0})
     assert out["parent"]["pass_s"] == {"median": 3.5, "q1": 2.75, "q3": 4.25,
                                        "runs": [2.0, 3.0, 4.0, 5.0]}
     assert out["change"]["failed"] == [0, 0, 1, 0]
@@ -28,6 +29,7 @@ def test_summary_of_pairs():
     assert out["change_wins_of_pairs"] == {"pass_s": 3, "verified_frac": 1}
     assert out["ratio"]["pass_s"] == pytest.approx(2.5 / 3.5)
     assert out["claim_holds"] == {"pass_s": False, "verified_frac": False}
+    assert out["within_bound"] == {"pass_s": True, "verified_frac": True}
 
 
 # Parent median 10.2, q1 10.1, q3 10.3: a spread of 0.2.
@@ -48,7 +50,8 @@ def test_claim_needs_nine_wins_and_a_gap_past_the_parent_spread(change_runs, hol
     def claim(parent, change, direction):
         runs = {"parent": [result(v, 1.0) for v in parent],
                 "change": [result(v, 1.0) for v in change]}
-        return bench_pairs.summarize(runs, {"pass_s": direction})["claim_holds"]["pass_s"]
+        out = bench_pairs.summarize(runs, {"pass_s": direction}, {"pass_s": 0.1})
+        return out["claim_holds"]["pass_s"]
 
     assert claim(PARENT_RUNS, change_runs, "lower") is holds
     # A higher-is-better metric reads the negated runs the same way.

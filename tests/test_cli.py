@@ -165,6 +165,34 @@ class TestSweepCommand:
         assert "inverted" in err
 
 
+# np.longdouble, the dtype the oracle composes its maps in, is float64 under
+# MSVC and on macOS arm64; FLOAT64_COMPOSITION stands in for numeric.EXTENDED
+# there.
+LONGDOUBLE_IS_FLOAT64 = np.finfo(np.longdouble).eps == np.finfo(float).eps
+FLOAT64_COMPOSITION = {np.dtype(float): np.dtype(float), np.dtype(complex): np.dtype(complex)}
+
+# Long stable runs, each with whether it keeps the 1e-10 bound with the maps
+# composed in float64. In extended precision all read <= 3.5e-11; in float64
+# the three that do not read 3.5e-10, 1.1e-9 and 6.5e-10.
+LONG_STABLE_RUNS = [
+    (("figure", "3a", "--t-end", "1000"), False),
+    (("evolve", "--gamma", "0.063", "--G", "0.794", "--t-end", "1000"), True),
+    (("evolve", "--gamma", "0.3", "--G", "0.65", "--t-end", "1000"), False),
+    (("evolve", "--gamma", "0.6", "--G", "0.798", "--t-end", "5000"), False),
+    (("evolve", "--gamma", "0.6", "--G", "1.2", "--t-end", "200", "--samples", "5"), True),
+    (("evolve", "--gamma", "0", "--G", "0", "--omega1", "0.01", "--t-end", "400",
+      "--samples", "1000"), True),
+]
+
+
+def long_stable_runs(float64):
+    """LONG_STABLE_RUNS as parameters: where ``float64`` holds, the runs that
+    miss the 1e-10 bound in float64 are strict xfails."""
+    miss = pytest.mark.xfail(strict=True, reason="maps composed in float64 read up to 1.1e-9")
+    return [pytest.param(argv, marks=() if keeps or not float64 else miss)
+            for argv, keeps in LONG_STABLE_RUNS]
+
+
 class TestEvolveCommand:
     def test_columns_and_footer(self, capsys):
         code, out, _ = run(
@@ -270,15 +298,7 @@ class TestEvolveCommand:
         assert len(rows) == 3 and "truncated_at_t" not in footer
         assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-6
 
-    @pytest.mark.parametrize("argv", [
-        ("figure", "3a", "--t-end", "1000"),
-        ("evolve", "--gamma", "0.063", "--G", "0.794", "--t-end", "1000"),
-        ("evolve", "--gamma", "0.3", "--G", "0.65", "--t-end", "1000"),
-        ("evolve", "--gamma", "0.6", "--G", "0.798", "--t-end", "5000"),
-        ("evolve", "--gamma", "0.6", "--G", "1.2", "--t-end", "200", "--samples", "5"),
-        ("evolve", "--gamma", "0", "--G", "0", "--omega1", "0.01", "--t-end", "400",
-         "--samples", "1000"),
-    ])
+    @pytest.mark.parametrize("argv", long_stable_runs(LONGDOUBLE_IS_FLOAT64))
     def test_long_stable_runs_keep_relative_accuracy(self, capsys, argv):
         # The map between samples contracts by up to e^-10 here, and n_a of the
         # last case by e^-26 over a run of 32 samples: each row must keep its
@@ -288,6 +308,13 @@ class TestEvolveCommand:
         _, _, footer = parse_csv(out)
         assert float(footer["max_rel_discrepancy_x"]) <= 1e-10
         assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-10
+
+    @pytest.mark.parametrize("argv", long_stable_runs(float64=True))
+    def test_long_stable_runs_where_longdouble_is_float64(self, capsys, monkeypatch, argv):
+        # The same runs with the maps composed in float64, as where
+        # np.longdouble is float64: three of them miss the 1e-10 bound.
+        monkeypatch.setattr(numeric, "EXTENDED", FLOAT64_COMPOSITION)
+        self.test_long_stable_runs_keep_relative_accuracy(capsys, argv)
 
     def test_closed_form_error_exit_code(self, capsys, monkeypatch):
         def overflowing(params, a, b, t):
@@ -357,6 +384,8 @@ class TestDiscrepancyGate:
         ("0.98", repr(math.sqrt(0.98)), "200"),
         ("0.999", repr(math.sqrt(0.999)), "200"),
     ])
+    @pytest.mark.xfail(LONGDOUBLE_IS_FLOAT64, strict=True,
+                       reason="maps composed in float64 read 2.3e-5 to 5.7e-4")
     def test_long_run_on_the_f0_line_near_gamma_kappa(self, capsys, gamma, G, samples):
         # Maps composed in float64 lost the low digits of the O(h) part of
         # I + O(h) at every product: the numbers footers read 1.3e-4, 2.5e-4,
@@ -371,10 +400,9 @@ class TestDiscrepancyGate:
 
     @pytest.mark.parametrize("name", TRAJECTORY_PRESETS)
     def test_presets_pass_where_longdouble_is_float64(self, capsys, monkeypatch, name):
-        # np.longdouble is float64 under MSVC and on macOS arm64, so the maps
-        # are composed in float64 there (footers <= 8e-11 on these presets).
-        monkeypatch.setattr(numeric, "EXTENDED", {np.dtype(float): np.dtype(float),
-                                                  np.dtype(complex): np.dtype(complex)})
+        # With the maps composed in float64 these presets read <= 8e-11: they
+        # pass the 1e-6 gate, not the 1e-10 of the long stable runs.
+        monkeypatch.setattr(numeric, "EXTENDED", FLOAT64_COMPOSITION)
         code, out, err = run(capsys, "figure", name)
         assert (code, err) == (EXIT_OK, "")
         _, _, footer = parse_csv(out)

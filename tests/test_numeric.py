@@ -104,9 +104,11 @@ PROPAGATOR_CASES = {
     "truncating": (1.8, 1.2, 2.0, 15.0, 50),
     # One sample interval of 400/kappa at gamma = 20 kappa: the composed map
     # overflows extended precision and its last row is inf - inf = NaN; at
-    # gamma = 1.8 kappa, of 316/kappa: the last row is infinite, not NaN.
+    # gamma = 1.8 kappa, of 316/kappa and of 400/kappa: the map stays finite
+    # in extended precision and the last row is infinite, not NaN.
     "nan": (20.0, 1.2, 2.0, 400.0, 2),
     "inf": (1.8, 1.2, 2.0, 316.0, 2),
+    "inf_400": (1.8, 1.2, 2.0, 400.0, 2),
     # The second moments fail the guard at sample GUARD_BLOCK (the last sample
     # of the first guard block) and GUARD_BLOCK + 1 (the first of the next).
     "block_end": (1.8, 1.2, 2.0, 22.0, 513),
@@ -190,6 +192,10 @@ class TestPropagatorAgainstStepwiseLoop:
             assert np.isnan(second.n_b[-1]) and len(second.t) == 2
         if case == "inf":
             assert np.isinf(second.n_b[-1]) and np.isinf(got2[-1, 2])
+        if case == "inf_400":
+            assert first.truncated and np.all(np.isfinite(got1))
+            assert second.truncated and len(second.t) == 2
+            assert np.array_equal(got2[-1], [np.inf, np.inf, -np.inf])
         if case.startswith("block"):
             assert len(second.t) - 1 == GUARD_BLOCK + (case == "block_start")
 

@@ -96,12 +96,12 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: dict[str, list[dict]], better: dict[str, str],
-              bounds: dict[str, float] | None = None) -> dict:
+              bounds: dict[str, float]) -> dict:
     """Per-side spreads, pair winners, wins and ratios from paired run results.
 
     ``runs[side][i]`` is the JSON result of pair i on that side; ``better``
-    maps each end-to-end metric to "lower" or "higher", and ``bounds``, if
-    given, each metric to its bound, a fraction of the parent median.
+    maps each end-to-end metric to "lower" or "higher", and ``bounds`` each
+    metric to its bound, a fraction of the parent median.
     """
     out: dict = {}
     for side in SIDES:
@@ -126,8 +126,7 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str],
         gap = base - change["median"] if direction == "lower" else change["median"] - base
         out["claim_holds"][name] = (winners.count("change") >= CLAIM_WINS
                                     and gap > parent["q3"] - parent["q1"])
-        if bounds is not None:
-            out["within_bound"][name] = -gap <= bounds[name] * abs(base)
+        out["within_bound"][name] = -gap <= bounds[name] * abs(base)
     return out
 
 
