@@ -26,13 +26,7 @@ from .analytic import (
     numbers,
     steady_numbers,
 )
-from .numeric import (
-    FirstMomentSeries,
-    SecondMomentSeries,
-    integrate_first_moments,
-    integrate_second_moments,
-    stimulated_spontaneous_split,
-)
+from .numeric import MomentSeries, integrate_moments, stimulated_spontaneous_split
 
 __version__ = "0.1.0"
 
@@ -40,13 +34,12 @@ __all__ = [
     "HBAR",
     "ClosedFormError",
     "CoherentInit",
-    "FirstMomentSeries",
+    "MomentSeries",
     "NoSteadyState",
     "NumberSplit",
     "PTPhase",
     "PhaseDiagramGrid",
     "RegimeLabel",
-    "SecondMomentSeries",
     "Stability",
     "SystemParams",
     "classify",
@@ -55,8 +48,7 @@ __all__ = [
     "drift_matrix",
     "finite_time_amplitude",
     "first_moments_closed_form",
-    "integrate_first_moments",
-    "integrate_second_moments",
+    "integrate_moments",
     "make_params",
     "numbers",
     "phase_diagram",

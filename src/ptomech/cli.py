@@ -23,11 +23,12 @@ RK4 oracle and reports, in its footer, ``max_rel_discrepancy_x``: the largest
 |x_analytic - x_numeric| relative to the oracle's local amplitude
 2 x_zpf |<b>| (x itself crosses zero); ``max_rel_discrepancy_numbers``: the
 largest relative discrepancy of n_a, n_b and of the stimulated parts n_a_st,
-n_b_st (the oracle's from ``numeric.stimulated_spontaneous_split``);
-``numbers_source`` (always ``analytic``: one closed form covers the whole
-(gamma, G) plane) and, when the oracle reached its overflow guard,
-``truncated_at_t``. Both relative errors are floored at 1e-12 in the
-denominator, and either above ``--max-discrepancy`` (default 1e-6) exits 4.
+n_b_st (the oracle's, split from its one moment series by
+``numeric.stimulated_spontaneous_split``); ``numbers_source`` (always
+``analytic``: one closed form covers the whole (gamma, G) plane) and, when
+the oracle reached its overflow guard, ``truncated_at_t``. Both relative
+errors are floored at 1e-12 in the denominator, and either above
+``--max-discrepancy`` (default 1e-6) exits 4.
 
 Exit codes: 0 ok; 2 invalid configuration: a bad flag or ``PTOM_*`` value,
 an unwritable ``--out`` or stdout, or a request that cannot be allocated; 3 no
@@ -185,14 +186,6 @@ def _relmax(a: np.ndarray, b: np.ndarray, scale: np.ndarray, floor: float = 1e-1
     return float(np.max(np.abs(a - b) / np.maximum(scale, floor)))
 
 
-def _head(series, n: int):
-    """The first ``n`` samples of a moment series."""
-    if len(series.t) == n:
-        return series
-    return type(series)(*(value[:n] if isinstance(value, np.ndarray) else value
-                          for value in series._values()))
-
-
 def _evolve_tables(args):
     """Shared evolution engine for ``evolve`` and the trajectory figures."""
     if args.gamma is None or args.G is None:
@@ -210,15 +203,12 @@ def _evolve_tables(args):
     t_end_s = args.t_end / k
     dt_s = args.dt / k if args.dt is not None else None
 
-    first = numeric.integrate_first_moments(params, init, t_end_s, dt=dt_s, n_samples=args.samples)
-    second = numeric.integrate_second_moments(params, init, t_end_s, dt=dt_s, n_samples=args.samples)
-    # Each series stops at its own overflow sample; keep the rows both reached.
-    n = min(len(first.t), len(second.t))
-    first, second = _head(first, n), _head(second, n)
-    t = first.t
-    x_numeric = params.x_zpf * 2.0 * first.b_mean.real
-    split = numeric.stimulated_spontaneous_split(first, second)
-    n_numeric = np.stack([second.n_a, second.n_b, split.n_a_st, split.n_b_st])
+    series = numeric.integrate_moments(params, init, t_end_s, dt=dt_s, n_samples=args.samples)
+    t = series.t
+    n = len(t)
+    x_numeric = params.x_zpf * 2.0 * series.b_mean.real
+    split = numeric.stimulated_spontaneous_split(series)
+    n_numeric = np.stack([series.n_a, series.n_b, split.n_a_st, split.n_b_st])
     # Only the last row of a truncated run can lie past float range. The closed
     # forms are evaluated on the rows where the oracle is finite; the rest read
     # nan, so the discrepancy gate fails there.
@@ -235,7 +225,7 @@ def _evolve_tables(args):
     # 2|<b>| (in units of x_zpf); the numbers are nonnegative and taken
     # relative to themselves.
     disc_x = _relmax(closed[0] / params.x_zpf, x_numeric / params.x_zpf,
-                     2.0 * np.abs(first.b_mean))
+                     2.0 * np.abs(series.b_mean))
     disc_n = _relmax(closed[1:5], n_numeric, np.abs(n_numeric))
 
     names = ["t", "x_analytic", "x_numeric", "n_a", "n_b", "n_a_st", "n_b_st", "n_a_sp", "n_b_sp"]
@@ -245,7 +235,7 @@ def _evolve_tables(args):
         "max_rel_discrepancy_numbers": disc_n,
         "numbers_source": "analytic",
     }
-    if first.truncated or second.truncated:
+    if series.truncated:
         footer["truncated_at_t"] = float(t[-1])
     # np.maximum, unlike max(), keeps a NaN discrepancy.
     return columns, footer, float(np.maximum(disc_x, disc_n))

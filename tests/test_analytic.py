@@ -2,7 +2,6 @@ import cmath
 import math
 from unittest import mock
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +14,7 @@ from ptomech import (
     displacement,
     finite_time_amplitude,
     first_moments_closed_form,
-    integrate_first_moments,
-    integrate_second_moments,
+    integrate_moments,
     make_params,
     numbers,
     steady_numbers,
@@ -26,7 +24,7 @@ from ptomech.analytic import steady_state
 from ptomech import analytic, presets
 from ptomech.presets import PRESETS
 
-from conftest import KAPPA, TRAJECTORY_SETS, params_at
+from conftest import F0_LONG_RUNS, KAPPA, TRAJECTORY_SETS, mp_reference, params_at
 
 
 def relmax(a, b, floor=1e-12):
@@ -36,9 +34,8 @@ def relmax(a, b, floor=1e-12):
 
 
 def oracle_split(params, init, t_end, n_samples=200, dt=None):
-    first = integrate_first_moments(params, init, t_end, dt=dt, n_samples=n_samples)
-    second = integrate_second_moments(params, init, t_end, dt=dt, n_samples=n_samples)
-    return first, second, stimulated_spontaneous_split(first, second)
+    series = integrate_moments(params, init, t_end, dt=dt, n_samples=n_samples)
+    return series, stimulated_spontaneous_split(series)
 
 
 class TestDisplacement:
@@ -50,7 +47,7 @@ class TestDisplacement:
     @pytest.mark.parametrize("name,g,G,region", TRAJECTORY_SETS)
     def test_matches_first_moment_oracle(self, name, g, G, region, coherent_init):
         p = params_at(g, G)
-        first = integrate_first_moments(p, coherent_init, 10.0 / KAPPA, n_samples=200)
+        first = integrate_moments(p, coherent_init, 10.0 / KAPPA, n_samples=200)
         x_analytic = displacement(p, coherent_init, first.t) / p.x_zpf
         x_numeric = 2.0 * first.b_mean.real
         # Pointwise relative error (absolute floor near zeros) and a tighter
@@ -98,7 +95,7 @@ class TestFiniteTimeAmplitude:
     def test_equals_late_time_numeric_amplitude(self, coherent_init):
         p = params_at(0.6, math.sqrt(0.6))
         a_s = finite_time_amplitude(p, coherent_init)
-        first = integrate_first_moments(p, coherent_init, 30.0 / KAPPA, n_samples=3000)
+        first = integrate_moments(p, coherent_init, 30.0 / KAPPA, n_samples=3000)
         sel = first.t * KAPPA >= 20.0
         # |x| envelope equals 2*x_zpf*|<b>| since the fast phase factor has unit modulus.
         envelope = 2.0 * p.x_zpf * np.abs(first.b_mean[sel])
@@ -128,13 +125,13 @@ class TestNumbersEqualGain:
     @pytest.mark.parametrize("G", [1.5, 0.8])
     def test_matches_moment_oracle(self, G, coherent_init):
         p = params_at(1.0, G)
-        _, second, split = oracle_split(p, coherent_init, 10.0 / KAPPA)
-        closed = numbers(p, coherent_init, second.t)
+        series, split = oracle_split(p, coherent_init, 10.0 / KAPPA)
+        closed = numbers(p, coherent_init, series.t)
         assert relmax(closed.n_a_st, split.n_a_st) <= 1e-6
         assert relmax(closed.n_b_st, split.n_b_st) <= 1e-6
         assert relmax(closed.n_a_sp, split.n_a_sp) <= 1e-6
         assert relmax(closed.n_b_sp, split.n_b_sp) <= 1e-6
-        assert relmax(closed.n_a, second.n_a) <= 1e-6
+        assert relmax(closed.n_a, series.n_a) <= 1e-6
 
     def test_region6_oscillates_with_rising_equilibrium(self, coherent_init):
         p = params_at(1.0, 1.5)
@@ -159,8 +156,8 @@ class TestNumbersUnequalGain:
     @pytest.mark.parametrize("g,G", [(0.6, 1.2), (0.6, 0.798), (0.6, 0.6), (1.8, 2.1), (1.8, 1.2)])
     def test_matches_moment_oracle(self, g, G, coherent_init):
         p = params_at(g, G)
-        _, second, split = oracle_split(p, coherent_init, 10.0 / KAPPA)
-        closed = numbers(p, coherent_init, second.t)
+        series, split = oracle_split(p, coherent_init, 10.0 / KAPPA)
+        closed = numbers(p, coherent_init, series.t)
         assert relmax(closed.n_a_st, split.n_a_st) <= 1e-6
         assert relmax(closed.n_b_st, split.n_b_st) <= 1e-6
         assert relmax(closed.n_a_sp, split.n_a_sp) <= 1e-6
@@ -307,7 +304,7 @@ class TestDecompositionProperties:
         # first-moment equations (checked against the RK4 path pointwise).
         for g, G in [(0.6, 1.2), (1.8, 2.1)]:
             p = params_at(g, G)
-            first = integrate_first_moments(p, coherent_init, 8.0 / KAPPA, n_samples=100)
+            first = integrate_moments(p, coherent_init, 8.0 / KAPPA, n_samples=100)
             closed = numbers(p, coherent_init, first.t)
             assert relmax(closed.n_a_st, np.abs(first.a_mean) ** 2) <= 1e-7
             assert relmax(closed.n_b_st, np.abs(first.b_mean) ** 2) <= 1e-7
@@ -332,37 +329,6 @@ class TestDecompositionProperties:
         vacuum = numbers(p, CoherentInit(), t)
         assert np.array_equal(got.n_a_sp, vacuum.n_a_sp)
         assert np.array_equal(got.n_b_sp, vacuum.n_b_sp)
-
-
-def mp_reference(params, init, t_kappa):
-    """50-digit (n_a_st, n_b_st, n_a_sp, n_b_sp) on a uniform grid t_kappa (units of 1/kappa).
-
-    mp.expm of the second-moment drift augmented with its 2*gamma source, the
-    5x5 matrix acting on (n_a, n_b, Re<a^dag b>, Im<a^dag b>, 1): the
-    coherent initial moments with source weight 0 give the stimulated parts,
-    the vacuum with source weight 1 the spontaneous parts.
-    """
-    with mp.workdps(50):
-        kappa = mp.mpf(params.kappa)
-        g, G = mp.mpf(params.gamma) / kappa, mp.mpf(params.coupling_G) / kappa
-        drift = mp.matrix([
-            [-2, 0, 0, -2 * G, 0],
-            [0, 2 * g, 0, 2 * G, 2 * g],
-            [0, 0, g - 1, 0, 0],
-            [G, -G, 0, g - 1, 0],
-            [0, 0, 0, 0, 0],
-        ])
-        alpha, beta = mp.mpc(init.alpha), mp.mpc(init.beta)
-        c0 = mp.conj(alpha) * beta
-        coherent = mp.matrix([abs(alpha) ** 2, abs(beta) ** 2, c0.real, c0.imag, 0])
-        vacuum = mp.matrix([0, 0, 0, 0, 1])
-        step = mp.expm(drift * (mp.mpf(t_kappa[1]) - mp.mpf(t_kappa[0])))
-        out, prop = [], mp.eye(5)
-        for _ in t_kappa:
-            st, sp = prop * coherent, prop * vacuum
-            out.append([float(st[0]), float(st[1]), float(sp[0]), float(sp[1])])
-            prop = step * prop
-    return np.array(out).T
 
 
 def _pointwise_rel(got, ref):
@@ -403,8 +369,8 @@ class TestNumbersAgainstMpmath:
         p = params_at(g, G)
         ref = mp_reference(p, coherent_init, MP_GRID)
         got = numbers(p, coherent_init, MP_GRID / KAPPA)
-        for i, field in enumerate(("n_a_st", "n_b_st", "n_a_sp", "n_b_sp")):
-            assert _pointwise_rel(getattr(got, field), ref[i]) <= 1e-10, field
+        for field in ("n_a_st", "n_b_st", "n_a_sp", "n_b_sp"):
+            assert _pointwise_rel(getattr(got, field), ref[field]) <= 1e-10, field
 
     # The dense benchmark's window: S2's direct form cancels near the Taylor
     # switch here, which is where evaluating in real arithmetic moves digits.
@@ -415,8 +381,18 @@ class TestNumbersAgainstMpmath:
         p, grid = params_at(g, G), np.linspace(0.0, 0.5, 41)
         ref = mp_reference(p, coherent_init, grid)
         got = numbers(p, coherent_init, grid / KAPPA)
-        for i, field in enumerate(("n_a_st", "n_b_st", "n_a_sp", "n_b_sp")):
-            assert _pointwise_rel(getattr(got, field), ref[i]) <= 1e-11, field
+        for field in ("n_a_st", "n_b_st", "n_a_sp", "n_b_sp"):
+            assert _pointwise_rel(getattr(got, field), ref[field]) <= 1e-11, field
+
+    @pytest.mark.parametrize("g,G,t_end,samples", [pytest.param(*run, id=name)
+                                                    for name, *run, _ in F0_LONG_RUNS])
+    def test_long_runs_on_the_f0_line_and_at_the_ep(self, g, G, t_end, samples, coherent_init):
+        # Where the oracle fails its gate, the closed forms stay within 2.8e-10.
+        p, grid = params_at(g, G), np.linspace(0.0, t_end, samples)
+        ref = mp_reference(p, coherent_init, grid)
+        got = numbers(p, coherent_init, grid / KAPPA)
+        for field in ("n_a", "n_b", "n_a_st", "n_b_st"):
+            assert _pointwise_rel(getattr(got, field), ref[field]) <= 1e-9, field
 
     def test_cavity_only_state_at_weak_coupling(self):
         # With beta = 0 the growing mode of <a> is fed only through
@@ -425,8 +401,8 @@ class TestNumbersAgainstMpmath:
         p, init = params_at(2.5, 1e-5), CoherentInit(alpha=2.0, beta=0.0)
         ref = mp_reference(p, init, MP_GRID)
         got = numbers(p, init, MP_GRID / KAPPA)
-        for i, field in enumerate(("n_a_st", "n_b_st", "n_a_sp", "n_b_sp")):
-            assert _pointwise_rel(getattr(got, field), ref[i]) <= 1e-10, field
+        for field in ("n_a_st", "n_b_st", "n_a_sp", "n_b_sp"):
+            assert _pointwise_rel(getattr(got, field), ref[field]) <= 1e-10, field
 
 
 _BROKEN_PT_POINTS = st.one_of(
@@ -476,11 +452,10 @@ class TestNumbersAgainstOracleProperty:
         g, G = point
         p = params_at(g, G)
         init = CoherentInit.from_polar(2.0, math.pi / 6.0, 2.0, math.pi / 3.0)
-        first, second, split = oracle_split(p, init, 4.0 / KAPPA, n_samples=41)
-        n = min(len(first.t), len(second.t))
-        closed = numbers(p, init, second.t[:n])
-        assert relmax(closed.n_a, second.n_a[:n]) <= 1e-6
-        assert relmax(closed.n_b, second.n_b[:n]) <= 1e-6
+        series, _ = oracle_split(p, init, 4.0 / KAPPA, n_samples=41)
+        closed = numbers(p, init, series.t)
+        assert relmax(closed.n_a, series.n_a) <= 1e-6
+        assert relmax(closed.n_b, series.n_b) <= 1e-6
         assert np.all(closed.n_a_sp >= 0.0) and np.all(closed.n_b_sp >= 0.0)
 
 
@@ -490,7 +465,7 @@ class TestClosedFormChecks:
             if preset.kind != "evolve":
                 continue
             p = params_at(preset.gamma, preset.G)
-            t = integrate_first_moments(
+            t = integrate_moments(
                 p, coherent_init, presets.T_END_DEFAULT / KAPPA, n_samples=presets.SAMPLES_DEFAULT
             ).t
             with np.errstate(all="raise"):

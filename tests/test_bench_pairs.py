@@ -30,6 +30,34 @@ def test_summary_of_pairs():
     assert out["ratio"]["pass_s"] == pytest.approx(2.5 / 3.5)
     assert out["claim_holds"] == {"pass_s": False, "verified_frac": False}
     assert out["within_bound"] == {"pass_s": True, "verified_frac": True}
+    # One failed call of 40 attempted on each side.
+    assert out["failed_share"] == {"parent": 0.025, "change": 0.025}
+    assert out["failed_share_no_larger"] is True
+
+
+@pytest.mark.parametrize("parent_failed, change_failed, no_larger", [
+    ([0, 0], [0, 0], True),
+    ([2, 0], [1, 1], True),
+    ([0, 1], [0, 0], True),
+    ([0, 0], [0, 1], False),
+    ([1, 0], [1, 1], False),
+])
+def test_failed_share_sums_failed_over_attempted(parent_failed, change_failed, no_larger):
+    runs = {"parent": [result(1.0, 1.0, f) for f in parent_failed],
+            "change": [result(1.0, 1.0, f) for f in change_failed]}
+    out = bench_pairs.summarize(runs, {"pass_s": "lower"}, {"pass_s": 0.1})
+    assert out["failed_share"] == {"parent": sum(parent_failed) / 20,
+                                   "change": sum(change_failed) / 20}
+    assert out["failed_share_no_larger"] is no_larger
+
+
+def test_failed_share_weights_runs_by_attempted_calls():
+    # 1 of 100 failed beats 1 of 10, though each side failed once.
+    runs = {"parent": [dict(result(1.0, 1.0, 1), attempted=10)],
+            "change": [dict(result(1.0, 1.0, 1), attempted=100)]}
+    out = bench_pairs.summarize(runs, {"pass_s": "lower"}, {"pass_s": 0.1})
+    assert out["failed_share"] == {"parent": 0.1, "change": 0.01}
+    assert out["failed_share_no_larger"] is True
 
 
 # Parent median 10.2, q1 10.1, q3 10.3: a spread of 0.2.

@@ -6,12 +6,11 @@ import pytest
 
 from ptomech import (
     CoherentInit,
-    FirstMomentSeries,
+    MomentSeries,
     NumberSplit,
     PhaseDiagramGrid,
     PTPhase,
     RegimeLabel,
-    SecondMomentSeries,
     Stability,
     SystemParams,
     make_params,
@@ -125,15 +124,14 @@ class TestLabelsAndRecords:
 
 
 def one_of_each() -> list:
-    """One record of each of the eight types, all fields scalars, and the
+    """One record of each of the seven types, all fields scalars, and the
     value its last argument takes in a second, unequal record."""
     cases = [
         (SystemParams(1.0, 0.5, 0.75, 4.0, 1.0), 2.0),
         (CoherentInit(1 + 2j, 3j), 0j),
         (RegimeLabel(PTPhase.BROKEN_PT, Stability.UNSTABLE, 1), "EP"),
         (NumberSplit(0.0, 1.0, 2.0, 0.5, 0.25), 0.5),
-        (FirstMomentSeries(0.0, 1j, 2j), True),
-        (SecondMomentSeries(0.0, 1.0, 2.0, truncated=True), False),
+        (MomentSeries(0.0, 1j, 2j, 1.0, 2.0, truncated=True), False),
         (PhaseDiagramGrid(0.5, 0.75, 3, -0.1), 0.1),
         (FigurePreset("x", "evolve", "a preset", gamma=0.6, G=1.2), 5),
     ]
@@ -165,9 +163,9 @@ class TestRecords:
         assert all(f"{name}={getattr(record, name)!r}" in repr(record) for name in cls.__slots__)
 
     def test_equality_needs_the_same_type(self):
-        first = FirstMomentSeries(0.0, 1.0, 2.0)
-        assert first != SecondMomentSeries(0.0, 1.0, 2.0)
-        assert first != (0.0, 1.0, 2.0, False)
+        split = NumberSplit(0.0, 1.0, 2.0, 0.5, 0.25)
+        assert split != MomentSeries(0.0, 1.0, 2.0, 0.5, 0.25)
+        assert split != (0.0, 1.0, 2.0, 0.5, 0.25)
 
     def test_keywords_and_positions_fill_the_same_fields(self):
         assert SystemParams(1.0, 0.5, 0.75, 4.0, 1.0) == make_params(1.0, 0.5, 0.75, 4.0, 1.0)
@@ -179,8 +177,8 @@ class TestRecords:
         preset = FigurePreset(name="x", kind="evolve", description="d")
         assert [getattr(preset, name) for name in FigurePreset.__slots__[3:]] == [None] * 6
         t = np.zeros(2)
-        assert FirstMomentSeries(t, t, t).truncated is False
-        assert SecondMomentSeries(t=t, n_a=t, n_b=t).truncated is False
+        assert MomentSeries(t, t, t, t, t).truncated is False
+        assert MomentSeries(t=t, a_mean=t, b_mean=t, n_a=t, n_b=t).truncated is False
 
     def test_bad_arguments_raise_type_error(self):
         with pytest.raises(TypeError):
@@ -190,7 +188,7 @@ class TestRecords:
         with pytest.raises(TypeError):
             CoherentInit(1j, alpha=2j)
         with pytest.raises(TypeError):
-            FirstMomentSeries(t=0.0, a_mean=0.0, b_mean=0.0, n_a=0.0)
+            MomentSeries(t=0.0, a_mean=0.0, b_mean=0.0, n_a=0.0, n_b=0.0, ab_corr=0.0)
         # The totals are computed, not given.
         with pytest.raises(TypeError):
             NumberSplit(0.0, 1.0, 2.0, 0.5, 0.25, n_a=1.5)

@@ -20,7 +20,10 @@ parent, and ``claim_holds``: whether the change won at least nine of the ten
 pairs (a tie counts for neither side) and its median beats the parent's by
 more than the parent's q3 - q1; and ``within_bound``: whether the change's
 median is no worse than the parent's by more than the metric's ``bound`` in
-``BENCHMARK.json``, taken as a fraction of the parent median. Each side's
+``BENCHMARK.json``, taken as a fraction of the parent median. Per workload
+it also gives each side's failed share, the sum of its failed calls over the
+sum of its attempted ones, and ``failed_share_no_larger``: whether the
+change's share is no larger than the parent's. Each side's
 medians are also divided by the change medians of the newest earlier
 ``BENCH_<k>.json`` in the repository root. The script only reads what
 ``bench/run.py`` prints; it changes nothing under ``bench/``.
@@ -103,12 +106,14 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str],
     maps each end-to-end metric to "lower" or "higher", and ``bounds`` each
     metric to its bound, a fraction of the parent median.
     """
-    out: dict = {}
+    out: dict = {"failed_share": {}}
     for side in SIDES:
         out[side] = {name: spread([r["metrics"][name]["value"] for r in runs[side]])
                      for name in better}
-        out[side]["failed"] = [r["failed"] for r in runs[side]]
-        out[side]["attempted"] = [r["attempted"] for r in runs[side]]
+        failed = out[side]["failed"] = [r["failed"] for r in runs[side]]
+        attempted = out[side]["attempted"] = [r["attempted"] for r in runs[side]]
+        out["failed_share"][side] = sum(failed) / sum(attempted) if sum(attempted) else 0.0
+    out["failed_share_no_larger"] = out["failed_share"]["change"] <= out["failed_share"]["parent"]
     out["ratio"], out["pair_winner"], out["change_wins_of_pairs"] = {}, {}, {}
     out["claim_holds"], out["within_bound"] = {}, {}
     for name, direction in better.items():
