@@ -25,7 +25,7 @@ from ptomech.cli import (
 from ptomech.presets import PRESETS
 from ptomech.tables import _float_cells, float_text
 
-from conftest import RULE_POINTS
+from conftest import LONGDOUBLE_IS_FLOAT64, RULE_POINTS
 
 
 def writer_config(fmt="csv", precision=12, output=None):
@@ -163,10 +163,8 @@ class TestSweepCommand:
         assert "inverted" in err
 
 
-# np.longdouble, the dtype the oracle composes its maps in, is float64 under
-# MSVC and on macOS arm64; FLOAT64_COMPOSITION stands in for numeric.EXTENDED
-# there.
-LONGDOUBLE_IS_FLOAT64 = np.finfo(np.longdouble).eps == np.finfo(float).eps
+# FLOAT64_COMPOSITION stands in for numeric.EXTENDED where np.longdouble is
+# float64.
 FLOAT64_COMPOSITION = np.dtype(float)
 
 # Long stable runs, each with whether it keeps the 1e-10 bound with the maps

@@ -15,6 +15,7 @@ from ptomech import (
     SystemParams,
     make_params,
 )
+from ptomech.model import Record
 from ptomech.presets import PRESETS, FigurePreset
 from ptomech.spectrum import REGIME_LABELS
 
@@ -163,9 +164,16 @@ class TestRecords:
         assert all(f"{name}={getattr(record, name)!r}" in repr(record) for name in cls.__slots__)
 
     def test_equality_needs_the_same_type(self):
-        split = NumberSplit(0.0, 1.0, 2.0, 0.5, 0.25)
-        assert split != MomentSeries(0.0, 1.0, 2.0, 0.5, 0.25)
-        assert split != (0.0, 1.0, 2.0, 0.5, 0.25)
+        class Twin(Record):
+            __slots__ = MomentSeries.__slots__
+            _defaults = MomentSeries._defaults
+
+        series = MomentSeries(0.0, 1j, 2j, 1.0, 2.0)
+        twin = Twin(0.0, 1j, 2j, 1.0, 2.0)
+        # Same fields and values: only the type tells them apart.
+        assert twin._values() == series._values()
+        assert series != twin and twin != series
+        assert series != series._values()
 
     def test_keywords_and_positions_fill_the_same_fields(self):
         assert SystemParams(1.0, 0.5, 0.75, 4.0, 1.0) == make_params(1.0, 0.5, 0.75, 4.0, 1.0)

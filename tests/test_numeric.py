@@ -17,7 +17,9 @@ from ptomech import (
 from ptomech.numeric import GUARD_BLOCK, OVERFLOW_GUARD, _plan_grid, _propagate, default_dt
 from ptomech.spectrum import eigenvalues
 
-from conftest import F0_LONG_RUNS, KAPPA, MASS, OMEGA1, mp_reference, params_at
+from conftest import (
+    F0_LONG_RUNS, KAPPA, LONGDOUBLE_IS_FLOAT64, MASS, OMEGA1, mp_reference, params_at,
+)
 
 
 def second_moment_matrix(g, G):
@@ -482,9 +484,14 @@ class TestSplit:
 
 def _referee_cases():
     for name, g, G, t_end, samples, miss in F0_LONG_RUNS:
-        marks = () if miss is None else pytest.mark.xfail(
-            strict=True, reason=f"the oracle's n_a and n_b are off by {miss:.1e}: its composed "
-                                "RK4 maps lose accuracy near the exceptional point")
+        if miss is None:
+            marks = pytest.mark.xfail(
+                LONGDOUBLE_IS_FLOAT64, strict=True,
+                reason="maps composed in float64 put n_a and n_b off by 6.8e-5 to 6.9e-5")
+        else:
+            marks = pytest.mark.xfail(
+                strict=True, reason=f"the oracle's n_a and n_b are off by {miss:.1e}: its composed "
+                                    "RK4 maps lose accuracy near the exceptional point")
         yield pytest.param(g, G, t_end, samples, id=name, marks=marks)
 
 
