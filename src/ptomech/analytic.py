@@ -247,10 +247,12 @@ def finite_time_amplitude(
 
     A_s = 2/(kappa-gamma) * x_zpf * sqrt(kappa^2|beta|^2 + kappa*gamma|alpha|^2
           - i*kappa*sqrt(kappa*gamma)(alpha* beta - beta* alpha)).
-    The bracket is a real nonnegative combination (it equals |kappa*beta + iG*alpha|^2).
+    The bracket is a real nonnegative combination: it equals
+    |kappa*beta + i*sqrt(kappa*gamma)*alpha|^2, and A_s is computed from that
+    modulus in real arithmetic.
     """
     check_tol(tol)
-    k, g, G = params.kappa, params.gamma, params.coupling_G
+    k, g = params.kappa, params.gamma
     if abs(params.f) / k**2 > tol:
         raise ValueError(
             f"finite_time_amplitude requires f = G^2 - gamma*kappa = 0 "
@@ -259,13 +261,9 @@ def finite_time_amplitude(
     if g / k >= 1.0 - tol:
         raise ValueError(f"finite_time_amplitude requires gamma < kappa (got gamma/kappa = {g / k})")
     alpha, beta = complex(init.alpha), complex(init.beta)
-    bracket = (
-        k * k * abs(beta) ** 2
-        + k * g * abs(alpha) ** 2
-        - 1j * k * math.sqrt(k * g) * (alpha.conjugate() * beta - beta.conjugate() * alpha)
-    )
-    value = _as_real(bracket, "finite_time_amplitude bracket")
-    return 2.0 / (k - g) * params.x_zpf * math.sqrt(max(value, 0.0))
+    s = math.sqrt(k * g)
+    modulus = math.hypot(k * beta.real - s * alpha.imag, k * beta.imag + s * alpha.real)
+    return _as_real(2.0 / (k - g) * params.x_zpf * modulus, "finite_time_amplitude")
 
 
 def numbers(params: SystemParams, init: CoherentInit, t) -> NumberSplit:

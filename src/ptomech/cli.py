@@ -190,7 +190,7 @@ def _evolve_tables(args):
     """Shared evolution engine for ``evolve`` and the trajectory figures."""
     if args.gamma is None or args.G is None:
         raise ValueError("evolve requires --gamma and --G (in units of kappa)")
-    if args.t_end is None or args.t_end <= 0:
+    if args.t_end <= 0:
         raise ValueError("evolve requires --t-end > 0 (units of 1/kappa)")
     if args.samples < 2:
         raise ValueError("--samples must be >= 2")

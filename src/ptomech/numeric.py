@@ -35,10 +35,10 @@ For unstable regimes the integration halts with a flagged truncation at the
 first stored sample where any state's magnitude exceeds 1e12 or is NaN, kept
 as the series' last sample: its time is the blow-up time. The numbers grow
 at least as fast as the squared first moments, so they set it. The guard is
-checked once per block of ``GUARD_BLOCK`` samples, over the whole block at
-once (runs end at block ends); the series is cut at the first failing sample
-of the block, so it truncates at the same sample as a check after every
-sample, and a long run stops within one block of it.
+checked after each run of ``POWER_RUN`` samples, over the whole run at once;
+the series is cut at the run's first failing sample, so it truncates at the
+same sample as a check after every sample, and a long run stops within one
+run of the blow-up.
 
 The CLI checks the closed forms against this series on the rows it reached:
 x = 2 x_zpf Re<b> relative to the local amplitude 2 x_zpf |<b>| (x crosses
@@ -55,8 +55,6 @@ import numpy as np
 from .model import CoherentInit, NumberSplit, Record, SystemParams
 
 OVERFLOW_GUARD = 1e12
-# Samples between two checks of the overflow guard.
-GUARD_BLOCK = 256
 # Samples filled from one sample by one product with a stack of map powers.
 POWER_RUN = 32
 # The dtype the maps are composed in: 80-bit extended precision on x86-64
@@ -126,11 +124,15 @@ def _propagate(
     stack, P_(m + j) = P_j P_m for j = 1..m; the stack is rounded to float64
     once. Each run of up to S samples is filled from the sample x before it
     as P_i x by one matrix-vector product with the stack seen as one
-    (S (n+1), n+1) matrix. A run uses only the leading finite powers (at least
-    one), so a state that the per-sample map keeps finite, such as zero, is
-    not turned into inf * 0 = NaN. Runs end at the end of each block of
-    ``GUARD_BLOCK`` samples, where the guard is checked over the block; that
+    (S (n+1), n+1) matrix. The guard is checked over each run right after it
+    is filled, and the series is cut at the run's first failing sample; that
     truncates at the same sample as checking after each one.
+
+    A power past float range reads inf or NaN in every sample it fills: a
+    source-free system held at zero then reads inf * 0 = NaN and counts as
+    truncated. :func:`integrate_moments` cannot build one: its 2 gamma gain
+    term grows the numbers as fast as the map's entries, so such a power
+    fills only samples at or after the first that fails the guard.
     """
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
@@ -156,18 +158,14 @@ def _propagate(
         stack = np.linalg.matrix_power(step, chunk)[np.newaxis]
         while len(stack) < count:
             stack = np.concatenate([stack, stack @ stack[-1]])
-        stack = stack[:count].astype(float)
-        run = max(1, int(np.cumprod(np.isfinite(stack).all(axis=(1, 2))).sum()))
-        flat = stack[:run].reshape(run * (n + 1), n + 1)
-        for start in range(1, intervals + 1, GUARD_BLOCK):
-            stop = min(start + GUARD_BLOCK, intervals + 1)
-            for i in range(start, stop, run):
-                r = min(run, stop - i)
-                np.matmul(flat[:r * (n + 1)], xs[i - 1], out=xs[i:i + r].reshape(-1))
-            # Written so that NaN also fails the guard.
-            failed = ~np.all(np.abs(xs[start:stop, :n]) <= OVERFLOW_GUARD, axis=1)
-            if failed.any():
-                kept, truncated = start + int(np.argmax(failed)) + 1, True
+        flat = stack[:count].astype(float).reshape(count * (n + 1), n + 1)
+        for i in range(1, intervals + 1, count):
+            rows = xs[i:i + count]
+            np.matmul(flat[:rows.size], xs[i - 1], out=rows.reshape(-1))
+            # Written so that NaN fails too; the affine column is 1.
+            if not np.abs(rows).max() <= OVERFLOW_GUARD:
+                passed = np.abs(rows).max(axis=1) <= OVERFLOW_GUARD
+                kept, truncated = i + int(np.argmin(passed)) + 1, True
                 break
     return np.arange(kept) * chunk * h, xs[:kept, :n], truncated
 

@@ -485,6 +485,18 @@ class TestClosedFormChecks:
             with pytest.raises(ClosedFormError, match="not finite"):
                 numbers(p, coherent_init, t)
 
+    def test_imaginary_residue_above_the_gate_names_the_quantity(self):
+        # The residue is |Im| relative to max(|value|, 1): 2e-10 of 1e6 here.
+        value = np.array([3.0, 1e6 * (1.0 + 2e-10j)])
+        with pytest.raises(ClosedFormError) as info:
+            analytic._as_real(value, "n_b_sp")
+        assert str(info.value) == ("n_b_sp: imaginary residue 2.000e-10 exceeds 1e-10; "
+                                   "closed form is inconsistent")
+
+    def test_imaginary_residue_below_the_gate_gives_the_real_part(self):
+        got = analytic._as_real(np.array([3.0 - 1e-11j, 1e6 * (1.0 + 5e-11j)]), "n_b_sp")
+        assert got.dtype == np.float64 and np.array_equal(got, [3.0, 1e6])
+
     def test_long_horizon_in_the_stable_regime_stays_finite(self, coherent_init):
         # Real Omega and gamma < kappa: cosh(Omega t/2) overflows long before the
         # decaying envelope underflows to 0, so an unregrouped form gives 0 * inf.

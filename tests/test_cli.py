@@ -694,6 +694,26 @@ class TestOnePointAgainstOneCellSweep:
             assert (cell["n_a_s"], cell["n_b_s"], cell["stable"]) == expected
 
 
+class TestMissingOrOutOfRangeValues:
+    """A command's own checks on its values: exit 2, no output, one line."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (("evolve", "--gamma", "0.5", "--G", "0.5", "--t-end", "0"),
+         "evolve requires --t-end > 0 (units of 1/kappa)"),
+        (("evolve", "--gamma", "0.5", "--G", "0.5", "--t-end", "-1"),
+         "evolve requires --t-end > 0 (units of 1/kappa)"),
+        (("evolve", "--gamma", "0.5", "--G", "0.5", "--samples", "1"), "--samples must be >= 2"),
+        (("steady", "--gamma", "0.6", "--sweep", "G"),
+         "steady sweep requires --sweep-min and --sweep-max"),
+        (("steady", "--sweep", "gamma", "--sweep-min", "0", "--sweep-max", "1"),
+         "steady sweep over gamma requires --G"),
+        (("steady", "--sweep", "G", "--sweep-min", "0", "--sweep-max", "1"),
+         "steady sweep over G requires --gamma"),
+    ])
+    def test_exit_2_with_the_exact_line(self, capsys, argv, line):
+        assert run(capsys, *argv) == (EXIT_INVALID, "", f"ptomech: invalid configuration: {line}\n")
+
+
 class TestRequestsThatCannotRun:
     """Output that cannot be written and arrays that cannot be allocated exit 2
     with one line on stderr."""

@@ -14,7 +14,7 @@ from ptomech import (
     steady_numbers,
     stimulated_spontaneous_split,
 )
-from ptomech.numeric import GUARD_BLOCK, OVERFLOW_GUARD, _plan_grid, _propagate, default_dt
+from ptomech.numeric import OVERFLOW_GUARD, POWER_RUN, _plan_grid, _propagate, default_dt
 from ptomech.spectrum import eigenvalues
 
 from conftest import (
@@ -96,6 +96,29 @@ def composed_loop(A, b, x0, t_end_k, dt_k, n_samples):
     return np.arange(len(xs)) * chunk * h, np.array(xs)[:, :n], truncated
 
 
+def assert_matches_composed_loop(A, b, x0, t_end_k, n_samples):
+    """``_propagate`` against :func:`composed_loop` at step 0.005/kappa; returns
+    (truncated, number of rows).
+
+    Runs filled from a stack of map powers round differently from one product
+    per sample: the same truncation and times, the same non-finite entries,
+    and the finite rows of each block agree to 1e-12 of their largest entry."""
+    t, xs, truncated = _propagate(A, b, x0, t_end_k, 0.005, n_samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_ref, xs_ref, truncated_ref = composed_loop(A, b, x0, t_end_k, 0.005, n_samples)
+    assert truncated == truncated_ref
+    assert np.array_equal(t, t_ref)
+    finite = np.isfinite(xs_ref)
+    assert np.array_equal(np.isfinite(xs), finite)
+    assert np.array_equal(xs[~finite], xs_ref[~finite], equal_nan=True)
+    for block in (slice(0, 4), slice(4, 7)):
+        rows = np.all(finite[:, block], axis=1)
+        scale = np.max(np.abs(xs_ref[rows, block]), axis=1, keepdims=True)
+        # Written as a product so that an all-zero row (vacuum) must match exactly.
+        assert np.all(np.abs(xs[rows, block] - xs_ref[rows, block]) <= 1e-12 * scale)
+    return truncated, len(t)
+
+
 # (gamma, G) in kappa units, omega1 in kappa units, t_end in 1/kappa, n_samples.
 # A small omega1 keeps the reference loop short at the largest allowed step.
 PROPAGATOR_CASES = {
@@ -109,10 +132,10 @@ PROPAGATOR_CASES = {
     "nan": (20.0, 1.2, 2.0, 400.0, 2),
     "inf": (1.8, 1.2, 2.0, 316.0, 2),
     "inf_400": (1.8, 1.2, 2.0, 400.0, 2),
-    # The numbers fail the guard at sample GUARD_BLOCK (the last sample of the
-    # first guard block) and GUARD_BLOCK + 1 (the first of the next).
-    "block_end": (1.8, 1.2, 2.0, 22.0, 513),
-    "block_start": (1.8, 1.2, 2.0, 25.75, 601),
+    # The numbers fail the guard at sample 256, the last of a run of
+    # POWER_RUN samples, and at 257, the first of the next run.
+    "run_end": (1.8, 1.2, 2.0, 22.0, 513),
+    "run_start": (1.8, 1.2, 2.0, 25.75, 601),
     # Region 4, where the map contracts: sample intervals of 5/kappa, and one
     # interval of 200/kappa.
     "stable_chunked": (0.6, 1.2, 2.0, 200.0, 41),
@@ -214,28 +237,13 @@ class TestPropagatorAgainstStepwiseLoop:
             assert series.truncated and len(series.t) == 2
             assert np.all(np.isfinite(got[:, :4]))
             assert np.array_equal(got[-1, 4:], [np.inf, np.inf, -np.inf])
-        if case.startswith("block"):
-            assert len(series.t) - 1 == GUARD_BLOCK + (case == "block_start")
+        if case.startswith("run_"):
+            assert len(series.t) - 1 == 256 + (case == "run_start")
 
     @pytest.mark.parametrize("case", sorted(PROPAGATOR_CASES))
     def test_same_arithmetic_as_a_per_sample_loop(self, case, coherent_init):
         g, G, w1, t_end, n_samples = PROPAGATOR_CASES[case]
-        A, b, x0 = oracle_system(g, G, w1, coherent_init)
-        t, xs, truncated = _propagate(A, b, x0, t_end, 0.005, n_samples)
-        with np.errstate(over="ignore", invalid="ignore"):
-            t_ref, xs_ref, truncated_ref = composed_loop(A, b, x0, t_end, 0.005, n_samples)
-        assert truncated == truncated_ref
-        assert np.array_equal(t, t_ref)
-        # Runs filled from a stack of map powers round differently from one
-        # product per sample: the same non-finite entries, and the finite rows
-        # of each block agree to 1e-12 of their largest entry.
-        finite = np.isfinite(xs_ref)
-        assert np.array_equal(np.isfinite(xs), finite)
-        assert np.array_equal(xs[~finite], xs_ref[~finite], equal_nan=True)
-        for block in (slice(0, 4), slice(4, 7)):
-            rows = np.all(finite[:, block], axis=1)
-            scale = np.max(np.abs(xs_ref[rows, block]), axis=1, keepdims=True)
-            assert np.max(np.abs(xs[rows, block] - xs_ref[rows, block]) / scale) <= 1e-12
+        assert_matches_composed_loop(*oracle_system(g, G, w1, coherent_init), t_end, n_samples)
 
     @pytest.mark.parametrize("case", ["chunk1", "chunked", "stable_chunked"])
     def test_numbers_do_not_see_re_ab_corr(self, case, coherent_init):
@@ -250,16 +258,15 @@ class TestPropagatorAgainstStepwiseLoop:
             assert not np.array_equal(ref[:, 6], base[:, 6])
             assert np.array_equal(ref[:, KEPT], base[:, KEPT])
 
-    @pytest.mark.parametrize("k", [1, GUARD_BLOCK - 1, GUARD_BLOCK, GUARD_BLOCK + 1,
-                                   2 * GUARD_BLOCK, 2 * GUARD_BLOCK + 1])
+    @pytest.mark.parametrize("k", [1, POWER_RUN - 1, POWER_RUN, POWER_RUN + 1,
+                                   2 * POWER_RUN + 1, 256, 257])
     def test_truncates_at_the_first_failing_sample(self, k):
         # x' = x from x0 = guard / R^(k - 1/2): sample k - 1 is below the guard
-        # by a factor R^(1/2), sample k above it, wherever k falls in a block.
+        # by a factor R^(1/2), sample k above it, wherever k falls in a run.
         h = 0.01
         R = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
         x0 = np.array([OVERFLOW_GUARD * R ** -(k - 0.5)])
-        t, xs, truncated = _propagate(np.array([[1.0]]), np.zeros(1), x0, 4 * GUARD_BLOCK * h,
-                                      h, None)
+        t, xs, truncated = _propagate(np.array([[1.0]]), np.zeros(1), x0, 1024 * h, h, None)
         assert truncated and len(t) == len(xs) == k + 1
         assert xs[-2, 0] <= OVERFLOW_GUARD < xs[-1, 0]
 
@@ -273,14 +280,20 @@ class TestPropagatorAgainstStepwiseLoop:
         assert not truncated and xs.shape == ref.shape == (41, 1)
         assert np.max(np.abs(xs - ref) / np.abs(ref)) <= 1e-12
 
-    def test_runs_use_only_finite_powers(self):
-        # x' = x over sample intervals of 300/kappa: (I + D)^2 ~ e^600 is past
-        # float range, so each sample comes from the one before, and a zero
-        # state stays zero instead of turning into inf * 0 = NaN.
-        t, xs, truncated = _propagate(np.array([[1.0]]), np.zeros(1), np.zeros(1), 1200.0,
-                                      0.005, 5)
-        assert not truncated and len(t) == len(xs) == 5
-        assert not np.any(xs)
+    @pytest.mark.parametrize("g", [20.0, 60.0])
+    @pytest.mark.parametrize("interval", [10.0, 50.0, 100.0, 400.0])
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-150])
+    def test_powers_past_float_range_fill_no_kept_sample(self, g, interval, amplitude):
+        # A run fills its samples from the powers P_i of the per-sample map.
+        # P_2 onward lie past float range, and so does P_1 except at gamma 20
+        # and 10/kappa, where it peaks at 1.3e173. The 2 gamma source grows
+        # n_b as fast as those entries, so the first sample already fails the
+        # guard, from vacuum and from amplitudes of 1e-150 alike: the series
+        # ends where the per-sample loop ends it.
+        init = CoherentInit(alpha=amplitude * (1 + 1j), beta=amplitude * 1j)
+        truncated, kept = assert_matches_composed_loop(*oracle_system(g, 1.2, 2.0, init),
+                                                       4 * interval, 5)
+        assert truncated and kept == 2
 
     def test_zero_state_in_unstable_regime_stays_zero(self):
         # gamma = 1.8, G = 1.2 is region 1. With no initial amplitude and no
