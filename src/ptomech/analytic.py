@@ -136,24 +136,26 @@ def _p(z) -> np.ndarray:
 
 
 @functools.cache
-def _quadrature() -> tuple[np.ndarray, np.ndarray]:
-    """20-point Gauss-Legendre nodes and weights on [0, 1], by Golub-Welsch.
+def _quadrature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """20-point Gauss-Legendre nodes and weights on [0, 1], by Golub-Welsch,
+    and the nodes' powers s^k, k = 0..2 _TAYLOR_TERMS (rows).
 
     They integrate s^k e^(u s), k <= 10, to ~2e-15 relative for |u| < 10.
     """
     k = np.arange(1.0, 20.0)
     off_diagonal = k / np.sqrt(4.0 * k * k - 1.0)
     nodes, vectors = np.linalg.eigh(np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
-    return 0.5 * (nodes + 1.0), vectors[0] ** 2
+    nodes = 0.5 * (nodes + 1.0)
+    return nodes, vectors[0] ** 2, nodes ** np.arange(2 * _TAYLOR_TERMS + 1)[:, None]
 
 
-def _p_derivatives(u: np.ndarray, order: int) -> np.ndarray:
-    """p^(k)(u) = integral_0^1 s^k e^(u s) ds for k = 0..order (rows), real 1-d u."""
+def _p_derivatives(u: np.ndarray) -> np.ndarray:
+    """p^(k)(u) = integral_0^1 s^k e^(u s) ds for k = 0..2 _TAYLOR_TERMS (rows), real 1-d u."""
+    order = 2 * _TAYLOR_TERMS
     out = np.empty((order + 1, len(u)))
     quad = np.abs(u) < _QUAD_MAX_U
     if np.any(quad):
-        nodes, weights = _quadrature()
-        powers = nodes ** np.arange(order + 1)[:, None]
+        nodes, weights, powers = _quadrature()
         out[:, quad] = powers @ (weights[:, None] * np.exp(np.outer(nodes, u[quad])))
     rec = ~quad
     if np.any(rec):
@@ -179,7 +181,7 @@ def _divided_differences(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.n
     s1 = (p_plus - p_minus) / (2.0 * ws)
     s2 = (p_plus + p_minus - 2.0 * p0) / (2.0 * ws * ws)
     if np.any(small):
-        coeff = _p_derivatives(u[small], 2 * _TAYLOR_TERMS) * _RECIPROCAL_FACTORIALS[:, None]
+        coeff = _p_derivatives(u[small]) * _RECIPROCAL_FACTORIALS[:, None]
         w2 = w[small] * w[small]
         t1 = np.zeros_like(w2)
         t2 = np.zeros_like(w2)

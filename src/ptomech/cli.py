@@ -90,7 +90,13 @@ def _output_errors(output: str | None):
 
 
 def _write_output(columns: dict, footer: dict | None, config: dict) -> None:
-    """Emit named columns (see :mod:`.tables`) in CSV or JSON, to ``--out`` or stdout."""
+    """Emit named columns (see :mod:`.tables`) in CSV or JSON, to ``--out`` or stdout.
+
+    The pieces are bytes, written as they are to ``--out`` (opened in binary
+    mode) and to ``sys.stdout.buffer``. The one decode left is for a text-only
+    stdout without a ``buffer``, such as an ``io.StringIO`` under
+    ``contextlib.redirect_stdout``.
+    """
     footer = footer or {}
     if config["format"] == "json":
         head = {"command": config["command"], "config": config, "columns": list(columns)}
@@ -99,11 +105,16 @@ def _write_output(columns: dict, footer: dict | None, config: dict) -> None:
         pieces = tables.csv_pieces(columns, footer, config["precision"])
     with _output_errors(config["output"]):
         if config["output"]:
-            with open(config["output"], "w", newline="") as fh:
+            with open(config["output"], "wb") as fh:
                 fh.writelines(pieces)
+            return
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.writelines(piece.decode("utf-8", "surrogatepass") for piece in pieces)
         else:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
+            sys.stdout.flush()  # text written to stdout before goes out first
+            buffer.writelines(pieces)
+        sys.stdout.flush()
 
 
 def _build_params(args):

@@ -120,20 +120,30 @@ def _codes_and_rmax(g, G, tol: float) -> tuple[np.ndarray, np.ndarray]:
     units): above tol unstable, below -tol asymptotically stable, in between
     degenerate. Within tol of the line |Omega| is O(sqrt(tol)), so near
     gamma = kappa the sign of gamma - kappa alone can disagree with it.
+
+    A cell within tol of none of the three lines (NaN included) reaches one
+    of the last three cases, so its code comes from int8 sign tests alone;
+    only the cells within tol of a line go through the whole first-match rule.
     """
     check_tol(tol)
+    g, G = np.asarray(g), np.asarray(G)
     f = G * G - g
     dgam = g - 1.0
     dep = G - 0.5 * (1.0 + g)
-    on_f = abs(f) <= tol
-    on_gk = abs(dgam) <= tol
     rmax = _max_re_lambda(g, G)
-    codes = np.select(
-        [on_f & on_gk, abs(dep) <= tol, on_gk, on_f, dgam > 0, f < 0],
-        [0, np.where(rmax > tol, 7, np.where(rmax < -tol, 8, 0)), np.where(f > tol, 6, 1),
-         np.where(dgam < 0, 5, 1), np.where(dep > 0, 2, 1), 1],
-        np.where(dep > 0, 4, 3),
-    ).astype(np.int8)
+    above = (dep > 0).view(np.int8)
+    codes = np.where(dgam > 0, 1 + above, np.where(f < 0, 1, 3 + above))
+    near = (abs(f) <= tol) | (abs(dgam) <= tol) | (abs(dep) <= tol)
+    if near.any():
+        f, dgam, dep, r = (np.broadcast_to(x, codes.shape)[near] for x in (f, dgam, dep, rmax))
+        on_f = abs(f) <= tol
+        on_gk = abs(dgam) <= tol
+        codes[near] = np.select(
+            [on_f & on_gk, abs(dep) <= tol, on_gk, on_f, dgam > 0, f < 0],
+            [0, np.where(r > tol, 7, np.where(r < -tol, 8, 0)), np.where(f > tol, 6, 1),
+             np.where(dgam < 0, 5, 1), np.where(dep > 0, 2, 1), 1],
+            np.where(dep > 0, 4, 3),
+        )
     return codes, rmax
 
 

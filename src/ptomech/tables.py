@@ -1,4 +1,4 @@
-"""Tables of named columns as CSV or JSON text.
+"""Tables of named columns as CSV or JSON bytes.
 
 A table is a dict of equal-length columns: a float ndarray, a list of str/int
 cells, or a :class:`Coded` column of str/int cells or floats. CSV writes each
@@ -27,7 +27,9 @@ gathered, all laid out at fixed positions on one canvas of 4-byte words. A
 run of adjacent coded columns sharing one codes array is one gathered slot,
 which holds its separators and keys too. Bytes between texts are 0xFF,
 which no UTF-8 (or surrogatepass) encoding has: one ``bytes.translate`` pass
-that deletes them compacts a block.
+that deletes them compacts a block. The pieces :func:`csv_pieces` and
+:func:`json_pieces` yield are those bytes, UTF-8 with lone surrogates passed
+through; the writer decodes them only for a text-only stdout.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
         lead = lead | np.where(q >= power, digit, pad)
         trail = trail | np.where(q % (10 * power) != 0, digit, pad)
     signs = np.array([_word(t) for t in ("", "-", "0", "-0")], _WORD)
-    exponents = _word_table([f"e{k:+03d}" for k in range(-_EXP, _EXP + 1)] + [""], 2)
+    exponents = _word_table([b"e%+03d" % k for k in range(-_EXP, _EXP + 1)] + [b""], 2)
     exponents = exponents.view(_PAIR)[:, 0]
     pow10 = np.array([f"1e{k}" for k in range(302)]).astype(float)
     return digits, lead, trail, signs, exponents, pow10, 10 ** np.arange(19, dtype=np.int64)
@@ -216,19 +218,26 @@ def _float_cells(values: np.ndarray, p: int, json_text: bool,
     else:
         slow = np.arange(len(v))
     if slow.size:
-        chars[slow] = _word_table(_exact_texts(v[slow].tolist(), p, json_text), width)
+        texts = _exact_texts(v[slow].tolist(), p, json_text)
+        chars[slow] = _word_table(list(map(str.encode, texts)), width)
     return chars
 
 
-def _text(chars: np.ndarray) -> str:
-    """The bytes of word arrays, in order and without pads, as text: one
-    ``bytes.translate`` pass deletes the 0xFF bytes."""
-    return chars.tobytes().translate(None, _PAD).decode("utf-8", "surrogatepass")
+def _text(chars: np.ndarray) -> bytes:
+    """The bytes of word arrays, in order and without pads: one
+    ``bytes.translate`` pass deletes the 0xFF bytes. They stay bytes up to
+    the output file or stdout."""
+    return chars.tobytes().translate(None, _PAD)
+
+
+def _encode(text: str) -> bytes:
+    """UTF-8 bytes of ``text``; a lone surrogate (possible in a str cell) passes through."""
+    return text.encode("utf-8", "surrogatepass")
 
 
 def float_text(value: float, p: int) -> str:
     """The CSV text of one float at p significant digits."""
-    return _text(_float_cells(np.array([value]), p, json_text=False))
+    return _text(_float_cells(np.array([value]), p, json_text=False)).decode()
 
 
 class Coded:
@@ -248,24 +257,24 @@ def _coded(cells: list) -> Coded:
     return Coded(tuple(index), codes)
 
 
-def _word_table(texts: list[str], width: int | None = None) -> np.ndarray:
-    """Texts as rows of ``width`` words (by default the fewest that hold each), padded."""
-    data = [text.encode("utf-8", "surrogatepass") for text in texts]
+def _word_table(data: list[bytes], width: int | None = None) -> np.ndarray:
+    """Texts' bytes as rows of ``width`` words (by default the fewest that hold each), padded."""
     if width is None:
         width = -(-max(map(len, data), default=0) // 4)
     chars = np.frombuffer(b"".join([d.ljust(4 * width, _PAD) for d in data]), _WORD)
     return chars.reshape(len(data), width)
 
 
-def _pieces(first: str, between: str, labels: list[str], last: str) -> list[str]:
-    """The text before each cell of a row (``first`` or ``between``, then the
-    cell's label) and, last, the text after the row's last cell."""
-    return [(between if i else first) + label for i, label in enumerate(labels)] + [last]
+def _pieces(first: str, between: str, labels: list[str], last: str) -> list[bytes]:
+    """The bytes before each cell of a row (``first`` or ``between``, then the
+    cell's label) and, last, the bytes after the row's last cell."""
+    texts = [(between if i else first) + label for i, label in enumerate(labels)] + [last]
+    return [_encode(text) for text in texts]
 
 
-def _row_blocks(columns: dict, pieces: list[str], p: int, json_text: bool):
-    """The rows of ``columns`` as text, ``pieces[i]`` before cell i and
-    ``pieces[-1]`` after the last cell, one string per block of rows.
+def _row_blocks(columns: dict, pieces: list[bytes], p: int, json_text: bool):
+    """The rows of ``columns`` as bytes, ``pieces[i]`` before cell i and
+    ``pieces[-1]`` after the last cell, one bytes object per block of rows.
 
     A float column (ndarray) is formatted by :func:`_float_cells`, the float
     columns of a block in one call; a coded or str/int column once per distinct
@@ -279,7 +288,7 @@ def _row_blocks(columns: dict, pieces: list[str], p: int, json_text: bool):
     float_columns = [col for col in columns.values() if isinstance(col, np.ndarray)]
     cell_width = _cell_words(float_columns, p, json_text)
     # Each cell's piece and slot: [piece, None, column] for a float column and
-    # ["", codes, texts] for a run of coded columns, each text the run's pieces
+    # [b"", codes, texts] for a run of coded columns, each text the run's pieces
     # and cells for one code. No float text holds "\n", so it ends each cell.
     slots = []
     for piece, col in zip(pieces, columns.values()):
@@ -290,26 +299,26 @@ def _row_blocks(columns: dict, pieces: list[str], p: int, json_text: bool):
         if isinstance(coded.values, np.ndarray):
             cells = _float_cells(coded.values, p, json_text)
             ends = np.full((len(cells), 1), _word("\n"), _WORD)
-            texts = _text(np.hstack([cells, ends])).split("\n")[:-1]
+            texts = _text(np.hstack([cells, ends])).split(b"\n")[:-1]
         elif json_text:
             import json  # only JSON output reads it: CSV calls skip the import
 
-            texts = list(map(json.dumps, coded.values))
+            texts = [json.dumps(value).encode() for value in coded.values]
         else:
-            texts = list(map(str, coded.values))
+            texts = [_encode(str(value)) for value in coded.values]
         texts = [piece + text for text in texts]
         if slots and slots[-1][1] is coded.codes:
             slots[-1][2] = [a + b for a, b in zip(slots[-1][2], texts)]
         else:
-            slots.append(["", coded.codes, texts])
+            slots.append([b"", coded.codes, texts])
     # The row template holds the pieces, each padded to whole words, and
     # after each piece its slot: floats (offset, column) and coded runs
-    # (offset, codes, table).
+    # (offset, codes, table). Each block starts as a copy of it: one broadcast
+    # copy of the whole row is faster than a strided copy per piece.
     template = bytearray()
 
-    def add_piece(piece: str) -> None:
-        data = piece.encode("utf-8", "surrogatepass")
-        template.extend(data + _PAD * (-len(data) % 4))
+    def add_piece(piece: bytes) -> None:
+        template.extend(piece + _PAD * (-len(piece) % 4))
 
     floats, coded_slots = [], []
     for piece, codes, col in slots:
@@ -346,38 +355,41 @@ def one_row(record: dict) -> dict:
 
 
 def json_pieces(head: dict, columns: dict, footer: dict, p: int):
-    """The JSON document in pieces, the same text as ``json.dumps(payload, indent=2)``
-    for payload = {**head, rows, summary}, at p significant digits.
+    """The JSON document as bytes in pieces, the same text as
+    ``json.dumps(payload, indent=2)`` for payload = {**head, rows, summary},
+    at p significant digits.
 
     The head goes through json.dumps; the rows and the summary (a one-row
     table) go through :func:`_row_blocks`, between keys json.dumps writes.
+    The writer decodes the pieces only for a text-only stdout.
     """
     import json
 
-    yield json.dumps(head, indent=2)[:-2]  # without the closing "\n}"
+    yield json.dumps(head, indent=2)[:-2].encode()  # without the closing "\n}"
     keys = [json.dumps(name) + ": " for name in columns]
     # Each row carries its leading separator; the first row drops it.
     rows = _row_blocks(columns, _pieces(",\n    {\n      ", ",\n      ", keys, "\n    }"),
                        p, json_text=True)
     first = next(rows, None)
     if first is None:
-        yield ',\n  "rows": []'
+        yield b',\n  "rows": []'
     else:
-        yield ',\n  "rows": [\n' + first[2:]
+        yield b',\n  "rows": [\n' + first[2:]
         yield from rows
-        yield "\n  ]"
+        yield b"\n  ]"
     if footer:
         keys = [json.dumps(name) + ": " for name in footer]
         yield from _row_blocks(one_row(footer),
                                _pieces(',\n  "summary": {\n    ', ",\n    ", keys, "\n  }"),
                                p, json_text=True)
-    yield "\n}\n"
+    yield b"\n}\n"
 
 
 def csv_pieces(columns: dict, footer: dict, p: int):
-    """The CSV text in pieces at p significant digits: the header, the rows,
-    then one ``# key=value`` line per footer entry (a one-row table)."""
-    yield ",".join(columns) + "\n"
+    """The CSV text as bytes in pieces at p significant digits: the header, the
+    rows, then one ``# key=value`` line per footer entry (a one-row table).
+    The writer decodes the pieces only for a text-only stdout."""
+    yield _encode(",".join(columns) + "\n")
     yield from _row_blocks(columns, _pieces("", ",", [""] * len(columns), "\n"), p, False)
     if footer:
         keys = [f"{name}=" for name in footer]

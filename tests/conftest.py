@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ptomech import CoherentInit, make_params
+from ptomech.spectrum import _max_re_lambda, check_tol
 
 # Common absolute scale used throughout: kappa = 6.45 MHz, omega1 = 2*pi*23.4 MHz,
 # m = 5e-11 kg, initial state alpha = 2 exp(i pi/6), beta = 2 exp(i pi/3).
@@ -25,17 +26,44 @@ TRAJECTORY_SETS = [
 
 # The regime rule's default tolerance, in kappa units.
 TOL = 1e-9
-# Offsets of -/+ tol*(1 -/+ 1e-3) from a line: just inside and just outside its band.
-_OFFSETS = st.sampled_from([0.0] + [s * TOL * (1.0 + e) for s in (-1, 1) for e in (-1e-3, 1e-3)])
 _PLANE = st.floats(0.0, 2.5)
-# (gamma/kappa, G/kappa): open-plane points mixed with points on (or offset from)
-# gamma = kappa, f = 0 (G = sqrt(gamma kappa)) and the transition line G = (gamma+kappa)/2.
-RULE_POINTS = st.tuples(_PLANE, _PLANE) | st.tuples(_PLANE, _OFFSETS).flatmap(
-    lambda go: st.sampled_from([
-        (1.0 + go[1], go[0]),
-        (go[0], math.sqrt(max(go[0] + go[1], 0.0))),
-        (go[0], max(0.5 * (1.0 + go[0]) + go[1], 0.0)),
-    ]))
+
+
+def rule_points(tol: float):
+    """(gamma/kappa, G/kappa): open-plane points mixed with points on (or
+    offset from) gamma = kappa, f = 0 (G = sqrt(gamma kappa)) and the
+    transition line G = (gamma+kappa)/2, by 0 or -/+ tol*(1 -/+ 1e-3): just
+    inside and just outside each band."""
+    offsets = st.sampled_from([0.0] + [s * tol * (1.0 + e) for s in (-1, 1) for e in (-1e-3, 1e-3)])
+    return st.tuples(_PLANE, _PLANE) | st.tuples(_PLANE, offsets).flatmap(
+        lambda go: st.sampled_from([
+            (1.0 + go[1], go[0]),
+            (go[0], math.sqrt(max(go[0] + go[1], 0.0))),
+            (go[0], max(0.5 * (1.0 + go[0]) + go[1], 0.0)),
+        ]))
+
+
+RULE_POINTS = rule_points(TOL)
+
+
+def reference_codes_and_rmax(g, G, tol):
+    """The regime rule as one first-match ``np.select`` over every cell: the
+    reference for ``spectrum._codes_and_rmax``, which takes most cells from
+    sign tests."""
+    check_tol(tol)
+    f = G * G - g
+    dgam = g - 1.0
+    dep = G - 0.5 * (1.0 + g)
+    on_f = abs(f) <= tol
+    on_gk = abs(dgam) <= tol
+    rmax = _max_re_lambda(g, G)
+    codes = np.select(
+        [on_f & on_gk, abs(dep) <= tol, on_gk, on_f, dgam > 0, f < 0],
+        [0, np.where(rmax > tol, 7, np.where(rmax < -tol, 8, 0)), np.where(f > tol, 6, 1),
+         np.where(dgam < 0, 5, 1), np.where(dep > 0, 2, 1), 1],
+        np.where(dep > 0, 4, 3),
+    ).astype(np.int8)
+    return codes, rmax
 
 
 # Long runs on the stable f = 0 line G = sqrt(gamma kappa) near gamma = kappa,

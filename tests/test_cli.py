@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -763,6 +764,21 @@ class TestRequestsThatCannotRun:
         assert err.count("\n") == 1
         assert err.startswith("ptomech: invalid configuration: cannot allocate memory: ")
 
+    def test_failing_stdout_buffer(self, capsys, monkeypatch):
+        # The output goes to sys.stdout.buffer; its OSError is stdout's.
+        class FullDevice:
+            def writelines(self, pieces):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stdout = io.StringIO()
+        stdout.buffer = FullDevice()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["sweep", "--gamma-res", "3", "--G-res", "3"])
+        monkeypatch.undo()
+        assert (code, stdout.getvalue()) == (EXIT_INVALID, "")
+        assert capsys.readouterr() == (
+            "", f"ptomech: invalid configuration: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
     def test_memory_error_without_message(self, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError
@@ -1017,6 +1033,43 @@ class TestWriter:
         assert '"x": Infinity' in self.write(capsys, "json", 1, columns, None)
 
 
+class TestOutputSinks:
+    """The same bytes through --out, a binary stdout and a text-only stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--gamma-res", "7", "--G-res", "5"),
+        ("figure", "3a"),
+        ("classify", "--gamma", "1", "--G", "1"),
+        ("evolve", "--gamma", "0.6", "--G", "1.2", "--t-end", "2", "--samples", "30",
+         "--format", "json"),
+    ])
+    def test_identical_bytes(self, argv, tmp_path, capsysbinary):
+        path = tmp_path / "out"
+        assert main([*argv, "--out", str(path)]) == EXIT_OK
+        assert capsysbinary.readouterr() == (b"", b"")
+        # A JSON config records --out; on stdout it reads null.
+        expected = path.read_bytes().replace(json.dumps(str(path)).encode(), b"null")
+        # pytest's stdout has a buffer: the bytes go there undecoded.
+        assert main(list(argv)) == EXIT_OK
+        assert capsysbinary.readouterr() == (expected, b"")
+        # An io.StringIO has none: the one decode.
+        code, out, err = captured(*argv)
+        assert (code, out.encode(), err) == (EXIT_OK, expected, "")
+
+    def test_text_written_before_comes_first(self):
+        # A buffered, piped stdout holds text in its text layer until a
+        # flush; the bytes written to its buffer must not overtake it.
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        script = ("import sys\nfrom ptomech.cli import main\nprint('before')\n"
+                  "sys.exit(main(['classify', '--gamma', '0.6', '--G', '1.2']))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout.startswith(b"before\ngamma_over_kappa,")
+
+
 class TestWriterLayout:
     """Pads and cell widths of the writer's canvas, against the legacy writers."""
 
@@ -1172,8 +1225,8 @@ class TestTextCompaction:
         texts, chars = canvas
         # The mask-and-index form the writer used before bytes.translate.
         data = chars.view(np.uint8).ravel()
-        masked = data[data != 0xFF].tobytes().decode("utf-8", "surrogatepass")
-        assert tables._text(chars) == masked == "".join(texts)
+        masked = data[data != 0xFF].tobytes()
+        assert tables._text(chars) == masked == "".join(texts).encode("utf-8", "surrogatepass")
 
     def test_no_lone_surrogate_encodes_a_pad_byte(self):
         for code in range(0xD800, 0xE000):
@@ -1293,10 +1346,10 @@ class TestFloatCells:
 
 
 def written(columns, precision, fmt):
-    """The text the writer makes of ``columns`` (no footer) in CSV or JSON."""
+    """The bytes the writer makes of ``columns`` (no footer) in CSV or JSON."""
     if fmt == "json":
-        return "".join(tables.json_pieces({"command": "test"}, columns, {}, precision))
-    return "".join(tables.csv_pieces(columns, {}, precision))
+        return b"".join(tables.json_pieces({"command": "test"}, columns, {}, precision))
+    return b"".join(tables.csv_pieces(columns, {}, precision))
 
 
 _CODED_FLOATS = st.one_of(st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-300, 1.5e308]),
@@ -1680,6 +1733,10 @@ class TestFuzzedContract:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(invocation=_invocations())
+    # The two allocations of 2**59 floats, each reached past every earlier check.
+    @example(invocation=(["steady", "--gamma", "0.5", "--sweep", "G", "--sweep-min", "0",
+                          "--sweep-max", "1"], {"PTOM_SWEEP_POINTS": _EIB4}))
+    @example(invocation=(["sweep", "--gamma-res", _EIB4, "--G-res", "2"], {}))
     def test_exit_codes_and_one_line(self, invocation):
         argv, env = invocation
         out, err = io.StringIO(), io.StringIO()

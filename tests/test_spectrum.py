@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptomech import (
@@ -14,9 +14,12 @@ from ptomech import (
     make_params,
     phase_diagram,
 )
-from ptomech.spectrum import REGIME_LABELS, eigenvalues, regime_codes
+from ptomech.spectrum import REGIME_LABELS, _codes_and_rmax, eigenvalues, regime_codes
 
-from conftest import KAPPA, MASS, OMEGA1, RULE_POINTS, TOL, TRAJECTORY_SETS, params_at
+from conftest import (
+    KAPPA, MASS, OMEGA1, RULE_POINTS, TOL, TRAJECTORY_SETS, params_at, reference_codes_and_rmax,
+    rule_points,
+)
 
 # Labels whose defining property is a vanishing maximal eigenvalue real part.
 MARGINAL_STABILITIES = frozenset(
@@ -289,3 +292,46 @@ class TestRegimeRuleProperty:
             assert disc < 0.0
         else:
             assert disc > 0.0
+
+
+_NAN = math.nan
+# Points where the sign tests see NaN: in gamma, in G, or in both, on and off gamma = kappa.
+_NAN_POINTS = st.sampled_from([(_NAN, 1.0), (1.0, _NAN), (_NAN, _NAN), (0.5, _NAN), (1.5, _NAN),
+                               (1.0 + 1e-10, _NAN)])
+
+
+@st.composite
+def _rule_calls(draw):
+    """A tol and (g, G) for the rule: two floats (0-d), two 1-d arrays of
+    points, or a column of gammas against a row of Gs."""
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    points = draw(st.lists(rule_points(tol) | RULE_POINTS | _NAN_POINTS, min_size=1, max_size=12))
+    g, G = (np.array(axis) for axis in zip(*points))
+    shape = draw(st.sampled_from(["0-d", "1-d", "grid"]))
+    if shape == "0-d":
+        return tol, float(g[0]), float(G[0])
+    if shape == "1-d":
+        return tol, g, G
+    return tol, g[:, None], G[None, :]
+
+
+class TestSignTestsAgainstFirstMatch:
+    """The sign tests and the first-match rule on boundary cells give the codes
+    and max Re lambda of the first-match rule over every cell."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(call=_rule_calls())
+    @example(call=(1e-9, 1.0, 1.0))
+    @example(call=(1e-3, np.array([1.0, 1.0 + 1e-3, 1.0 - 0.999e-3, 1.0 + 1.001e-3]),
+                   np.array([1.0, 1.0 + 0.999e-3, 1.0, 1.0 - 1.001e-3])))
+    @example(call=(1e-6, np.linspace(0.0, 2.0, 41)[:, None], np.linspace(0.0, 2.0, 41)[None, :]))
+    def test_codes_and_rmax_match_the_reference(self, call):
+        tol, g, G = call
+        codes, rmax = _codes_and_rmax(g, G, tol)
+        expected_codes, expected_rmax = reference_codes_and_rmax(g, G, tol)
+        assert codes.dtype == np.int8
+        assert codes.shape == expected_codes.shape
+        assert np.array_equal(codes, expected_codes)
+        assert type(rmax) is type(expected_rmax)
+        assert np.shape(rmax) == np.shape(expected_rmax)
+        assert np.asarray(rmax).tobytes() == np.asarray(expected_rmax).tobytes()
