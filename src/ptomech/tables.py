@@ -21,15 +21,18 @@ non-finite values, |v| outside [1e-290, 1e290], |v| 10**(p-1-e) below
 of a rounding tie, every value for p > 12, and arrays too short to repay
 the numpy calls.
 
-Rows go out in blocks of ``_BLOCK_ROWS``: the float columns of a block in one
-call, each distinct cell of a coded or str/int column formatted once and
-gathered, all laid out at fixed positions on one canvas of 4-byte words. A
-run of adjacent coded columns sharing one codes array is one gathered slot,
-which holds its separators and keys too. Bytes between texts are 0xFF,
-which no UTF-8 (or surrogatepass) encoding has: one ``bytes.translate`` pass
-that deletes them compacts a block. The pieces :func:`csv_pieces` and
-:func:`json_pieces` yield are those bytes, UTF-8 with lone surrogates passed
-through; the writer decodes them only for a text-only stdout.
+Rows go out in blocks of ``_BLOCK_ROWS``, each laid out at fixed positions
+on one canvas of 4-byte words: each distinct cell of a coded or str/int
+column formatted once and gathered, and the float cells copied from a digit
+pass. One pass formats the float columns of whole blocks, the fewest that
+hold ``_PASS_VALUES`` floats, since much of its cost is fixed per call; a
+larger canvas was slower. A run of adjacent coded columns sharing one codes
+array is one gathered slot, which holds its separators and keys too. Bytes
+between texts are 0xFF, which no UTF-8 (or surrogatepass) encoding has: one
+``bytes.translate`` pass that deletes them compacts a block. The pieces
+:func:`csv_pieces` and :func:`json_pieces` yield are those bytes, UTF-8 with
+lone surrogates passed through; the writer decodes them only for a text-only
+stdout.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ import numpy as np
 
 # Rows laid out per block: bounds the memory of a block's canvas.
 _BLOCK_ROWS = 2048
+# Floats per digit pass, at least: much of the pass's cost is fixed per call,
+# so it formats several blocks at once (see _row_blocks).
+_PASS_VALUES = 14336
 # Below this many floats per call the per-cell '%' rule is faster than the
 # fixed cost of the digit pass's numpy calls.
 _FAST_MIN_CELLS = 64
@@ -277,12 +283,21 @@ def _row_blocks(columns: dict, pieces: list[bytes], p: int, json_text: bool):
     ``pieces[-1]`` after the last cell, one bytes object per block of rows.
 
     A float column (ndarray) is formatted by :func:`_float_cells`, the float
-    columns of a block in one call; a coded or str/int column once per distinct
+    columns of a pass in one call; a coded or str/int column once per distinct
     cell (floats by :func:`_float_cells`, other cells by ``str`` for CSV and
     json.dumps for JSON) and gathered by code. Adjacent coded columns sharing
     one ``codes`` array gather from one table, whose rows hold each column's
     piece and cell without pads between them. Each block is laid out on a
     canvas of words at fixed positions and compacted once by dropping its pads.
+
+    The two sizes differ. A block has ``_BLOCK_ROWS`` rows: canvases of 4096
+    and 9039 rows measured slower. A pass is the fewest whole blocks that
+    hold ``_PASS_VALUES`` floats, so no block straddles two passes: the
+    digit pass costs some 65 numpy calls and the exact path's set-up per
+    call, a large share of its time at 2048 values, and a table with one
+    float column, such as a sweep, would pay that once per block. A table
+    with that many floats per block, or of one block, keeps one pass per
+    block.
     """
     n_rows = min(map(len, columns.values()), default=0)
     float_columns = [col for col in columns.values() if isinstance(col, np.ndarray)]
@@ -333,16 +348,20 @@ def _row_blocks(columns: dict, pieces: list[bytes], p: int, json_text: bool):
         template.extend(_PAD * (4 * width))
     add_piece(pieces[-1])
     template = np.frombuffer(template, _WORD)
+    # Whole blocks per digit pass: the fewest that hold _PASS_VALUES floats.
+    pass_rows = _BLOCK_ROWS * -(-_PASS_VALUES // (_BLOCK_ROWS * max(len(floats), 1)))
     for start in range(0, n_rows, _BLOCK_ROWS):
         rows = slice(start, min(start + _BLOCK_ROWS, n_rows))
-        n = rows.stop - rows.start
-        chars = np.empty((n, len(template)), _WORD)
+        chars = np.empty((rows.stop - rows.start, len(template)), _WORD)
         chars[:] = template
-        if floats:
-            block = np.stack([col[rows] for _, col in floats], axis=1).ravel()
-            cells = _float_cells(block, p, json_text, cell_width).reshape(n, -1, cell_width)
-            for k, (at, _) in enumerate(floats):
-                chars[:, at:at + cell_width] = cells[:, k]
+        if floats and start % pass_rows == 0:
+            # A pass starts at this block and holds the cells of its blocks.
+            first, stop = start, min(start + pass_rows, n_rows)
+            values = np.stack([col[first:stop] for _, col in floats], axis=1).ravel()
+            cells = _float_cells(values, p, json_text, cell_width).reshape(stop - first, -1,
+                                                                           cell_width)
+        for k, (at, _) in enumerate(floats):
+            chars[:, at:at + cell_width] = cells[rows.start - first:rows.stop - first, k]
         for at, codes, table in coded_slots:
             # take gathers whole rows about twice as fast as table[index].
             chars[:, at:at + table.shape[1]] = table.take(codes[rows], axis=0)

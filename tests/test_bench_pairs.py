@@ -133,3 +133,32 @@ def test_a_failed_run_leaves_no_tree_copies(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="exited 1"):
         bench_pairs.main(["--number", "99"])
     assert not list(tmp_path.glob("bench_pairs-*"))
+
+
+def test_spans_scale_by_the_kernel_time_of_their_own_run():
+    # The machine ran at half its quiet speed: the kernel took twice NOMINAL_S.
+    metrics = {"cli.self.s": 0.02, "spectrum.phase_diagram.s": 0.001, "spectrum.cells": 40401,
+               "cli.bytes_per_s": 1e8, "machine.kernel_s": 0.026, "machine.pass_wall_s": 0.03}
+    assert bench_pairs.scaled_spans(metrics, 0.013) == pytest.approx(
+        {"cli.self.s": 0.01, "spectrum.phase_diagram.s": 0.0005})
+
+
+def test_traces_alternate_the_side_run_first():
+    calls = []
+
+    def run_bench(tree, argv):
+        calls.append((tree, argv[3]))
+        kernel = 0.013 if tree == "parent-tree" else 0.026
+        return {"metrics": {"cli.self.s": {"value": 0.02}, "machine.kernel_s": {"value": kernel}}}
+
+    trees = {"parent": "parent-tree", "change": "change-tree"}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench_pairs, "run_bench", run_bench)
+        trace = bench_pairs.trace_runs(trees, ["a", "b", "c"], 30, 0.013)
+    assert calls == [("parent-tree", "a"), ("change-tree", "a"), ("change-tree", "b"),
+                     ("parent-tree", "b"), ("parent-tree", "c"), ("change-tree", "c")]
+    assert [trace[w]["first"] for w in "abc"] == ["parent", "change", "parent"]
+    # Raw values as the run printed them, and the spans scaled run by run.
+    assert trace["b"]["change"] == {"cli.self.s": 0.02, "machine.kernel_s": 0.026}
+    assert trace["b"]["scaled_spans"] == {"parent": {"cli.self.s": pytest.approx(0.02)},
+                                          "change": {"cli.self.s": pytest.approx(0.01)}}

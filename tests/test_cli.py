@@ -103,6 +103,15 @@ class TestGoldenOutputs:
     def test_sweep_41(self, capsys, fmt, expected):
         assert digest(capsys, *self.SWEEP_41, "--format", fmt) == expected
 
+    # The default 201 x 201 grid: 40401 rows, so several blocks and digit
+    # passes of one float column. The CSV is bench/references/sweep-csv.
+    @pytest.mark.parametrize("fmt,expected", [
+        ("csv", "16eeb3b165b1d73c15bde6c4706dfab61a993264e313d21b1e6cc3675f22cdca"),
+        ("json", "61df4ba2484c1b613a94020d9be32c66a549b12c9eb7adcbdac07b9b80a93169"),
+    ])
+    def test_sweep_default(self, capsys, fmt, expected):
+        assert digest(capsys, "sweep", "--format", fmt) == expected
+
     @pytest.mark.parametrize("name,fmt,expected", [
         ("6a", "csv", "5688ce5cb1ae11fefc6bea4dc3a04a621e4a8adcbcd38dca24575084a29bbd91"),
         ("6a", "json", "7e8a1537298e64f276f54437cc8e610c53eea2aef15061e7d1bac8bcc7d13c25"),
@@ -1395,6 +1404,71 @@ class TestCodedColumns:
         text = written(plain, precision, fmt)
         assert written(columns(shared=True), precision, fmt) == text
         assert written(columns(shared=False), precision, fmt) == text
+
+
+# Values the digit pass leaves to the per-cell rule: non-finite values, -0.0,
+# values out of its range, and near rounding ties at 1 and at 12 digits.
+_EXACT_PATH = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300, 1.5e308, -1.5e308,
+               2.5, 0.15, 1.0000000000005, 9.99999999999995e-5]
+
+
+class TestPassAndBlockBoundaries:
+    """The writer's bytes do not depend on where its digit passes (P rows) and
+    canvas blocks (B rows) split a table. Row counts lie around both, and the
+    first and last rows of every block and pass hold values that take the
+    per-cell rule; the legacy writers give the expected bytes."""
+
+    B = tables._BLOCK_ROWS
+    LABELS = ("EP", "PT-symmetric", "broken")
+
+    @classmethod
+    def pass_rows(cls, n_floats):
+        # The fewest whole blocks that hold _PASS_VALUES floats.
+        return cls.B * -(-tables._PASS_VALUES // (cls.B * n_floats))
+
+    @classmethod
+    def table_pair(cls, n_floats, n_rows):
+        """The table for the writer, with a coded column, and the same table
+        for the legacy writers, with that column as a list."""
+        rng = np.random.default_rng([n_floats, n_rows])
+        floats = rng.standard_normal((n_floats, n_rows)) * 10.0 ** rng.integers(-5, 6, n_rows)
+        P = cls.pass_rows(n_floats)
+        edges = [i for i in range(n_rows) if i % cls.B in (0, cls.B - 1) or i % P in (0, P - 1)]
+        for j, i in enumerate(edges + [n_rows - 1] if n_rows else []):
+            floats[:, i] = np.roll(_EXACT_PATH, -j)[:n_floats]
+        codes = rng.integers(0, len(cls.LABELS), n_rows)
+        columns, plain = {"x0": floats[0]}, {"x0": floats[0]}
+        columns["regime"] = tables.Coded(cls.LABELS, codes)
+        plain["regime"] = [cls.LABELS[c] for c in codes]
+        for k in range(1, n_floats):
+            columns[f"x{k}"] = plain[f"x{k}"] = floats[k]
+        return columns, plain
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_floats", [1, 2, 9])
+    def test_bytes_across_boundaries(self, fmt, n_floats, monkeypatch):
+        B, P = self.B, self.pass_rows(n_floats)
+        passes = []
+
+        def recording(values, *args):
+            passes.append(len(values))
+            return original(values, *args)
+
+        original = tables._float_cells
+        monkeypatch.setattr(tables, "_float_cells", recording)
+        legacy = legacy_json if fmt == "json" else legacy_csv
+        for n_rows in sorted({0, 1, B - 1, B, B + 1, P - 1, P, P + 1, 2 * P + B + 3}):
+            columns, plain = self.table_pair(n_floats, n_rows)
+            for precision in (1, 12):
+                config = writer_config(fmt, precision)
+                passes.clear()
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    _write_output(columns, {}, config)
+                assert stdout.getvalue() == legacy(plain, {}, config), (n_rows, precision)
+                # One digit pass per P rows, each over whole blocks.
+                assert passes == [n_floats * min(P, n_rows - start)
+                                  for start in range(0, n_rows, P)]
 
 
 # One valid, quick call per command.

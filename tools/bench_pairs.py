@@ -10,7 +10,11 @@ every workload of ``BENCHMARK.json``, pair i of ten runs
 with the same seed and the benchmark's ``run_seconds`` as T, the parent first
 in odd pairs and the change first in even ones, every run with
 ``PYTHONDONTWRITEBYTECODE=1``. Each side then makes one ``--trace 1`` run per
-workload.
+workload, the parent first for the first workload and the change first for
+the next, alternating, so that a drift of the machine's speed during the
+traces does not favour one side. Next to each traced run's raw metrics the
+output holds its span seconds scaled to the machine's quiet speed by
+``calibration.NOMINAL_S`` over that run's ``machine.kernel_s``.
 
 The output holds, per workload and side, each end-to-end metric's runs,
 median and quartiles, the failed and attempted calls of each run, and per
@@ -156,6 +160,33 @@ def ratios_to(earlier: dict, workload: str, summary: dict, names) -> dict | None
             for side in SIDES}
 
 
+def scaled_spans(metrics: dict, nominal_s: float) -> dict:
+    """The in-worker spans' seconds (the metrics named ``*.s``) of one traced
+    run, scaled to the machine's quiet speed by ``nominal_s`` over the run's
+    ``machine.kernel_s``, as ``bench/run.py`` scales ``pass_s``."""
+    scale = nominal_s / metrics["machine.kernel_s"]
+    return {name: value * scale for name, value in metrics.items() if name.endswith(".s")}
+
+
+def trace_runs(trees: dict, workloads: list[str], seconds, nominal_s: float) -> dict:
+    """One ``--trace 1`` run per workload and side, the side that goes first
+    alternating by workload: each side's raw metrics, its scaled spans and
+    which side went first."""
+    trace = {"command": " ".join(bench_argv("W", TRACE_SEED, seconds, 1)),
+             "note": ("medians over traced passes of one run per side, run after the pairs, "
+                      "the side run first alternating by workload; the raw seconds are wall "
+                      "time, and scaled_spans holds each span's seconds times "
+                      f"calibration.NOMINAL_S ({nominal_s}) / machine.kernel_s of the same run")}
+    for i, workload in enumerate(workloads):
+        sides = SIDES if i % 2 == 0 else SIDES[::-1]
+        entry = trace[workload] = {"first": sides[0], "scaled_spans": {}}
+        for side in sides:
+            result = run_bench(trees[side], bench_argv(workload, TRACE_SEED, seconds, 1))
+            entry[side] = {name: m["value"] for name, m in result["metrics"].items()}
+            entry["scaled_spans"][side] = scaled_spans(entry[side], nominal_s)
+    return trace
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, required=True, help="n of the BENCH_<n>.json written")
@@ -177,6 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
         trees = export_trees(parent_commit, Path(workdir))
         sys.path.insert(0, str(trees["change"] / "bench"))
+        from calibration import NOMINAL_S  # noqa: E402  (the change's calibration scale)
         from workloads import WORKLOADS  # noqa: E402  (the change's workload table)
 
         doc = {
@@ -215,16 +247,7 @@ def main(argv: list[str] | None = None) -> int:
                 entry[f"ratio_to_bench_{earlier[0]}"] = ratios
             doc["workloads"][workload] = entry
 
-        trace = {"command": " ".join(bench_argv("W", TRACE_SEED, seconds, 1)),
-                 "note": ("medians over traced passes of one run per side, run after the pairs; "
-                          "seconds are wall time, not scaled, so compare them with "
-                          "machine.kernel_s of the same run")}
-        for workload in workloads:
-            trace[workload] = {}
-            for side in SIDES:
-                result = run_bench(trees[side], bench_argv(workload, TRACE_SEED, seconds, 1))
-                trace[workload][side] = {name: m["value"] for name, m in result["metrics"].items()}
-        doc["per_layer_trace"] = trace
+        doc["per_layer_trace"] = trace_runs(trees, workloads, seconds, NOMINAL_S)
         doc["notes"] = []
 
         path = ROOT / f"BENCH_{args.number}.json"
