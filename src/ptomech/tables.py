@@ -21,18 +21,20 @@ non-finite values, |v| outside [1e-290, 1e290], |v| 10**(p-1-e) below
 of a rounding tie, every value for p > 12, and arrays too short to repay
 the numpy calls.
 
-Rows go out in blocks of ``_BLOCK_ROWS``, each laid out at fixed positions
-on one canvas of 4-byte words: each distinct cell of a coded or str/int
-column formatted once and gathered, and the float cells copied from a digit
-pass. One pass formats the float columns of whole blocks, the fewest that
-hold ``_PASS_VALUES`` floats, since much of its cost is fixed per call; a
-larger canvas was slower. A run of adjacent coded columns sharing one codes
+Rows go out in blocks of ``_BLOCK_ROWS``, each laid out on a byte canvas at
+fixed byte positions: the pieces between cells as they are, the float cells
+copied from a digit pass, and each distinct cell of a coded or str/int
+column formatted once and gathered. Each slot is as wide as the widest text
+it can take in the block, so the canvas carries only the pads that vary from
+row to row. One pass formats the float columns of whole blocks, the fewest
+that hold ``_PASS_VALUES`` floats, since much of its cost is fixed per call;
+a larger canvas was slower. A run of adjacent coded columns sharing one codes
 array is one gathered slot, which holds its separators and keys too. Bytes
 between texts are 0xFF, which no UTF-8 (or surrogatepass) encoding has: one
-``bytes.translate`` pass that deletes them compacts a block. The pieces
-:func:`csv_pieces` and :func:`json_pieces` yield are those bytes, UTF-8 with
-lone surrogates passed through; the writer decodes them only for a text-only
-stdout.
+``bytes.translate`` pass that deletes them, at a cost per canvas byte,
+compacts a block. The pieces :func:`csv_pieces` and :func:`json_pieces`
+yield are those bytes, UTF-8 with lone surrogates passed through; the writer
+decodes them only for a text-only stdout.
 """
 
 from __future__ import annotations
@@ -57,35 +59,21 @@ _FAST_MIN, _FAST_MAX = 1e-290, 1e290
 # The JSON text of the non-finite floats, keyed by their repr. A CSV cell such
 # as "2e+308" reads back as inf.
 _JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-# Text is laid out in 4-byte words, byte 0 first; 0xFF pads the bytes between texts.
-_WORD = np.dtype("<u4")
+# The digit pass writes 4 digits as one word, byte 0 first, a JSON sign or
+# point as 2 bytes and an exponent 'e%+03d' as 8; 0xFF pads the bytes between texts.
+_WORD, _HALF, _EXPONENT = np.dtype("<u4"), np.dtype("<u2"), np.dtype("<u8")
 _PAD = b"\xff"
-# Two adjacent words read as one item: numpy gathers 1-d items several times
-# faster than rows of a 2-d table, and copies the gathered words into two
-# canvas columns faster than as (n, 2) rows.
-_PAIR = np.dtype("<u8")
-# Words per float cell. CSV: [-]d, '.' and p-1 digits right-aligned in 12
-# places, e+/- and 2-3 exponent digits; an exact text of p <= 17 (at most 24
-# characters) fits too. JSON: _JSON_WORDS for [-] (or -0), '.' (or '.0'), 16
-# fraction digits and the exponent, plus 1-4 for the integer part (see
-# _cell_words); an exact text (at most 24 characters) fits any.
-_CSV_WORDS, _JSON_WORDS = 6, 8
 # The exponent table has a row for each of -_EXP..+_EXP, then an empty row.
 _EXP = 330
-
-
-def _word(text: str) -> int:
-    """The bytes of ``text`` (at most 4), padded, as a word."""
-    return int.from_bytes(text.encode().ljust(4, _PAD), "little")
 
 
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, ...]:
     """For each q in 0..9999: its 4 ASCII digits as a word, and that word with
-    its leading and with its trailing zeros as pads; a JSON cell's first word
-    by negative | (zero integer part) << 1; the exponent table, the 2 words of
-    'e%+03d' per entry as one _PAIR; 10.0**k for k in 0..301, correctly
-    rounded; and 10**k as int64 for k in 0..18."""
+    its leading and with its trailing zeros as pads; a JSON cell's 2 bytes
+    of sign ('', '-', '0', '-0') and of point ('.', '.0'); the exponent
+    table, the 8 bytes of 'e%+03d' per entry as one _EXPONENT; 10.0**k for
+    k in 0..301, correctly rounded; and 10**k as int64 for k in 0..18."""
     q = np.arange(10000, dtype=_WORD)
     digits = lead = trail = 0
     for byte, power in enumerate((1000, 100, 10, 1)):
@@ -95,11 +83,11 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
         digits = digits | digit
         lead = lead | np.where(q >= power, digit, pad)
         trail = trail | np.where(q % (10 * power) != 0, digit, pad)
-    signs = np.array([_word(t) for t in ("", "-", "0", "-0")], _WORD)
-    exponents = _word_table([b"e%+03d" % k for k in range(-_EXP, _EXP + 1)] + [b""], 2)
-    exponents = exponents.view(_PAIR)[:, 0]
+    halves = _byte_table([b"", b"-", b"0", b"-0", b".", b".0"], 2).view(_HALF)[:, 0]
+    exponents = _byte_table([b"e%+03d" % k for k in range(-_EXP, _EXP + 1)] + [b""], 8)
+    exponents = exponents.view(_EXPONENT)[:, 0]
     pow10 = np.array([f"1e{k}" for k in range(302)]).astype(float)
-    return digits, lead, trail, signs, exponents, pow10, 10 ** np.arange(19, dtype=np.int64)
+    return digits, lead, trail, halves, exponents, pow10, 10 ** np.arange(19, dtype=np.int64)
 
 
 def _put_digits(n: np.ndarray, chars: np.ndarray, drop: str = "") -> None:
@@ -122,6 +110,12 @@ def _put_digits(n: np.ndarray, chars: np.ndarray, drop: str = "") -> None:
             chars[:, g] = digit_words[q]
 
 
+def _words(chars: np.ndarray, end: int, places: int) -> np.ndarray:
+    """The fewest 4-byte word columns of ``chars`` that end at byte ``end``
+    and hold ``places`` digits; they may start before the digits."""
+    return chars[:, end - 4 * -(-places // 4):end].view(_WORD)
+
+
 def _exact_texts(values: list, p: int, json_text: bool) -> list[str]:
     """'%.{p-1}e' of each float; for JSON, the float that text reads back as,
     written by ``float.__repr__`` as json.dumps writes it (NaN as null)."""
@@ -133,14 +127,16 @@ def _exact_texts(values: list, p: int, json_text: bool) -> list[str]:
     return texts
 
 
-def _fast_cells(v: np.ndarray, p: int, json_text: bool, chars: np.ndarray) -> np.ndarray:
+def _fast_cells(v: np.ndarray, p: int, json_text: bool, chars: np.ndarray,
+                places: int) -> np.ndarray:
     """Lay out the cells of :func:`_float_cells` from one numpy digit pass.
 
-    Fills ``chars`` for every value and returns where the pass is exact:
-    zeros, and |v| in [1e-290, 1e290] whose scaled mantissa is not within the
-    tie margin (p <= 12).
+    Fills the bytes of each cell in ``chars`` (see :func:`_cell_rows`) for
+    every value and returns where the pass is exact: zeros, and |v| in
+    [1e-290, 1e290] whose scaled mantissa is not within the tie margin
+    (p <= 12). ``places`` is a JSON cell's integer places.
     """
-    digit_words, _, _, signs, exponents, pow10, ipow10 = _digit_tables()
+    _, _, _, halves, exponents, pow10, ipow10 = _digit_tables()
     a = np.abs(v)
     zero = a == 0
     fast = zero | ((a >= _FAST_MIN) & (a <= _FAST_MAX))
@@ -168,47 +164,69 @@ def _fast_cells(v: np.ndarray, p: int, json_text: bool, chars: np.ndarray) -> np
         up = np.maximum(shift, 0)
         n_int = m // ipow10[up] * ipow10[np.maximum(-shift, 0)]
         n_frac = m % ipow10[up] * ipow10[p + 3 - up]
-        point = len(chars[0]) - 7
-        # The sign, and the 0 of a zero integer part, whose words are all pads.
-        chars[:, 0] = signs[neg | (n_int == 0) << 1]
-        _put_digits(n_int, chars[:, 1:point], "leading")
-        # One fraction digit in positional form: '.0' where the fraction is 0.
-        chars[:, point] = np.where(n_frac != 0, _word("."), np.where(pos, _word(".0"), _word("")))
-        # The fraction's p+3 digits, left-aligned in 16.
-        _put_digits(n_frac * ipow10[13 - p], chars[:, point + 1:point + 5], "trailing")
-        words = exponents[np.where(pos, -1, e + _EXP)].view(_WORD).reshape(-1, 2)
-        chars[:, point + 5], chars[:, point + 6] = words.T
+        # Bytes 1-2: the sign, and the 0 of a zero integer part. Then the
+        # integer part's places (its words start at byte 0 at the earliest,
+        # before the sign is written over them), 2 bytes for '.' or '.0' and
+        # the fraction's p+3 digits, left-aligned in words of p+4 to p+7.
+        point = 3 + places
+        _put_digits(n_int, _words(chars, point, places), "leading")
+        chars[:, 1:3].view(_HALF)[:, 0] = halves[neg | (n_int == 0) << 1]
+        chars[:, point:point + 2].view(_HALF)[:, 0] = halves[np.where(n_frac != 0, 4, pos * 5)]
+        fraction = chars[:, point + 2:point + 2 + (p + 7) // 4 * 4].view(_WORD)
+        _put_digits(n_frac * ipow10[fraction.shape[1] * 4 - p - 3], fraction, "trailing")
+        # The exponent form has p-1 fraction digits and the positional form no
+        # exponent, so the exponent overlays the fraction's last places: every
+        # byte of the two is a pad in one of them, and pads are all ones.
+        overlay = chars[:, point + p + 1:point + p + 9].view(_EXPONENT)[:, 0]
+        overlay &= exponents[np.where(pos, -1, e + _EXP)]
     else:
-        # '-' (0x2D) or a pad in byte 0, the first digit in byte 3; then the
-        # other p-1 digits, zero-padded to 12 places, with pads and '.' over the zeros.
+        # Byte 1: '-' or a pad; byte 2: the first digit; then '.' and the other
+        # p-1 digits, whose zero-padded words are written first, and the exponent.
         top = ipow10[p - 1]
-        chars[:, 0] = digit_words[m // top] & 0xFF000000 | np.where(neg, 0xFFFF2D, 0xFFFFFF)
-        _put_digits(m % top, chars[:, 1:4])
-        fill = _PAD * (12 - p) + b"." if p > 1 else _PAD * 12
-        chars.view(np.uint8)[:, 4:17 - p] = np.frombuffer(fill, np.uint8)
-        words = exponents[e + _EXP].view(_WORD).reshape(-1, 2)
-        chars[:, 4], chars[:, 5] = words.T
+        after = p + 2 + (p > 1)
+        _put_digits(m % top, _words(chars, after, p - 1))
+        chars[:, 1] = np.where(neg, ord("-"), 0xFF)
+        chars[:, 2] = m // top + ord("0")
+        if p > 1:
+            chars[:, 3] = ord(".")
+        chars[:, after:after + 8].view(_EXPONENT)[:, 0] = exponents[e + _EXP]
     return fast
 
 
-def _cell_words(floats: list[np.ndarray], p: int, json_text: bool) -> int:
-    """Words per float cell for the values of ``floats`` at p.
+def _cell_layout(values: np.ndarray, p: int, json_text: bool) -> tuple[int, int]:
+    """Bytes per float cell for ``values`` at p, and a JSON cell's integer places.
 
-    A CSV cell needs more than _CSV_WORDS only for an exact text longer than 24
-    characters (p > 17). A JSON cell's integer part takes a word per 4 digits of
-    the largest positional |v| (below 1e16) and one more digit, for a rounding
-    carry such as 999.6 -> 1000.
+    A CSV cell is [-]d.ddde+dd, p + 6 bytes (p + 5 at p = 1). A JSON cell has
+    2 bytes for [-] or [-]0, a place per digit of the largest positional |v|
+    (below 1e16) and one for a rounding carry such as 999.6 -> 1000, 2 for '.'
+    or '.0' and the fraction's p+3 places, which the exponent form's p-1
+    digits and 'e+dd' share. Either takes a byte more where an exponent may
+    have 3 digits. An exact text has the same form, or is 'nan', 'inf' or
+    '-Infinity', and fits too. (np.max and np.min add a fixed cost per call.)
     """
+    a = np.abs(values)
+    wide = bool(np.maximum.reduce(a, where=a < np.inf, initial=0.0) >= 1e99
+                or np.minimum.reduce(a, where=a > 0, initial=1.0) < 1e-99)
     if not json_text:
-        return max(_CSV_WORDS, -(-(p + 7) // 4))
-    top = max([np.max(a, where=a < 1e16, initial=0.0) for a in map(np.abs, floats)], default=0)
-    return _JSON_WORDS + 1 + (top >= 1e3) + (top >= 1e7) + (top >= 1e11)
+        return p + 5 + (p > 1) + wide, 0
+    top = np.maximum.reduce(a, where=a < 1e16, initial=0.0)
+    places = len(str(int(top))) + (top >= 1)
+    return places + p + 7 + wide, places
 
 
-def _float_cells(values: np.ndarray, p: int, json_text: bool,
-                 width: int | None = None) -> np.ndarray:
-    """Each float of a 1-d array at p significant digits, as a row of ``width``
-    words (by default :func:`_cell_words` of the values), pads as 0xFF.
+def _cell_rows(n: int, width: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """n rows for cells of ``width`` bytes at [1, 1 + width), of ``rows`` if it
+    has room: the digit pass writes from a byte before a cell to 4 past it."""
+    if rows is None or len(rows) < n or rows.shape[1] < width + 5:
+        rows = np.empty((n, width + 5), np.uint8)
+    return rows[:n]
+
+
+def _float_cells(values: np.ndarray, p: int, json_text: bool, layout: tuple[int, int] | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Each float of a 1-d array at p significant digits, as a row of the
+    ``layout`` bytes (by default :func:`_cell_layout` of the values), pads as
+    0xFF: a view of the :func:`_cell_rows` of ``out``.
 
     A CSV cell is '%.{p-1}e' of the value; a JSON cell is the text json.dumps
     writes for the float that reads back from it. -0.0 prints as 0. For p <= 12
@@ -217,20 +235,20 @@ def _float_cells(values: np.ndarray, p: int, json_text: bool,
     per-cell '%' rule of :func:`_exact_texts`.
     """
     v = values + 0.0  # -0.0 becomes 0.0; every other value stays as it is
-    width = width or _cell_words([v], p, json_text)
-    chars = np.empty((len(v), width), _WORD)
+    width, places = layout or _cell_layout(v, p, json_text)
+    chars = _cell_rows(len(v), width, out)
     if p <= _FAST_PRECISION and len(v) >= _FAST_MIN_CELLS:
-        slow = np.flatnonzero(~_fast_cells(v, p, json_text, chars))
+        slow = np.flatnonzero(~_fast_cells(v, p, json_text, chars, places))
     else:
         slow = np.arange(len(v))
     if slow.size:
         texts = _exact_texts(v[slow].tolist(), p, json_text)
-        chars[slow] = _word_table(list(map(str.encode, texts)), width)
-    return chars
+        chars[slow, 1:1 + width] = _byte_table(list(map(str.encode, texts)), width)
+    return chars[:, 1:1 + width]
 
 
 def _text(chars: np.ndarray) -> bytes:
-    """The bytes of word arrays, in order and without pads: one
+    """The bytes of an array, in order and without pads: one
     ``bytes.translate`` pass deletes the 0xFF bytes. They stay bytes up to
     the output file or stdout."""
     return chars.tobytes().translate(None, _PAD)
@@ -263,12 +281,18 @@ def _coded(cells: list) -> Coded:
     return Coded(tuple(index), codes)
 
 
-def _word_table(data: list[bytes], width: int | None = None) -> np.ndarray:
-    """Texts' bytes as rows of ``width`` words (by default the fewest that hold each), padded."""
+def _byte_table(data: list[bytes], width: int | None = None) -> np.ndarray:
+    """Texts' bytes as rows of ``width`` bytes (by default the longest text's), padded."""
     if width is None:
-        width = -(-max(map(len, data), default=0) // 4)
-    chars = np.frombuffer(b"".join([d.ljust(4 * width, _PAD) for d in data]), _WORD)
+        width = max(map(len, data), default=0)
+    chars = np.frombuffer(b"".join([d.ljust(width, _PAD) for d in data]), np.uint8)
     return chars.reshape(len(data), width)
+
+
+def _items(chars: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d byte array whose rows are contiguous, as 1-d void
+    items: numpy gathers and copies those several times faster than rows."""
+    return chars.view(f"V{chars.shape[1]}")[:, 0]
 
 
 def _pieces(first: str, between: str, labels: list[str], last: str) -> list[bytes]:
@@ -287,8 +311,14 @@ def _row_blocks(columns: dict, pieces: list[bytes], p: int, json_text: bool):
     cell (floats by :func:`_float_cells`, other cells by ``str`` for CSV and
     json.dumps for JSON) and gathered by code. Adjacent coded columns sharing
     one ``codes`` array gather from one table, whose rows hold each column's
-    piece and cell without pads between them. Each block is laid out on a
-    canvas of words at fixed positions and compacted once by dropping its pads.
+    piece and cell without pads between them.
+
+    The rows of a block share one byte layout: each piece as it is, each
+    float cell in its pass's :func:`_cell_layout` bytes and each coded slot
+    in those of its longest text in the block. A canvas, pieces included,
+    is made only where the layout changes, once for most tables: each block
+    overwrites every byte of its slots before :func:`_text` copies it out.
+    One array of cell rows likewise serves every pass it has room for.
 
     The two sizes differ. A block has ``_BLOCK_ROWS`` rows: canvases of 4096
     and 9039 rows measured slower. A pass is the fewest whole blocks that
@@ -299,21 +329,25 @@ def _row_blocks(columns: dict, pieces: list[bytes], p: int, json_text: bool):
     with that many floats per block, or of one block, keeps one pass per
     block.
     """
-    n_rows = min(map(len, columns.values()), default=0)
-    float_columns = [col for col in columns.values() if isinstance(col, np.ndarray)]
-    cell_width = _cell_words(float_columns, p, json_text)
-    # Each cell's piece and slot: [piece, None, column] for a float column and
-    # [b"", codes, texts] for a run of coded columns, each text the run's pieces
-    # and cells for one code. No float text holds "\n", so it ends each cell.
-    slots = []
+    lengths = [len(col) for col in columns.values()]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal lengths {lengths}")
+    n_rows = lengths[0] if lengths else 0
+    if not n_rows:
+        return
+    # Each cell's piece and slot: [piece, None, k] for the k-th float column
+    # and [b"", codes, texts] for a run of coded columns, each text the run's
+    # pieces and cells for one code. No float text holds "\n", so it ends each cell.
+    slots, float_columns = [], []
     for piece, col in zip(pieces, columns.values()):
         if isinstance(col, np.ndarray):
-            slots.append([piece, None, col])
+            slots.append([piece, None, len(float_columns)])
+            float_columns.append(col)
             continue
         coded = col if isinstance(col, Coded) else _coded(col)
         if isinstance(coded.values, np.ndarray):
             cells = _float_cells(coded.values, p, json_text)
-            ends = np.full((len(cells), 1), _word("\n"), _WORD)
+            ends = np.full((len(cells), 1), ord("\n"), np.uint8)
             texts = _text(np.hstack([cells, ends])).split(b"\n")[:-1]
         elif json_text:
             import json  # only JSON output reads it: CSV calls skip the import
@@ -326,46 +360,55 @@ def _row_blocks(columns: dict, pieces: list[bytes], p: int, json_text: bool):
             slots[-1][2] = [a + b for a, b in zip(slots[-1][2], texts)]
         else:
             slots.append([b"", coded.codes, texts])
-    # The row template holds the pieces, each padded to whole words, and
-    # after each piece its slot: floats (offset, column) and coded runs
-    # (offset, codes, table). Each block starts as a copy of it: one broadcast
-    # copy of the whole row is faster than a strided copy per piece.
-    template = bytearray()
-
-    def add_piece(piece: bytes) -> None:
-        template.extend(piece + _PAD * (-len(piece) % 4))
-
-    floats, coded_slots = [], []
-    for piece, codes, col in slots:
-        add_piece(piece)
-        if codes is None:
-            floats.append((len(template) // 4, col))
-            width = cell_width
+    starts = range(0, n_rows, _BLOCK_ROWS)
+    # Each coded run's width per block, the longest text among the block's
+    # codes, and its texts as a padded table; a float slot's is its pass's.
+    for slot in slots:
+        if slot[1] is None:
+            slot.append(None)
+            continue
+        sizes = np.array([len(text) for text in slot[2]])
+        slot[2] = _byte_table(slot[2])
+        if sizes.min() < sizes.max():
+            slot.append(np.maximum.reduceat(sizes[slot[1]], starts).tolist())
         else:
-            table = _word_table(col)
-            coded_slots.append((len(template) // 4, codes, table))
-            width = table.shape[1]
-        template.extend(_PAD * (4 * width))
-    add_piece(pieces[-1])
-    template = np.frombuffer(template, _WORD)
+            slot.append([int(sizes[0])] * len(starts))
     # Whole blocks per digit pass: the fewest that hold _PASS_VALUES floats.
-    pass_rows = _BLOCK_ROWS * -(-_PASS_VALUES // (_BLOCK_ROWS * max(len(floats), 1)))
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, n_rows))
-        chars = np.empty((rows.stop - rows.start, len(template)), _WORD)
-        chars[:] = template
-        if floats and start % pass_rows == 0:
-            # A pass starts at this block and holds the cells of its blocks.
-            first, stop = start, min(start + pass_rows, n_rows)
-            values = np.stack([col[first:stop] for _, col in floats], axis=1).ravel()
-            cells = _float_cells(values, p, json_text, cell_width).reshape(stop - first, -1,
-                                                                           cell_width)
-        for k, (at, _) in enumerate(floats):
-            chars[:, at:at + cell_width] = cells[rows.start - first:rows.stop - first, k]
-        for at, codes, table in coded_slots:
-            # take gathers whole rows about twice as fast as table[index].
-            chars[:, at:at + table.shape[1]] = table.take(codes[rows], axis=0)
-        yield _text(chars)
+    n_floats = len(float_columns)
+    pass_rows = _BLOCK_ROWS * -(-_PASS_VALUES // (_BLOCK_ROWS * max(n_floats, 1)))
+    cell_rows = shape = None
+    for b, start in enumerate(starts):
+        stop = min(start + _BLOCK_ROWS, n_rows)
+        if n_floats and start % pass_rows == 0:
+            # A pass starts at this block and holds the cells of its blocks,
+            # in the layout of its values.
+            first = start
+            values = np.stack([col[first:first + pass_rows] for col in float_columns], 1).ravel()
+            layout = _cell_layout(values, p, json_text)
+            cell_rows = _cell_rows(len(values), layout[0], cell_rows)
+            cells = _float_cells(values, p, json_text, layout, cell_rows)
+            cells = _items(cells).reshape(-1, n_floats)
+        widths = [layout[0] if codes is None else sizes[b] for _, codes, _, sizes in slots]
+        if widths != shape:
+            # A new layout: the pieces, pads in the slots as yet, and per slot
+            # its items on the canvas and the cells it takes.
+            shape, template, targets = widths, bytearray(), []
+            for (piece, codes, col, _), width in zip(slots, shape):
+                template += piece
+                targets.append((len(template), width, codes, col))
+                template += _PAD * width
+            chars = np.empty((min(n_rows, _BLOCK_ROWS), len(template) + len(pieces[-1])), np.uint8)
+            chars[:] = np.frombuffer(template + pieces[-1], np.uint8)
+            targets = [(_items(chars[:, at:at + width]), codes,
+                        col if codes is None else _items(col[:, :width]))
+                       for at, width, codes, col in targets if width]
+        for target, codes, cells_of in targets:
+            if codes is None:
+                target[:stop - start] = cells[start - first:stop - first, cells_of]
+            else:
+                # take gathers into a new array, then one copy: faster than take(out=).
+                target[:stop - start] = cells_of.take(codes[start:stop])
+        yield _text(chars[:stop - start])
 
 
 def one_row(record: dict) -> dict:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 import sys
 import tempfile
@@ -162,3 +163,42 @@ def test_traces_alternate_the_side_run_first():
     assert trace["b"]["change"] == {"cli.self.s": 0.02, "machine.kernel_s": 0.026}
     assert trace["b"]["scaled_spans"] == {"parent": {"cli.self.s": pytest.approx(0.02)},
                                           "change": {"cli.self.s": pytest.approx(0.01)}}
+
+
+def test_one_verdict_line_per_workload():
+    runs = {"parent": [result(2.0, 1.0), result(3.0, 0.9, 1), result(4.0, 1.0), result(5.0, 1.0)],
+            "change": [result(1.0, 1.0), result(3.5, 1.0), result(2.0, 0.9, 1), result(3.0, 1.0)]}
+    out = bench_pairs.summarize(runs, {"pass_s": "lower", "verified_frac": "higher"},
+                                {"pass_s": 0.1, "verified_frac": 0.0})
+    assert bench_pairs.verdict_line("phase_grid", out) == (
+        "phase_grid: pass_s ratio=0.7143 change_wins_of_pairs=3 claim_holds=False "
+        "within_bound=True; verified_frac ratio=1.0000 change_wins_of_pairs=1 "
+        "claim_holds=False within_bound=True; failed_share_no_larger=True")
+    out["ratio"]["pass_s"] = None
+    assert "pass_s ratio=- " in bench_pairs.verdict_line("w", out)
+
+
+def test_a_run_ends_with_the_verdict_lines(tmp_path, monkeypatch, capsys):
+    # Every run reads the same: all pairs tie, so no claim holds and every bound does.
+    repo = bench_pairs.ROOT
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+    metrics["machine.kernel_s"] = {"value": 1.0}
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "0" * 40 + "\n")
+    # Both sides read their workload table and calibration from the repository's bench/.
+    monkeypatch.setattr(bench_pairs, "export_trees", lambda parent, into: dict.fromkeys(
+        bench_pairs.SIDES, repo))
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda tree, argv: {
+        "failed": 0, "attempted": 5, "metrics": metrics})
+    assert bench_pairs.main(["--number", "99"]) == 0
+    doc = json.loads((tmp_path / "BENCH_99.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-len(workloads):] == [bench_pairs.verdict_line(w, doc["workloads"][w])
+                                       for w in workloads]
+    assert all("claim_holds=False" in line and "within_bound=False" not in line
+               and line.endswith("failed_share_no_larger=True") for line in lines[-3:])

@@ -1112,16 +1112,30 @@ class TestWriterLayout:
             assert got == expected
 
     def test_integer_words_follow_the_largest_positional_value(self):
+        # A JSON cell's integer places: a digit per digit of the largest
+        # positional |v| and one for a rounding carry; its bytes add p + 7.
         small = np.random.default_rng(3).standard_normal(100)
-        assert tables._cell_words([small * 100], 12, True) == 9
-        # 999.6 rounds to 1000 at p = 3: four digits, still one word.
-        assert tables._cell_words([small, np.array([999.6])], 3, True) == 9
-        assert tables._cell_words([small, np.array([9999.6])], 4, True) == 10
-        assert tables._cell_words([small, np.array([-9.999999999999e15])], 12, True) == 12
-        # Values past the positional range (and non-finite ones) are written with an exponent.
-        assert tables._cell_words([np.array([1e16, -1e300, np.inf, np.nan])], 12, True) == 9
-        assert tables._cell_words([small], 12, False) == 6
-        assert tables._cell_words([small], 30, False) == 10
+
+        def layout(extra, precision, json_text):
+            return tables._cell_layout(np.concatenate([small, extra]), precision, json_text)
+
+        assert layout(small * 100, 12, True) == (23, 4)
+        # 999.6 rounds to 1000 at p = 3: four digits.
+        assert layout([999.6], 3, True) == (14, 4)
+        assert layout([9999.6], 4, True) == (16, 5)
+        assert layout([-9.999999999999e15], 12, True) == (36, 17)
+        # All below 1: one place, for a carry such as 0.9999 -> 1.0 at p = 3.
+        assert tables._cell_layout(small * 1e-3, 3, True) == (11, 1)
+        # Values past the positional range (and non-finite ones) are written
+        # with an exponent, here of 3 digits.
+        assert tables._cell_layout(np.array([1e16, -1e300, np.inf, np.nan]), 12, True) == (21, 1)
+        # CSV: [-]d.ddde+dd, and a byte more where an exponent may take 3 digits.
+        assert layout([], 12, False) == (18, 0)
+        assert layout([], 1, False) == (6, 0)
+        assert layout([], 30, False) == (36, 0)
+        assert layout([5e-324], 12, False) == (19, 0)
+        assert layout([-1e99], 12, False) == (19, 0)
+        assert layout([9.9e98, 1e-99, -np.inf, np.nan], 12, False) == (18, 0)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_integer_part_sizing(self, fmt):
@@ -1469,6 +1483,104 @@ class TestPassAndBlockBoundaries:
                 # One digit pass per P rows, each over whole blocks.
                 assert passes == [n_floats * min(P, n_rows - start)
                                   for start in range(0, n_rows, P)]
+
+
+class TestByteLayout:
+    """The writer's bytes where its byte layout changes from block to block
+    and from pass to pass: wider cells that first appear in a later block or
+    pass, multi-byte and lone-surrogate text next to float cells, every
+    precision regime, and tables of 0 and 1 rows. The legacy writers give the
+    expected bytes."""
+
+    B = tables._BLOCK_ROWS
+    # Rows per digit pass of a table with one float column.
+    P = B * -(-tables._PASS_VALUES // B)
+    LABELS = ("EP", "PT-symmetric", "\u00e9" * 30)
+    FOOTER = {"disc": -1.5e-120, "source": "\u00e9"}
+
+    @classmethod
+    def check(cls, columns, plain, fmt, precision):
+        config = writer_config(fmt, precision)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            _write_output(columns, cls.FOOTER, config)
+        legacy = legacy_json if fmt == "json" else legacy_csv
+        assert stdout.getvalue() == legacy(plain, cls.FOOTER, config), precision
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("where", ["first block", "later block", "later pass"])
+    def test_wider_cells_in_one_block_or_pass(self, fmt, where):
+        # Two digit passes. A 3-digit exponent, an 8-digit integer part and a
+        # 60-byte label appear in one block: the first, a later one of the
+        # first pass, or the second pass. Elsewhere exponents have 2 digits,
+        # integer parts 1 and labels 12 bytes (first block) or 2.
+        at = {"first block": 5, "later block": self.B + 5, "later pass": self.P + 1}[where]
+        n_rows = self.P + self.B + 3
+        x = np.random.default_rng(at).standard_normal(n_rows)
+        x[at:at + 3] = [-1.5e-150, 2.5e120, -98765432.25]
+        codes = np.zeros(n_rows, np.intp)
+        codes[:self.B] = 1
+        codes[at + 1] = 2
+        columns = {"x": x, "label": tables.Coded(self.LABELS, codes)}
+        plain = {"x": x, "label": [self.LABELS[c] for c in codes]}
+        for precision in (3, 12):
+            self.check(columns, plain, fmt, precision)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("precision", [1, 12, 13, 17])
+    def test_multibyte_and_lone_surrogate_text_next_to_float_cells(self, fmt, precision):
+        # 70 floats: enough for the digit pass at p <= 12.
+        n = 70
+        cells = ["\u00e9", "\u2028x", "\U0001f600", "\ud800", "\udfff\u00ff", ""]
+        x = np.random.default_rng(precision).standard_normal(n) * 1e-3
+        x[:4] = [-0.0, math.nan, 5e-324, -1.5e308]
+        strings = [cells[i % len(cells)] * (i % 3) for i in range(n)]
+        codes = np.arange(n) % len(cells)
+        columns = {"\u00e9\U0001f600": x, "\ud800k": strings,
+                   "k\u2028": tables.Coded(tuple(cells), codes), "y\udfff": -x}
+        plain = {"\u00e9\U0001f600": x, "\ud800k": strings,
+                 "k\u2028": [cells[c] for c in codes], "y\udfff": -x}
+        self.check(columns, plain, fmt, precision)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_tables_of_no_and_one_row(self, fmt, n_rows):
+        x = np.array([-1.5e-150])[:n_rows]
+        codes = np.ones(n_rows, np.intp)
+        columns = {"x": x, "s": ["\u00e9"][:n_rows], "c": tables.Coded(("a", "bb"), codes)}
+        plain = {"x": x, "s": ["\u00e9"][:n_rows], "c": ["bb"] * n_rows}
+        for precision in (1, 12, 13, 17):
+            self.check(columns, plain, fmt, precision)
+
+    def test_unequal_columns_raise(self):
+        columns = {"a": np.zeros(3), "b": ["x", "y"],
+                   "c": tables.Coded(("z",), np.zeros(3, np.intp))}
+        for pieces in (tables.csv_pieces(columns, {}, 12),
+                       tables.json_pieces({"command": "test"}, columns, {}, 12)):
+            with pytest.raises(ValueError, match=r"unequal lengths \[3, 2, 3\]"):
+                b"".join(pieces)
+
+    @pytest.mark.parametrize("argv,bound", [
+        (["sweep"], 1.2),
+        (["evolve", "--gamma", "1.0", "--G", "0.8", "--t-end", "0.5", "--samples", "11400",
+          "--format", "json"], 1.4),
+    ])
+    def test_canvas_bytes_per_text_byte(self, argv, bound, monkeypatch, tmp_path):
+        # Compaction costs per canvas byte: the default 201x201 sweep and the
+        # dense JSON call lay out at most 1.2 and 1.4 canvas bytes per byte of text.
+        counts = [0, 0]
+
+        def counting(chars):
+            text = original(chars)
+            counts[0] += chars.nbytes
+            counts[1] += len(text)
+            return text
+
+        original = tables._text
+        monkeypatch.setattr(tables, "_text", counting)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert counts[1] > 3_000_000
+        assert counts[0] <= bound * counts[1]
 
 
 # One valid, quick call per command.

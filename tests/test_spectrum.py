@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ptomech import (
     make_params,
     phase_diagram,
 )
+from ptomech.presets import PRESETS
 from ptomech.spectrum import REGIME_LABELS, _codes_and_rmax, eigenvalues, regime_codes
 
 from conftest import (
@@ -126,6 +128,15 @@ class TestClassify:
     @pytest.mark.parametrize("name,g,G,region", TRAJECTORY_SETS)
     def test_trajectory_parameter_sets(self, name, g, G, region):
         assert classify(params_at(g, G)).region_id == region
+
+    @pytest.mark.parametrize("name", sorted(n for n, p in PRESETS.items() if p.kind == "evolve"))
+    def test_preset_descriptions_name_their_region(self, name):
+        # Each trajectory preset's description ends in "(region k)": the rule
+        # gives region k at the preset's point.
+        preset = PRESETS[name]
+        region = int(re.fullmatch(r".*\(region (\d)\)", preset.description).group(1))
+        assert classify(params_at(preset.gamma, preset.G)).region_id == region
+        assert REGIME_LABELS[int(regime_codes(preset.gamma, preset.G))].region_id == region
 
     def test_blue_point_is_degenerate(self):
         label = classify(params_at(1.0, 1.0))

@@ -27,7 +27,8 @@ median is no worse than the parent's by more than the metric's ``bound`` in
 ``BENCHMARK.json``, taken as a fraction of the parent median. Per workload
 it also gives each side's failed share, the sum of its failed calls over the
 sum of its attempted ones, and ``failed_share_no_larger``: whether the
-change's share is no larger than the parent's. Each side's
+change's share is no larger than the parent's; at the end of a run the
+script prints these verdicts to stderr, one line per workload. Each side's
 medians are also divided by the change medians of the newest earlier
 ``BENCH_<k>.json`` in the repository root. The script only reads what
 ``bench/run.py`` prints; it changes nothing under ``bench/``.
@@ -137,6 +138,19 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str],
                                     and gap > parent["q3"] - parent["q1"])
         out["within_bound"][name] = -gap <= bounds[name] * abs(base)
     return out
+
+
+def verdict_line(workload: str, entry: dict) -> str:
+    """One line on a workload's summary (see :func:`summarize`): per
+    end-to-end metric its ratio, change_wins_of_pairs, claim_holds and
+    within_bound, then failed_share_no_larger."""
+    metrics = [f"{name} ratio={'-' if ratio is None else f'{ratio:.4f}'} "
+               f"change_wins_of_pairs={entry['change_wins_of_pairs'][name]} "
+               f"claim_holds={entry['claim_holds'][name]} "
+               f"within_bound={entry['within_bound'][name]}"
+               for name, ratio in entry["ratio"].items()]
+    return f"{workload}: " + "; ".join(metrics + [
+        f"failed_share_no_larger={entry['failed_share_no_larger']}"])
 
 
 def newest_earlier(number: int) -> tuple[int, dict] | None:
@@ -253,6 +267,8 @@ def main(argv: list[str] | None = None) -> int:
         path = ROOT / f"BENCH_{args.number}.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {path}", file=sys.stderr)
+        for workload, entry in doc["workloads"].items():
+            print(verdict_line(workload, entry), file=sys.stderr)
     return 0
 
 
