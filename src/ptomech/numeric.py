@@ -10,14 +10,17 @@ either block. A single RK4 step reduces to multiplication by one constant
 matrix: R = I + D with D = hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 for the
 augmented matrix M = [[A, b], [0, 0]] acting on (x, 1). The map between
 stored samples is R^chunk. It and its first 32 powers P_i are composed once
-per run as full matrices in extended precision (``EXTENDED``) and rounded to
-float64 once: in float64, each product of I + O(h) maps loses the low digits
-of the O(h) part. The samples are filled in runs of 32: each sample of a run
-is P_i x of the sample x before the run, all of them from one matrix-vector
-product with the stack. It is still the discrete RK4 map, not the exact
-exponential, so the oracle stays independent of the closed forms. All
-integration runs in kappa-normalized time internally; times are converted to
-seconds at the boundary.
+per run in extended precision (``EXTENDED``) and rounded to float64 once: in
+float64, each product of I + O(h) maps loses the low digits of the O(h)
+part. R has two 4x4 diagonal blocks, the first moments and (n_a, n_b, s, 1),
+each composed on its own, bit for bit as in full matrices: numpy's extended
+matmul sums each entry in order from +0, and each cross-block term is 0*0.
+The samples are filled in runs of 32: each sample of a run is P_i x of the
+sample x before the run, all of them from one matrix-vector product with the
+stack. It is still the discrete RK4 map, not the exact exponential, so the
+oracle stays independent of the closed forms. All integration runs in
+kappa-normalized time internally; times are converted to seconds at the
+boundary.
 
 A run of 32 samples costs one numpy call where one product per sample cost
 32. Over 150 points (gamma, G) in [0, 3]^2 kappa drawn by default_rng(2026),
@@ -29,7 +32,8 @@ line near gamma = kappa, ``evolve --gamma 0.99 --G 0.99498743710662 --t-end
 read 6.8e-5 and exit 4. Where np.longdouble is float64 (MSVC, macOS arm64)
 the maps are composed in float64 and long runs lose accuracy: the figure
 presets still read <= 9e-11, but stable runs of 1000/kappa and 5000/kappa
-read up to 2.8e-9 where extended precision reads <= 3.6e-11.
+read up to 2.8e-9 where extended precision reads <= 3.6e-11. There a map past
+float range keeps its inf in its block, where full products made NaN of both.
 
 For unstable regimes the integration halts with a flagged truncation at the
 first stored sample where any state's magnitude exceeds 1e12 or is NaN, kept
@@ -111,7 +115,7 @@ def _plan_grid(t_end_k: float, dt_k: float, n_samples: int | None) -> tuple[int,
 
 def _propagate(
     A: np.ndarray, b: np.ndarray, x0: np.ndarray, t_end_k: float, dt_k: float,
-    n_samples: int | None,
+    n_samples: int | None, blocks: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Sample the RK4 solution of the real system x' = Ax + b on the grid of
     :func:`_plan_grid`.
@@ -126,7 +130,9 @@ def _propagate(
     as P_i x by one matrix-vector product with the stack seen as one
     (S (n+1), n+1) matrix. The guard is checked over each run right after it
     is filled, and the series is cut at the run's first failing sample; that
-    truncates at the same sample as checking after each one.
+    truncates at the same sample as checking after each one. The step is
+    composed as ``blocks`` equal diagonal blocks, each on its own (see the
+    module docstring); a nonzero entry off the blocks raises ValueError.
 
     A power past float range reads inf or NaN in every sample it fills: a
     source-free system held at zero then reads inf * 0 = NaN and counts as
@@ -146,6 +152,12 @@ def _propagate(
     for k in (2.0, 3.0, 4.0):
         term = term @ hM / k
         delta = delta + term
+    # The diagonal blocks of delta, (blocks, size, size); reshape raises for
+    # unequal blocks, and NaN counts as nonzero.
+    size, on = (n + 1) // blocks, np.arange(blocks)
+    diagonal = delta.reshape(blocks, size, blocks, size)[on, :, on]
+    if np.count_nonzero(diagonal) != np.count_nonzero(delta):
+        raise ValueError(f"the RK4 step has nonzero entries off its {blocks} diagonal blocks")
     xs = np.empty((intervals + 1, n + 1))
     xs[0, :n] = x0
     xs[0, n] = 1.0
@@ -154,11 +166,15 @@ def _propagate(
     # that, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         count = min(POWER_RUN, intervals)
-        step = np.eye(n + 1, dtype=EXTENDED) + delta
-        stack = np.linalg.matrix_power(step, chunk)[np.newaxis]
-        while len(stack) < count:
-            stack = np.concatenate([stack, stack @ stack[-1]])
-        flat = stack[:count].astype(float).reshape(count * (n + 1), n + 1)
+        stack = np.empty((POWER_RUN, blocks, size, size), EXTENDED)
+        stack[0] = np.linalg.matrix_power(np.eye(size, dtype=EXTENDED) + diagonal, chunk)
+        m = 1
+        while m < count:
+            np.matmul(stack[:m], stack[m - 1], out=stack[m:2 * m])
+            m *= 2
+        flat = np.zeros((count, blocks, size, blocks, size))
+        flat[:, on, :, on] = stack[:count].swapaxes(0, 1)
+        flat = flat.reshape(count * (n + 1), n + 1)
         for i in range(1, intervals + 1, count):
             rows = xs[i:i + count]
             np.matmul(flat[:rows.size], xs[i - 1], out=rows.reshape(-1))
@@ -203,7 +219,8 @@ def integrate_moments(
     alpha, beta = complex(init.alpha), complex(init.beta)
     x0 = [alpha.real, alpha.imag, beta.real, beta.imag,
           abs(alpha) ** 2, abs(beta) ** 2, (alpha.conjugate() * beta).imag]
-    t, x, truncated = _propagate(A, b, np.array(x0), t_end * k, dt * k, n_samples)
+    # Two 4x4 blocks: the first moments, and (n_a, n_b, s, 1).
+    t, x, truncated = _propagate(A, b, np.array(x0), t_end * k, dt * k, n_samples, 2)
     # The columns (Re a, Im a, Re b, Im b), copied contiguous, read as two
     # complex columns.
     ab = np.ascontiguousarray(x[:, :4]).view(complex)

@@ -32,9 +32,10 @@ a larger canvas was slower. A run of adjacent coded columns sharing one codes
 array is one gathered slot, which holds its separators and keys too. Bytes
 between texts are 0xFF, which no UTF-8 (or surrogatepass) encoding has: one
 ``bytes.translate`` pass that deletes them, at a cost per canvas byte,
-compacts a block. The pieces :func:`csv_pieces` and :func:`json_pieces`
-yield are those bytes, UTF-8 with lone surrogates passed through; the writer
-decodes them only for a text-only stdout.
+compacts a block. A footer skips all of that: one join writes its entries.
+The pieces :func:`csv_pieces` and :func:`json_pieces` yield are those bytes,
+UTF-8 with lone surrogates passed through; the writer decodes them only for
+a text-only stdout.
 """
 
 from __future__ import annotations
@@ -260,8 +261,15 @@ def _encode(text: str) -> bytes:
 
 
 def float_text(value: float, p: int) -> str:
-    """The CSV text of one float at p significant digits."""
-    return _text(_float_cells(np.array([value]), p, json_text=False)).decode()
+    """The CSV text of one float at p significant digits (-0.0 as 0)."""
+    return _exact_texts([value + 0.0], p, json_text=False)[0]
+
+
+def _summary_texts(footer: dict, p: int, dumps=None) -> list[str]:
+    """Each footer value's text as :func:`_row_blocks` writes a cell: a float by
+    the exact path, others by ``str`` for CSV or ``dumps`` (json.dumps) for JSON."""
+    return [_exact_texts([v + 0.0], p, dumps is not None)[0] if isinstance(v, float)
+            else dumps(v) if dumps else str(v) for v in footer.values()]
 
 
 class Coded:
@@ -421,9 +429,10 @@ def json_pieces(head: dict, columns: dict, footer: dict, p: int):
     ``json.dumps(payload, indent=2)`` for payload = {**head, rows, summary},
     at p significant digits.
 
-    The head goes through json.dumps; the rows and the summary (a one-row
-    table) go through :func:`_row_blocks`, between keys json.dumps writes.
-    The writer decodes the pieces only for a text-only stdout.
+    The head goes through json.dumps; the rows go through :func:`_row_blocks`,
+    between keys json.dumps writes, and the summary's entries are joined into
+    one piece, each value as a row's cell (see :func:`_summary_texts`). The
+    writer decodes the pieces only for a text-only stdout.
     """
     import json
 
@@ -440,19 +449,19 @@ def json_pieces(head: dict, columns: dict, footer: dict, p: int):
         yield from rows
         yield b"\n  ]"
     if footer:
-        keys = [json.dumps(name) + ": " for name in footer]
-        yield from _row_blocks(one_row(footer),
-                               _pieces(',\n  "summary": {\n    ', ",\n    ", keys, "\n  }"),
-                               p, json_text=True)
+        items = [f"{json.dumps(name)}: {text}"
+                 for name, text in zip(footer, _summary_texts(footer, p, json.dumps))]
+        yield _encode(',\n  "summary": {\n    ' + ",\n    ".join(items) + "\n  }")
     yield b"\n}\n"
 
 
 def csv_pieces(columns: dict, footer: dict, p: int):
     """The CSV text as bytes in pieces at p significant digits: the header, the
-    rows, then one ``# key=value`` line per footer entry (a one-row table).
-    The writer decodes the pieces only for a text-only stdout."""
+    rows, then one ``# key=value`` line per footer entry, its value as a row's
+    cell (see :func:`_summary_texts`). The writer decodes the pieces only for
+    a text-only stdout."""
     yield _encode(",".join(columns) + "\n")
     yield from _row_blocks(columns, _pieces("", ",", [""] * len(columns), "\n"), p, False)
     if footer:
-        keys = [f"{name}=" for name in footer]
-        yield from _row_blocks(one_row(footer), _pieces("# ", "\n# ", keys, "\n"), p, False)
+        texts = _summary_texts(footer, p)
+        yield _encode("".join(f"# {name}={text}\n" for name, text in zip(footer, texts)))

@@ -1351,6 +1351,12 @@ class TestFloatCells:
         for precision in (1, 6, 12, 13, 17):
             assert float_text(value, precision) == reference_cells(value, precision)[0]
 
+    @pytest.mark.parametrize("value", [-0.0, math.nan, math.inf, -math.inf])
+    def test_float_text_has_the_bytes_of_a_float_cell(self, value):
+        for precision in (1, 12, 17):
+            cell = tables._text(_float_cells(np.array([value]), precision, False)).decode()
+            assert float_text(value, precision) == cell
+
     def test_digit_pass_places_most_cells(self, monkeypatch):
         # Only ties, values out of its range and non-finite values take the
         # per-cell rule at precision <= 12.
@@ -1366,6 +1372,69 @@ class TestFloatCells:
         for json_text in (False, True):
             cell_texts(_float_cells(values, 12, json_text))
         assert sum(exact) < 0.01 * 2 * len(values)
+
+
+def one_row_summary(footer, precision, json_text):
+    """The footer's bytes as the writer wrote them as a one-row table through
+    ``tables._row_blocks``: the reference for the plain-text summary."""
+    if json_text:
+        keys = [json.dumps(name) + ": " for name in footer]
+        pieces = tables._pieces(',\n  "summary": {\n    ', ",\n    ", keys, "\n  }")
+    else:
+        pieces = tables._pieces("# ", "\n# ", [f"{name}=" for name in footer], "\n")
+    return b"".join(tables._row_blocks(tables.one_row(footer), pieces, precision, json_text))
+
+
+def summary_bytes(footer, precision, json_text):
+    """The bytes ``footer`` adds to a one-row document in CSV or JSON."""
+    columns = {"t": np.array([0.5])}
+    if json_text:
+        with_, without = (b"".join(tables.json_pieces({"command": "test"}, columns, f, precision))
+                          for f in (footer, {}))
+        # The summary goes before the closing "\n}\n".
+        assert with_.startswith(without[:-3]) and with_.endswith(b"\n}\n")
+        return with_[len(without) - 3:-3]
+    with_, without = (b"".join(tables.csv_pieces(columns, f, precision)) for f in (footer, {}))
+    assert with_.startswith(without)
+    return with_[len(without):]
+
+
+_SUMMARY_VALUES = st.one_of(
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1.5e308, -1.5e308]),
+    _NEAR_TIES, _FLOATS, st.integers(-2**70, 2**70), _CANVAS_TEXT)
+
+
+class TestSummaryBytes:
+    """The summary, written as plain key=value text, has the bytes of the
+    one-row table the writer made of it before."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(footer=st.dictionaries(_CANVAS_TEXT, _SUMMARY_VALUES, min_size=1, max_size=4),
+           precision=st.sampled_from([1, 12, 13, 17]), json_text=st.booleans())
+    def test_footer_gives_one_row_table_bytes(self, footer, precision, json_text):
+        assert summary_bytes(footer, precision, json_text) == one_row_summary(footer, precision,
+                                                                             json_text)
+
+    @pytest.mark.parametrize("argv, truncated", [
+        (("figure", "3a"), False),
+        (("evolve", "--gamma", "1.8", "--G", "1.2", "--t-end", "15"), True),
+        (("evolve", "--gamma", "1.8", "--G", "1.2", "--t-end", "400", "--samples", "2"), True),
+    ])
+    def test_evolve_footers(self, capsys, monkeypatch, argv, truncated):
+        footers, original = [], tables.csv_pieces
+
+        def recording(columns, footer, precision):
+            footers.append(footer)
+            return original(columns, footer, precision)
+
+        monkeypatch.setattr(tables, "csv_pieces", recording)
+        run(capsys, *argv)
+        (footer,) = footers
+        assert ("truncated_at_t" in footer) is truncated
+        for precision in (1, 12, 13, 17):
+            for json_text in (False, True):
+                assert (summary_bytes(footer, precision, json_text)
+                        == one_row_summary(footer, precision, json_text))
 
 
 def written(columns, precision, fmt):

@@ -307,6 +307,159 @@ class TestPropagatorAgainstStepwiseLoop:
         assert not np.any(series.a_mean) and not np.any(series.b_mean)
 
 
+def full_composition(A, b, x0, t_end_k, dt_k, n_samples):
+    """Reference for ``_propagate``'s per-block composition: the same run with
+    the map and its powers composed as full augmented matrices in
+    ``numeric.EXTENDED``, as ``_propagate`` composed them before its blocks."""
+    chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
+    h = t_end_k / (chunk * intervals)
+    n = len(x0)
+    hM = np.zeros((n + 1, n + 1))
+    hM[:n, :n] = h * A
+    hM[:n, n] = h * b
+    term = delta = hM
+    for k in (2.0, 3.0, 4.0):
+        term = term @ hM / k
+        delta = delta + term
+    xs = np.empty((intervals + 1, n + 1))
+    xs[0, :n] = x0
+    xs[0, n] = 1.0
+    kept, truncated = intervals + 1, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        count = min(POWER_RUN, intervals)
+        step = np.eye(n + 1, dtype=numeric.EXTENDED) + delta
+        stack = np.linalg.matrix_power(step, chunk)[np.newaxis]
+        while len(stack) < count:
+            stack = np.concatenate([stack, stack @ stack[-1]])
+        flat = stack[:count].astype(float).reshape(count * (n + 1), n + 1)
+        for i in range(1, intervals + 1, count):
+            rows = xs[i:i + count]
+            np.matmul(flat[:rows.size], xs[i - 1], out=rows.reshape(-1))
+            if not np.abs(rows).max() <= OVERFLOW_GUARD:
+                passed = np.abs(rows).max(axis=1) <= OVERFLOW_GUARD
+                kept, truncated = i + int(np.argmin(passed)) + 1, True
+                break
+    return np.arange(kept) * chunk * h, xs[:kept, :n], truncated
+
+
+def assert_bit_identical(got, ref):
+    """Equal times, states and truncation flags, bit for bit (NaNs included)."""
+    assert got[2] == ref[2]
+    assert np.array_equal(got[0], ref[0])
+    assert got[1].shape == ref[1].shape and got[1].tobytes() == ref[1].tobytes()
+
+
+def block_diagonal_system(rng, sizes):
+    """A random (A, b, x0) whose augmented matrix [[A, b], [0, 0]] has diagonal
+    blocks of ``sizes`` (the last one holds the affine column), entries of
+    scale ~1 and a state of scale ~10."""
+    m = sum(sizes)
+    M = np.zeros((m, m))
+    start = 0
+    for size in sizes:
+        M[start:start + size, start:start + size] = rng.standard_normal((size, size))
+        start += size
+    return M[:-1, :-1], M[:-1, -1], 10.0 * rng.standard_normal(m - 1)
+
+
+# CLI calls whose oracle runs the per-block composition must match: the
+# benchmark's trajectory presets, the dense call (chunk 1), a run that
+# truncates, one whose last sample overflows and the exceptional point.
+COMPOSITION_CALLS = [("figure", name) for name in ("3a", "3b", "3c", "3d", "3e", "3f", "4bot", "5c")]
+COMPOSITION_CALLS += [
+    ("evolve", "--gamma", "1.0", "--G", "0.8", "--t-end", "0.5", "--samples", "11400"),
+    ("evolve", "--gamma", "1.8", "--G", "1.2", "--t-end", "15"),
+    ("evolve", "--gamma", "1.8", "--G", "1.2", "--t-end", "400", "--samples", "2"),
+    ("evolve", "--gamma", "1.0", "--G", "1.0", "--t-end", "1000", "--samples", "2"),
+]
+
+
+class TestBlockComposition:
+    """``_propagate`` composes the oracle's two diagonal blocks each on its own,
+    bit for bit as :func:`full_composition` composes the full matrices."""
+
+    @pytest.mark.parametrize("argv", COMPOSITION_CALLS, ids=" ".join)
+    def test_cli_runs_match_the_full_composition(self, argv, monkeypatch, tmp_path):
+        from ptomech import cli
+
+        calls = []
+
+        def recording(*args):
+            out = _propagate(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(numeric, "_propagate", recording)
+        cli.main([*argv, "--out", str(tmp_path / "out.csv")])
+        ((args, got),) = calls
+        assert args[6:] == (2,)
+        assert_bit_identical(got, full_composition(*args[:6]))
+
+    @pytest.mark.parametrize("case", sorted(PROPAGATOR_CASES))
+    def test_propagator_cases_match_the_full_composition(self, case, coherent_init):
+        g, G, w1, t_end, n_samples = PROPAGATOR_CASES[case]
+        system = oracle_system(g, G, w1, coherent_init)
+        assert_bit_identical(_propagate(*system, t_end, 0.005, n_samples, 2),
+                             full_composition(*system, t_end, 0.005, n_samples))
+
+    @pytest.mark.parametrize("n_samples, chunk", [(199, 1), (100, 2), (67, 3), (4, 66), (34, 6)])
+    def test_matrix_power_special_cases(self, n_samples, chunk, coherent_init):
+        # matrix_power returns its argument at chunk 1 and multiplies directly
+        # at 2 and 3; a run of 3 or 33 intervals leaves a partial doubling.
+        system = oracle_system(1.8, 1.2, 2.0, coherent_init)
+        assert _plan_grid(0.99, 0.005, n_samples)[0] == chunk
+        assert_bit_identical(_propagate(*system, 0.99, 0.005, n_samples, 2),
+                             full_composition(*system, 0.99, 0.005, n_samples))
+
+    @pytest.mark.parametrize("sizes", [(4, 4), (2, 2), (3, 3, 3), (5,), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_block_diagonal_systems(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        system = block_diagonal_system(rng, sizes)
+        t_end, n_samples = float(rng.uniform(0.5, 30.0)), int(rng.integers(2, 80))
+        assert_bit_identical(_propagate(*system, t_end, 0.005, n_samples, len(sizes)),
+                             full_composition(*system, t_end, 0.005, n_samples))
+
+    def test_one_state_keeps_a_single_block(self):
+        A, b, x0 = np.array([[-0.3]]), np.array([0.7]), np.array([2.0])
+        assert_bit_identical(_propagate(A, b, x0, 20.0, 0.01, 41),
+                             full_composition(A, b, x0, 20.0, 0.01, 41))
+
+    @pytest.mark.parametrize("row, col", [(0, 4), (5, 1), (2, 7)])
+    def test_entries_off_the_blocks_are_rejected(self, row, col, coherent_init):
+        # A coupling between the blocks, or a source on the first moments
+        # (column 7 is the affine column).
+        A, b, x0 = oracle_system(0.6, 1.2, 2.0, coherent_init)
+        if col == 7:
+            b = b.copy()
+            b[row] = 1e-3
+        else:
+            A = A.copy()
+            A[row, col] = 1e-3
+        with pytest.raises(ValueError, match="off its 2 diagonal blocks"):
+            _propagate(A, b, x0, 1.0, 0.005, 11, 2)
+        # One block takes any system.
+        _propagate(A, b, x0, 1.0, 0.005, 11)
+
+    def test_unequal_blocks_are_rejected(self, coherent_init):
+        A, b, x0 = oracle_system(0.6, 1.2, 2.0, coherent_init)
+        with pytest.raises(ValueError):
+            _propagate(A, b, x0, 1.0, 0.005, 11, 3)
+
+    def test_float64_maps_past_float_range_keep_the_other_block(self, monkeypatch,
+                                                               coherent_init):
+        # Where np.longdouble is float64 the number block of this map overflows
+        # to inf. A full product spreads inf * 0 = NaN off the block and then
+        # into the first moments; composed per block, they stay finite.
+        monkeypatch.setattr(numeric, "EXTENDED", np.dtype(float))
+        system = oracle_system(1.8, 1.2, 2.0, coherent_init)
+        t, xs, truncated = _propagate(*system, 400.0, 0.005, 2, 2)
+        t_ref, xs_ref, truncated_ref = full_composition(*system, 400.0, 0.005, 2)
+        assert truncated and truncated_ref and np.array_equal(t, t_ref)
+        assert np.array_equal(xs[0], xs_ref[0]) and np.all(np.isnan(xs_ref[1]))
+        assert np.all(np.isfinite(xs[1, :4])) and not np.any(np.isfinite(xs[1, 4:]))
+
+
 class TestFirstMoments:
     def test_decoupled_decay(self):
         p = make_params(KAPPA, 0.0, 0.0, OMEGA1, MASS)
