@@ -1,19 +1,19 @@
 """Independent ground truth: fixed-step RK4 integration of the moment equations.
 
 The integrator is classical fixed-step RK4. The first and second moments form
-one linear, autonomous, affine real system x' = Ax + b of seven states: the
-real and imaginary parts of <a> and <b>, and the closed number system (n_a,
-n_b, Im<a^dag b>). Re<a^dag b> feeds neither number, so it is not carried.
-The drift is block-diagonal: the first moments and the numbers do not feed
-each other, and a product of block-diagonal matrices adds only exact zeros to
-either block. A single RK4 step reduces to multiplication by one constant
-matrix: R = I + D with D = hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 for the
-augmented matrix M = [[A, b], [0, 0]] acting on (x, 1). The map between
-stored samples is R^chunk. It and its first 32 powers P_i are composed once
-per run in extended precision (``EXTENDED``) and rounded to float64 once: in
-float64, each product of I + O(h) maps loses the low digits of the O(h)
-part. R has two 4x4 diagonal blocks, the first moments and (n_a, n_b, s, 1),
-each composed on its own, bit for bit as in full matrices: numpy's extended
+one linear, autonomous real system of seven states and a coordinate held at 1:
+the real and imaginary parts of <a> and <b>, and the closed number system
+(n_a, n_b, Im<a^dag b>), whose 2 gamma gain term is the column of the 1.
+Re<a^dag b> feeds neither number, so it is not carried. The first moments and
+the numbers do not feed each other, so the drift is block-diagonal, and the
+propagator takes its two 4x4 diagonal blocks as one (2, 4, 4) stack M:
+(Re a, Im a, Re b, Im b) and (n_a, n_b, s, 1). A single RK4 step of a block
+reduces to multiplication by one constant matrix: R = I + D with
+D = hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24. The map between stored samples is
+R^chunk. It and its first 32 powers P_i are composed once per run in extended
+precision (``EXTENDED``), each block on its own, and rounded to float64 once:
+in float64, each product of I + O(h) maps loses the low digits of the O(h)
+part. Per block is bit for bit as in the full 8x8 matrices: numpy's extended
 matmul sums each entry in order from +0, and each cross-block term is 0*0.
 The samples are filled in runs of 32: each sample of a run is P_i x of the
 sample x before the run, all of them from one matrix-vector product with the
@@ -114,25 +114,26 @@ def _plan_grid(t_end_k: float, dt_k: float, n_samples: int | None) -> tuple[int,
 
 
 def _propagate(
-    A: np.ndarray, b: np.ndarray, x0: np.ndarray, t_end_k: float, dt_k: float,
-    n_samples: int | None, blocks: int = 1,
+    M: np.ndarray, x0: np.ndarray, t_end_k: float, dt_k: float, n_samples: int | None,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Sample the RK4 solution of the real system x' = Ax + b on the grid of
-    :func:`_plan_grid`.
+    """Sample the RK4 solution of x' = Fx on the grid of :func:`_plan_grid`,
+    where the drift F is block-diagonal with the ``(B, s, s)`` float64 stack
+    ``M`` on its diagonal.
 
-    Works in kappa-normalized time. Returns the sample times, one state per
-    row, and whether the run stopped at the overflow guard; a truncated run
-    keeps the first sample that failed the guard as its last row. The RK4 step
-    I + delta, formed in ``EXTENDED``, is raised to the power ``chunk``, and
-    that map P to its first S = ``POWER_RUN`` powers P_i = P^i by doubling the
-    stack, P_(m + j) = P_j P_m for j = 1..m; the stack is rounded to float64
-    once. Each run of up to S samples is filled from the sample x before it
-    as P_i x by one matrix-vector product with the stack seen as one
-    (S (n+1), n+1) matrix. The guard is checked over each run right after it
-    is filled, and the series is cut at the run's first failing sample; that
-    truncates at the same sample as checking after each one. The step is
-    composed as ``blocks`` equal diagonal blocks, each on its own (see the
-    module docstring); a nonzero entry off the blocks raises ValueError.
+    Works in kappa-normalized time. ``x0`` is the start state of all B*s
+    coordinates; a source is the column of a coordinate held at 1, whose row
+    of ``M`` is zero. Returns the sample times, one state of all B*s
+    coordinates per row, and whether the run stopped at the overflow guard; a
+    truncated run keeps the first sample that failed the guard as its last
+    row. Each block's RK4 step I + delta, formed in ``EXTENDED``, is raised to
+    the power ``chunk``, and that map P to its first S = ``POWER_RUN`` powers
+    P_i = P^i by doubling the stack, P_(m + j) = P_j P_m for j = 1..m; the
+    stack is rounded to float64 once, into block-diagonal (B s, B s) maps.
+    Each run of up to S samples is filled from the sample x before it as P_i x
+    by one matrix-vector product with the stack seen as one (S B s, B s)
+    matrix. The guard is checked over each run right after it is filled, and
+    the series is cut at the run's first failing sample; that truncates at
+    the same sample as checking after each one.
 
     A power past float range reads inf or NaN in every sample it fills: a
     source-free system held at zero then reads inf * 0 = NaN and counts as
@@ -142,48 +143,38 @@ def _propagate(
     """
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
-    n = len(x0)
-    # Homogeneous coordinates (x, 1) make the affine system linear, so one
-    # matrix carries both the RK4 update and its inhomogeneous term.
-    hM = np.zeros((n + 1, n + 1))
-    hM[:n, :n] = h * A
-    hM[:n, n] = h * b
-    term = delta = hM
+    blocks, size, _ = M.shape
+    n = blocks * size
+    term = delta = hM = h * M
     for k in (2.0, 3.0, 4.0):
         term = term @ hM / k
         delta = delta + term
-    # The diagonal blocks of delta, (blocks, size, size); reshape raises for
-    # unequal blocks, and NaN counts as nonzero.
-    size, on = (n + 1) // blocks, np.arange(blocks)
-    diagonal = delta.reshape(blocks, size, blocks, size)[on, :, on]
-    if np.count_nonzero(diagonal) != np.count_nonzero(delta):
-        raise ValueError(f"the RK4 step has nonzero entries off its {blocks} diagonal blocks")
-    xs = np.empty((intervals + 1, n + 1))
-    xs[0, :n] = x0
-    xs[0, n] = 1.0
+    xs = np.empty((intervals + 1, n))
+    xs[0] = x0
     kept, truncated = intervals + 1, False
     # Past the guard the state may overflow to inf or NaN; the guard reports
     # that, not numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         count = min(POWER_RUN, intervals)
         stack = np.empty((POWER_RUN, blocks, size, size), EXTENDED)
-        stack[0] = np.linalg.matrix_power(np.eye(size, dtype=EXTENDED) + diagonal, chunk)
+        stack[0] = np.linalg.matrix_power(np.eye(size, dtype=EXTENDED) + delta, chunk)
         m = 1
         while m < count:
             np.matmul(stack[:m], stack[m - 1], out=stack[m:2 * m])
             m *= 2
+        on = np.arange(blocks)
         flat = np.zeros((count, blocks, size, blocks, size))
         flat[:, on, :, on] = stack[:count].swapaxes(0, 1)
-        flat = flat.reshape(count * (n + 1), n + 1)
+        flat = flat.reshape(count * n, n)
         for i in range(1, intervals + 1, count):
             rows = xs[i:i + count]
             np.matmul(flat[:rows.size], xs[i - 1], out=rows.reshape(-1))
-            # Written so that NaN fails too; the affine column is 1.
+            # Written so that NaN fails too; a coordinate held at 1 passes.
             if not np.abs(rows).max() <= OVERFLOW_GUARD:
                 passed = np.abs(rows).max(axis=1) <= OVERFLOW_GUARD
                 kept, truncated = i + int(np.argmin(passed)) + 1, True
                 break
-    return np.arange(kept) * chunk * h, xs[:kept, :n], truncated
+    return np.arange(kept) * chunk * h, xs[:kept], truncated
 
 
 def integrate_moments(
@@ -204,23 +195,25 @@ def integrate_moments(
     values n_a = |alpha|^2, n_b = |beta|^2, s = Im(alpha* beta).
 
     The step must resolve the fast oscillation: dt <= 0.01*min(1/kappa, 1/omega1).
-    If ``n_samples`` is given, only that many evenly spaced points (including
-    both endpoints) are stored; integration still proceeds at the full step.
+    With n_steps = ceil(t_end/dt) (at least 1), a run stores
+    min(n_samples, n_steps + 1) evenly spaced points, both endpoints included:
+    all n_steps + 1 without ``n_samples``, and at least 2. Between stored
+    points it takes equal RK4 steps of at most dt that end on each point.
     """
     dt = _check_step(params, t_end, dt)
     k = params.kappa
     g, G, w = params.gamma / k, params.coupling_G / k, params.omega1 / k
-    A = np.zeros((7, 7))
-    # (Re a, Im a, Re b, Im b): the real form of [[-1 - i w, iG], [iG, g - i w]].
-    A[:4, :4] = [[-1.0, w, 0.0, -G], [-w, -1.0, G, 0.0], [0.0, -G, g, w], [G, 0.0, -w, g]]
-    A[4:, 4:] = [[-2.0, 0.0, -2.0 * G], [0.0, 2.0 * g, 2.0 * G], [G, -G, g - 1.0]]
-    b = np.zeros(7)
-    b[5] = 2.0 * g
+    M = np.array([
+        # (Re a, Im a, Re b, Im b): the real form of [[-1 - i w, iG], [iG, g - i w]].
+        [[-1.0, w, 0.0, -G], [-w, -1.0, G, 0.0], [0.0, -G, g, w], [G, 0.0, -w, g]],
+        # (n_a, n_b, s, 1): the numbers, with the 2 gamma gain term on the 1.
+        [[-2.0, 0.0, -2.0 * G, 0.0], [0.0, 2.0 * g, 2.0 * G, 2.0 * g], [G, -G, g - 1.0, 0.0],
+         [0.0, 0.0, 0.0, 0.0]],
+    ])
     alpha, beta = complex(init.alpha), complex(init.beta)
     x0 = [alpha.real, alpha.imag, beta.real, beta.imag,
-          abs(alpha) ** 2, abs(beta) ** 2, (alpha.conjugate() * beta).imag]
-    # Two 4x4 blocks: the first moments, and (n_a, n_b, s, 1).
-    t, x, truncated = _propagate(A, b, np.array(x0), t_end * k, dt * k, n_samples, 2)
+          abs(alpha) ** 2, abs(beta) ** 2, (alpha.conjugate() * beta).imag, 1.0]
+    t, x, truncated = _propagate(M, np.array(x0), t_end * k, dt * k, n_samples)
     # The columns (Re a, Im a, Re b, Im b), copied contiguous, read as two
     # complex columns.
     ab = np.ascontiguousarray(x[:, :4]).view(complex)

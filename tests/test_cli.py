@@ -268,18 +268,28 @@ class TestEvolveCommand:
         assert float(footer["max_rel_discrepancy_numbers"]) <= 1e-6
 
     def test_one_real_oracle_run_per_trajectory(self, capsys, monkeypatch):
-        # A, b and x0 of each _propagate call.
+        # The block stack and x0 of each _propagate call.
         calls, propagate = [], numeric._propagate
 
         def recording(*args):
-            calls.append([np.asarray(arg).dtype for arg in args[:3]])
+            calls.append([np.asarray(arg).dtype for arg in args[:2]])
             return propagate(*args)
 
         monkeypatch.setattr(numeric, "_propagate", recording)
         code, _, _ = run(capsys, "evolve", "--gamma", "1.8", "--G", "1.2", "--t-end", "30",
                          "--samples", "5")
         assert code == EXIT_OK
-        assert calls == [[np.dtype(float)] * 3]
+        assert calls == [[np.dtype(float)] * 2]
+
+    @pytest.mark.parametrize("samples", ["11400", "20000"])
+    def test_samples_above_the_step_count_store_every_step(self, capsys, samples):
+        # 0.5/kappa at the default step 1e-3/omega1 is ceil(11397.4) = 11398
+        # steps, and a run stores min(samples, steps + 1) rows.
+        code, out, _ = run(capsys, "evolve", "--gamma", "1.0", "--G", "0.8", "--t-end", "0.5",
+                           "--samples", samples)
+        assert code == EXIT_OK
+        _, rows, _ = parse_csv(out)
+        assert len(rows) == 11399
 
     def test_nonfinite_discrepancy_fails_gate(self, capsys):
         # Over 400/kappa the second moments overflow to inf inside one sample.

@@ -34,84 +34,90 @@ def second_moment_matrix(g, G):
     )
 
 
-def stepwise_rk4(A, b, x0, t_end_k, dt_k, n_samples):
+def block_diagonal(blocks):
+    """The augmented drift of the square ``blocks``, a (B, s, s) stack or a
+    list of any sizes: the blocks on its diagonal, exact zeros elsewhere."""
+    n = sum(len(block) for block in blocks)
+    full = np.zeros((n, n))
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        full[start:stop, start:stop] = block
+        start = stop
+    return full
+
+
+def stepwise_rk4(blocks, x0, t_end_k, dt_k, n_samples):
     """Reference oracle: apply the one-step RK4 map step by step, guard per sample.
 
-    R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and the affine part
-    r = (h + h^2 A/2 + h^3 A^2/6 + h^4 A^3/24) b, so x <- R x + r per step.
-    """
+    R = I + hF + (hF)^2/2 + (hF)^3/6 + (hF)^4/24 for the augmented drift
+    F = :func:`block_diagonal` of ``blocks``, so x <- R x per step; a source
+    is the column of a coordinate held at 1."""
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
-    hA = h * A
-    R = term = np.eye(len(x0), dtype=A.dtype)
+    hF = h * block_diagonal(blocks)
+    R = term = np.eye(len(x0))
     for k in (1.0, 2.0, 3.0, 4.0):
-        term = term @ hA / k
+        term = term @ hF / k
         R = R + term
-    r = term = h * b
-    for k in (2.0, 3.0, 4.0):
-        term = hA @ term / k
-        r = r + term
     x = x0
     out = [x0]
     for _ in range(intervals):
         for _ in range(chunk):
-            x = R @ x + r
+            x = R @ x
         out.append(x)
         if not np.max(np.abs(x)) <= OVERFLOW_GUARD:
             break
     return np.array(out)
 
 
-def composed_loop(A, b, x0, t_end_k, dt_k, n_samples):
+def composed_loop(M, x0, t_end_k, dt_k, n_samples):
     """Reference for ``_propagate``: the same composed per-sample map, applied
     one sample at a time with the guard checked after each sample.
 
-    The step I + delta is formed in extended precision (np.longdouble) and
-    raised to the power chunk bit by bit of chunk, least significant first, by
-    repeated squaring; the map is rounded to float64 once, at the end."""
+    The step I + delta of the augmented drift :func:`block_diagonal` of the
+    stack ``M`` is formed in extended precision (np.longdouble) and raised to
+    the power chunk bit by bit of chunk, least significant first, by repeated
+    squaring; the map is rounded to float64 once, at the end."""
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
-    n = len(x0)
-    hM = np.zeros((n + 1, n + 1))
-    hM[:n, :n] = h * A
-    hM[:n, n] = h * b
-    term = delta = hM
+    term = delta = hM = h * block_diagonal(M)
     for k in (2.0, 3.0, 4.0):
         term = term @ hM / k
         delta = delta + term
-    factor = np.eye(n + 1, dtype=np.longdouble) + delta
+    factor = np.eye(len(x0), dtype=np.longdouble) + delta
     per_sample = None
     for i in range(chunk.bit_length()):
         if chunk >> i & 1:
             per_sample = factor if per_sample is None else per_sample @ factor
         factor = factor @ factor
     per_sample = per_sample.astype(float)
-    xs = [np.append(x0, 1.0)]
+    xs = [x0]
     truncated = False
     for _ in range(intervals):
         xs.append(per_sample @ xs[-1])
-        if not np.max(np.abs(xs[-1][:n])) <= OVERFLOW_GUARD:
+        if not np.max(np.abs(xs[-1])) <= OVERFLOW_GUARD:
             truncated = True
             break
-    return np.arange(len(xs)) * chunk * h, np.array(xs)[:, :n], truncated
+    return np.arange(len(xs)) * chunk * h, np.array(xs), truncated
 
 
-def assert_matches_composed_loop(A, b, x0, t_end_k, n_samples):
+def assert_matches_composed_loop(M, x0, t_end_k, n_samples):
     """``_propagate`` against :func:`composed_loop` at step 0.005/kappa; returns
     (truncated, number of rows).
 
     Runs filled from a stack of map powers round differently from one product
     per sample: the same truncation and times, the same non-finite entries,
     and the finite rows of each block agree to 1e-12 of their largest entry."""
-    t, xs, truncated = _propagate(A, b, x0, t_end_k, 0.005, n_samples)
+    t, xs, truncated = _propagate(M, x0, t_end_k, 0.005, n_samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        t_ref, xs_ref, truncated_ref = composed_loop(A, b, x0, t_end_k, 0.005, n_samples)
+        t_ref, xs_ref, truncated_ref = composed_loop(M, x0, t_end_k, 0.005, n_samples)
     assert truncated == truncated_ref
     assert np.array_equal(t, t_ref)
     finite = np.isfinite(xs_ref)
     assert np.array_equal(np.isfinite(xs), finite)
     assert np.array_equal(xs[~finite], xs_ref[~finite], equal_nan=True)
-    for block in (slice(0, 4), slice(4, 7)):
+    for block in (slice(0, 4), slice(4, 8)):
         rows = np.all(finite[:, block], axis=1)
         scale = np.max(np.abs(xs_ref[rows, block]), axis=1, keepdims=True)
         # Written as a product so that an all-zero row (vacuum) must match exactly.
@@ -142,34 +148,36 @@ PROPAGATOR_CASES = {
     "stable_one_interval": (0.6, 1.2, 2.0, 200.0, 2),
 }
 
-# The oracle's states among the reference's eight: all but Re<a^dag b>.
-KEPT = [0, 1, 2, 3, 4, 5, 7]
+# The oracle's coordinates among the reference's nine: all but Re<a^dag b>.
+KEPT = [0, 1, 2, 3, 4, 5, 7, 8]
 
 
 def reference_system(g, G, w1, init):
-    """(A, b, x0) in kappa units of the eight moments (Re<a>, Im<a>, Re<b>,
-    Im<b>, n_a, n_b, Re<a^dag b>, Im<a^dag b>); b = 2g on n_b.
+    """(blocks, x0) in kappa units of the eight moments (Re<a>, Im<a>, Re<b>,
+    Im<b>, n_a, n_b, Re<a^dag b>, Im<a^dag b>) and the 1 of the 2g source
+    on n_b: a 4x4 and a 5x5 block.
 
     The first-moment block is the real form of the complex drift
     [[-1 - i w1, iG], [iG, g - i w1]]: entry c becomes [[Re c, -Im c], [Im c, Re c]]."""
     first = np.array([[-1j * w1 - 1.0, 1j * G], [1j * G, -1j * w1 + g]])
-    A = np.zeros((8, 8))
-    A[:4, :4] = np.block([[np.array([[c.real, -c.imag], [c.imag, c.real]]) for c in row]
-                          for row in first])
-    A[4:, 4:] = second_moment_matrix(g, G)
-    b = np.zeros(8)
-    b[5] = 2.0 * g
+    numbers = np.zeros((5, 5))
+    numbers[:4, :4] = second_moment_matrix(g, G)
+    numbers[1, 4] = 2.0 * g
+    blocks = [np.block([[np.array([[c.real, -c.imag], [c.imag, c.real]]) for c in row]
+                        for row in first]), numbers]
     alpha, beta = init.alpha, init.beta
     c0 = alpha.conjugate() * beta
     x0 = np.array([alpha.real, alpha.imag, beta.real, beta.imag,
-                   abs(alpha) ** 2, abs(beta) ** 2, c0.real, c0.imag])
-    return A, b, x0
+                   abs(alpha) ** 2, abs(beta) ** 2, c0.real, c0.imag, 1.0])
+    return blocks, x0
 
 
 def oracle_system(g, G, w1, init):
-    """The reference system without Re<a^dag b>: the oracle's seven states."""
-    A, b, x0 = reference_system(g, G, w1, init)
-    return A[np.ix_(KEPT, KEPT)], b[KEPT], x0[KEPT]
+    """The reference system without Re<a^dag b>: the oracle's (2, 4, 4) stack
+    and its eight coordinates."""
+    blocks, x0 = reference_system(g, G, w1, init)
+    full = block_diagonal(blocks)[np.ix_(KEPT, KEPT)]
+    return np.array([full[:4, :4], full[4:, 4:]]), x0[KEPT]
 
 
 @pytest.fixture
@@ -202,6 +210,8 @@ def integrate_case(case, init, propagated):
     columns = [series.a_mean.real, series.a_mean.imag, series.b_mean.real, series.b_mean.imag,
                series.n_a, series.n_b]
     assert np.array_equal(got[:, :6], np.column_stack(columns), equal_nan=True)
+    # The source's 1 stays exact on every row that passed the guard.
+    assert np.all(got[:len(got) - series.truncated, 7] == 1.0)
     return series, got
 
 
@@ -216,7 +226,7 @@ class TestPropagatorAgainstStepwiseLoop:
                                n_samples)[:, KEPT]
         assert got.shape == ref.shape
         assert series.truncated == (not np.max(np.abs(ref[-1])) <= OVERFLOW_GUARD)
-        for block in (slice(0, 4), slice(4, 7)):
+        for block in (slice(0, 4), slice(4, 8)):
             # Only a truncated run's last row can be past float range.
             finite = np.all(np.isfinite(ref[:, block]), axis=1)
             assert np.all(finite[:-1]) and np.all(np.isfinite(got[finite, block]))
@@ -236,7 +246,7 @@ class TestPropagatorAgainstStepwiseLoop:
         if case == "inf_400":
             assert series.truncated and len(series.t) == 2
             assert np.all(np.isfinite(got[:, :4]))
-            assert np.array_equal(got[-1, 4:], [np.inf, np.inf, -np.inf])
+            assert np.array_equal(got[-1, 4:7], [np.inf, np.inf, -np.inf])
         if case.startswith("run_"):
             assert len(series.t) - 1 == 256 + (case == "run_start")
 
@@ -250,10 +260,10 @@ class TestPropagatorAgainstStepwiseLoop:
         # Row and column 6 of the eight-state matrix are zero off the diagonal:
         # Re<a^dag b> feeds no other moment, which is why the oracle drops it.
         g, G, w1, t_end, n_samples = PROPAGATOR_CASES[case]
-        A, b, x0 = reference_system(g, G, w1, coherent_init)
-        base = stepwise_rk4(A, b, x0, t_end, 0.005, n_samples)
+        blocks, x0 = reference_system(g, G, w1, coherent_init)
+        base = stepwise_rk4(blocks, x0, t_end, 0.005, n_samples)
         for re_c in (0.0, -3.5, 1e3):
-            ref = stepwise_rk4(A, b, np.concatenate([x0[:6], [re_c], x0[7:]]), t_end, 0.005,
+            ref = stepwise_rk4(blocks, np.concatenate([x0[:6], [re_c], x0[7:]]), t_end, 0.005,
                                n_samples)
             assert not np.array_equal(ref[:, 6], base[:, 6])
             assert np.array_equal(ref[:, KEPT], base[:, KEPT])
@@ -263,10 +273,11 @@ class TestPropagatorAgainstStepwiseLoop:
     def test_truncates_at_the_first_failing_sample(self, k):
         # x' = x from x0 = guard / R^(k - 1/2): sample k - 1 is below the guard
         # by a factor R^(1/2), sample k above it, wherever k falls in a run.
+        # One state is one block of size 2, with the 1 of no source.
         h = 0.01
         R = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
-        x0 = np.array([OVERFLOW_GUARD * R ** -(k - 0.5)])
-        t, xs, truncated = _propagate(np.array([[1.0]]), np.zeros(1), x0, 1024 * h, h, None)
+        x0 = np.array([OVERFLOW_GUARD * R ** -(k - 0.5), 1.0])
+        t, xs, truncated = _propagate(np.array([[[1.0, 0.0], [0.0, 0.0]]]), x0, 1024 * h, h, None)
         assert truncated and len(t) == len(xs) == k + 1
         assert xs[-2, 0] <= OVERFLOW_GUARD < xs[-1, 0]
 
@@ -274,10 +285,10 @@ class TestPropagatorAgainstStepwiseLoop:
         # x' = -2x over sample intervals of 127 steps: the squared factors of
         # up to 64 steps stay near I, but each sample shrinks x by e^-1.27 and
         # a run of 32 by e^-40, so every row must keep its own relative error.
-        A, b, x0 = np.array([[-2.0]]), np.zeros(1), np.ones(1)
-        t, xs, truncated = _propagate(A, b, x0, 25.4, 0.005, 41)
-        ref = stepwise_rk4(A, b, x0, 25.4, 0.005, 41)
-        assert not truncated and xs.shape == ref.shape == (41, 1)
+        M, x0 = np.array([[[-2.0, 0.0], [0.0, 0.0]]]), np.ones(2)
+        t, xs, truncated = _propagate(M, x0, 25.4, 0.005, 41)
+        ref = stepwise_rk4(M, x0, 25.4, 0.005, 41)
+        assert not truncated and xs.shape == ref.shape == (41, 2)
         assert np.max(np.abs(xs - ref) / np.abs(ref)) <= 1e-12
 
     @pytest.mark.parametrize("g", [20.0, 60.0])
@@ -307,31 +318,27 @@ class TestPropagatorAgainstStepwiseLoop:
         assert not np.any(series.a_mean) and not np.any(series.b_mean)
 
 
-def full_composition(A, b, x0, t_end_k, dt_k, n_samples):
+def full_composition(M, x0, t_end_k, dt_k, n_samples):
     """Reference for ``_propagate``'s per-block composition: the same run with
-    the map and its powers composed as full augmented matrices in
-    ``numeric.EXTENDED``, as ``_propagate`` composed them before its blocks."""
+    the map and its powers composed as full augmented matrices,
+    :func:`block_diagonal` of the stack ``M``, in ``numeric.EXTENDED``."""
     chunk, intervals = _plan_grid(t_end_k, dt_k, n_samples)
     h = t_end_k / (chunk * intervals)
     n = len(x0)
-    hM = np.zeros((n + 1, n + 1))
-    hM[:n, :n] = h * A
-    hM[:n, n] = h * b
-    term = delta = hM
+    term = delta = hM = h * block_diagonal(M)
     for k in (2.0, 3.0, 4.0):
         term = term @ hM / k
         delta = delta + term
-    xs = np.empty((intervals + 1, n + 1))
-    xs[0, :n] = x0
-    xs[0, n] = 1.0
+    xs = np.empty((intervals + 1, n))
+    xs[0] = x0
     kept, truncated = intervals + 1, False
     with np.errstate(over="ignore", invalid="ignore"):
         count = min(POWER_RUN, intervals)
-        step = np.eye(n + 1, dtype=numeric.EXTENDED) + delta
+        step = np.eye(n, dtype=numeric.EXTENDED) + delta
         stack = np.linalg.matrix_power(step, chunk)[np.newaxis]
         while len(stack) < count:
             stack = np.concatenate([stack, stack @ stack[-1]])
-        flat = stack[:count].astype(float).reshape(count * (n + 1), n + 1)
+        flat = stack[:count].astype(float).reshape(count * n, n)
         for i in range(1, intervals + 1, count):
             rows = xs[i:i + count]
             np.matmul(flat[:rows.size], xs[i - 1], out=rows.reshape(-1))
@@ -339,7 +346,7 @@ def full_composition(A, b, x0, t_end_k, dt_k, n_samples):
                 passed = np.abs(rows).max(axis=1) <= OVERFLOW_GUARD
                 kept, truncated = i + int(np.argmin(passed)) + 1, True
                 break
-    return np.arange(kept) * chunk * h, xs[:kept, :n], truncated
+    return np.arange(kept) * chunk * h, xs[:kept], truncated
 
 
 def assert_bit_identical(got, ref):
@@ -350,16 +357,12 @@ def assert_bit_identical(got, ref):
 
 
 def block_diagonal_system(rng, sizes):
-    """A random (A, b, x0) whose augmented matrix [[A, b], [0, 0]] has diagonal
-    blocks of ``sizes`` (the last one holds the affine column), entries of
-    scale ~1 and a state of scale ~10."""
-    m = sum(sizes)
-    M = np.zeros((m, m))
-    start = 0
-    for size in sizes:
-        M[start:start + size, start:start + size] = rng.standard_normal((size, size))
-        start += size
-    return M[:-1, :-1], M[:-1, -1], 10.0 * rng.standard_normal(m - 1)
+    """A random stack of blocks of the equal ``sizes`` and its start state:
+    entries of scale ~1 and a state of scale ~10, except the last coordinate,
+    held at 1 by its zero row, whose column is a source."""
+    M = np.array([rng.standard_normal((size, size)) for size in sizes])
+    M[-1, -1] = 0.0
+    return M, np.append(10.0 * rng.standard_normal(sum(sizes) - 1), 1.0)
 
 
 # CLI calls whose oracle runs the per-block composition must match: the
@@ -392,14 +395,14 @@ class TestBlockComposition:
         monkeypatch.setattr(numeric, "_propagate", recording)
         cli.main([*argv, "--out", str(tmp_path / "out.csv")])
         ((args, got),) = calls
-        assert args[6:] == (2,)
-        assert_bit_identical(got, full_composition(*args[:6]))
+        assert args[0].shape == (2, 4, 4)
+        assert_bit_identical(got, full_composition(*args))
 
     @pytest.mark.parametrize("case", sorted(PROPAGATOR_CASES))
     def test_propagator_cases_match_the_full_composition(self, case, coherent_init):
         g, G, w1, t_end, n_samples = PROPAGATOR_CASES[case]
         system = oracle_system(g, G, w1, coherent_init)
-        assert_bit_identical(_propagate(*system, t_end, 0.005, n_samples, 2),
+        assert_bit_identical(_propagate(*system, t_end, 0.005, n_samples),
                              full_composition(*system, t_end, 0.005, n_samples))
 
     @pytest.mark.parametrize("n_samples, chunk", [(199, 1), (100, 2), (67, 3), (4, 66), (34, 6)])
@@ -408,7 +411,7 @@ class TestBlockComposition:
         # at 2 and 3; a run of 3 or 33 intervals leaves a partial doubling.
         system = oracle_system(1.8, 1.2, 2.0, coherent_init)
         assert _plan_grid(0.99, 0.005, n_samples)[0] == chunk
-        assert_bit_identical(_propagate(*system, 0.99, 0.005, n_samples, 2),
+        assert_bit_identical(_propagate(*system, 0.99, 0.005, n_samples),
                              full_composition(*system, 0.99, 0.005, n_samples))
 
     @pytest.mark.parametrize("sizes", [(4, 4), (2, 2), (3, 3, 3), (5,), (1, 1, 1, 1)])
@@ -417,34 +420,14 @@ class TestBlockComposition:
         rng = np.random.default_rng(seed)
         system = block_diagonal_system(rng, sizes)
         t_end, n_samples = float(rng.uniform(0.5, 30.0)), int(rng.integers(2, 80))
-        assert_bit_identical(_propagate(*system, t_end, 0.005, n_samples, len(sizes)),
+        assert_bit_identical(_propagate(*system, t_end, 0.005, n_samples),
                              full_composition(*system, t_end, 0.005, n_samples))
 
     def test_one_state_keeps_a_single_block(self):
-        A, b, x0 = np.array([[-0.3]]), np.array([0.7]), np.array([2.0])
-        assert_bit_identical(_propagate(A, b, x0, 20.0, 0.01, 41),
-                             full_composition(A, b, x0, 20.0, 0.01, 41))
-
-    @pytest.mark.parametrize("row, col", [(0, 4), (5, 1), (2, 7)])
-    def test_entries_off_the_blocks_are_rejected(self, row, col, coherent_init):
-        # A coupling between the blocks, or a source on the first moments
-        # (column 7 is the affine column).
-        A, b, x0 = oracle_system(0.6, 1.2, 2.0, coherent_init)
-        if col == 7:
-            b = b.copy()
-            b[row] = 1e-3
-        else:
-            A = A.copy()
-            A[row, col] = 1e-3
-        with pytest.raises(ValueError, match="off its 2 diagonal blocks"):
-            _propagate(A, b, x0, 1.0, 0.005, 11, 2)
-        # One block takes any system.
-        _propagate(A, b, x0, 1.0, 0.005, 11)
-
-    def test_unequal_blocks_are_rejected(self, coherent_init):
-        A, b, x0 = oracle_system(0.6, 1.2, 2.0, coherent_init)
-        with pytest.raises(ValueError):
-            _propagate(A, b, x0, 1.0, 0.005, 11, 3)
+        # One state and its source: one block of size 2.
+        M, x0 = np.array([[[-0.3, 0.7], [0.0, 0.0]]]), np.array([2.0, 1.0])
+        assert_bit_identical(_propagate(M, x0, 20.0, 0.01, 41),
+                             full_composition(M, x0, 20.0, 0.01, 41))
 
     def test_float64_maps_past_float_range_keep_the_other_block(self, monkeypatch,
                                                                coherent_init):
@@ -453,7 +436,7 @@ class TestBlockComposition:
         # into the first moments; composed per block, they stay finite.
         monkeypatch.setattr(numeric, "EXTENDED", np.dtype(float))
         system = oracle_system(1.8, 1.2, 2.0, coherent_init)
-        t, xs, truncated = _propagate(*system, 400.0, 0.005, 2, 2)
+        t, xs, truncated = _propagate(*system, 400.0, 0.005, 2)
         t_ref, xs_ref, truncated_ref = full_composition(*system, 400.0, 0.005, 2)
         assert truncated and truncated_ref and np.array_equal(t, t_ref)
         assert np.array_equal(xs[0], xs_ref[0]) and np.all(np.isnan(xs_ref[1]))
@@ -636,7 +619,7 @@ class TestSplit:
         assert series.n_a[0] == abs(coherent_init.alpha) ** 2
         assert series.n_b[0] == abs(coherent_init.beta) ** 2
         # Im(alpha* beta) starts the last state, as in the eight-state reference.
-        _, _, x0 = reference_system(0.6, 1.2, OMEGA1 / KAPPA, coherent_init)
+        _, x0 = reference_system(0.6, 1.2, OMEGA1 / KAPPA, coherent_init)
         s0 = (coherent_init.alpha.conjugate() * coherent_init.beta).imag
         assert propagated[-1][0, 6] == x0[7] == s0
         # Total number dominates the stimulated part along the trajectory.

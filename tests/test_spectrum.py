@@ -7,13 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptomech import (
+    CoherentInit,
     PTPhase,
     Stability,
     classify,
     drift_eigenvalues_dense,
     drift_matrix,
     make_params,
+    numbers,
     phase_diagram,
+    steady_numbers,
 )
 from ptomech.presets import PRESETS
 from ptomech.spectrum import REGIME_LABELS, _codes_and_rmax, eigenvalues, regime_codes
@@ -303,6 +306,80 @@ class TestRegimeRuleProperty:
             assert disc < 0.0
         else:
             assert disc > 0.0
+
+
+# Open-region points (kappa units) keep MARGIN from gamma = kappa, and in G
+# from f = 0 (G = sqrt(gamma)) and the transition line G = (1 + gamma)/2.
+# Each region's parts, as (gamma range, G range at gamma):
+MARGIN = 0.05
+_OPEN_PARTS = {
+    1: [((0.01, 1.0 - MARGIN), lambda g: (0.0, math.sqrt(g) - MARGIN)),
+        ((1.0 + MARGIN, 2.5), lambda g: (0.0, 0.5 * (1.0 + g) - MARGIN))],
+    2: [((1.0 + MARGIN, 2.5), lambda g: (0.5 * (1.0 + g) + MARGIN, 2.5))],
+    3: [((0.0, 0.3), lambda g: (math.sqrt(g) + MARGIN, 0.5 * (1.0 + g) - MARGIN))],
+    4: [((0.0, 1.0 - MARGIN), lambda g: (0.5 * (1.0 + g) + MARGIN, 2.5))],
+}
+_INIT = CoherentInit.from_polar(2.0, math.pi / 6.0, 2.0, math.pi / 3.0)
+
+
+def open_points(code):
+    """(gamma/kappa, G/kappa) in region ``code`` (1-4), MARGIN from every line."""
+    parts = [st.floats(*g_range).flatmap(
+                 lambda g, G_range=G_range: st.tuples(st.just(g), st.floats(*G_range(g))))
+             for g_range, G_range in _OPEN_PARTS[code]]
+    return st.one_of(parts).filter(lambda point: abs(point[1] - math.sqrt(point[0])) >= MARGIN)
+
+
+def region_params(point, codes):
+    """gamma/kappa, the params and Omega/kappa at a point labelled one of ``codes``."""
+    g, G = point
+    assert regime_codes(g, G) in codes
+    p = params_at(g, G)
+    return g, p, p.Omega / KAPPA
+
+
+def total_number(p, t_kappa):
+    """n_a + n_b from the closed forms at t_kappa/kappa."""
+    n = numbers(p, _INIT, t_kappa / KAPPA)
+    return n.n_a_st + n.n_a_sp + n.n_b_st + n.n_b_sp
+
+
+class TestOpenRegionSignatures:
+    """Each open region's label against the late-time closed forms: n_a + n_b
+    grows or decays at the rate (gamma - kappa) + Re Omega (kappa units), the
+    largest eigenvalue of the number system."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(point=open_points(3) | open_points(4))
+    def test_stable_regions_settle_at_the_steady_numbers(self, point):
+        g, p, omega = region_params(point, (3, 4))
+        n = numbers(p, _INIT, 40.0 / (1.0 - g - omega.real) / KAPPA)
+        for got, steady in zip((n.n_a_st + n.n_a_sp, n.n_b_st + n.n_b_sp), steady_numbers(p)):
+            # Without gain the steady numbers are 0.
+            assert got == pytest.approx(steady, rel=1e-9, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(point=open_points(1))
+    def test_broken_pt_growth_has_the_largest_rate(self, point):
+        # The modes of rate (gamma - kappa) and (gamma - kappa) - Omega fall
+        # behind by e^(-Omega T) and more over [T, 2T].
+        g, p, omega = region_params(point, (1,))
+        rate = g - 1.0 + omega.real
+        T = 20.0 / rate
+        slope = math.log(total_number(p, 2.0 * T) / total_number(p, T)) / T
+        assert abs(slope - rate) <= 1e-3
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(point=open_points(2))
+    def test_pt_symmetric_growth_over_whole_periods(self, point):
+        # n_a + n_b is e^((gamma - kappa) t) times a function of period
+        # 2 pi/|Omega|, plus a constant: over T, a whole number of periods, the
+        # oscillation cancels from the log-slope.
+        g, p, omega = region_params(point, (2,))
+        rate, period = g - 1.0, 2.0 * math.pi / abs(omega)
+        T = period * math.ceil(20.0 / rate / period)
+        slope = math.log(total_number(p, 2.0 * T) / total_number(p, T)) / T
+        assert abs(slope - rate) <= 1e-8
 
 
 _NAN = math.nan

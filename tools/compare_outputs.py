@@ -31,7 +31,10 @@ from workloads import WORKLOADS  # noqa: E402
 
 # Outputs the workloads do not reach: JSON, --precision 1, 3 and 17, the
 # one-row tables (steady at a point, --show-preset), a steady curve, the
-# overflow run, the exceptional point, classify and an invalid call.
+# overflow run, the exceptional point, classify and an invalid call; and
+# oracle runs of a long preset, a long run on the f = 0 line, a guard that
+# fails at a run's last sample, a system without gain or coupling, and a map
+# past extended range.
 EDGE_CALLS = [
     ("figure", "3a", "--format", "json"),
     ("figure", "3e", "--precision", "1"),
@@ -47,6 +50,13 @@ EDGE_CALLS = [
     ("evolve", "--gamma", "1.8", "--G", "1.2", "--t-end", "400", "--samples", "2",
      "--format", "json", "--precision", "1"),
     ("evolve", "--gamma", "1.0", "--G", "1.0", "--t-end", "1000", "--samples", "2"),
+    ("figure", "3a", "--t-end", "1000"),
+    ("evolve", "--gamma", "0.99", "--G", "0.99498743710662", "--t-end", "1000"),
+    ("evolve", "--gamma", "1.8", "--G", "1.2", "--t-end", "22", "--samples", "513"),
+    ("evolve", "--gamma", "0", "--G", "0", "--omega1", "0.01", "--t-end", "400",
+     "--samples", "1000"),
+    ("evolve", "--gamma", "20", "--G", "1.2", "--omega1", "2", "--t-end", "400",
+     "--samples", "2"),
     ("steady", "--gamma", "0.6", "--G", "1.2"),
     ("steady", "--gamma", "0.6", "--G", "1.2", "--format", "json", "--precision", "17"),
     ("steady", "--sweep", "G", "--gamma", "0.6", "--sweep-min", "0", "--sweep-max", "2"),
